@@ -17,9 +17,8 @@ All functions are scalar-in, scalar-out.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
-from .fraccalc import beta_fn
+from .fraccalc import _gamma, beta_fn
 
 __all__ = [
     "lebesgue_c1",
@@ -30,7 +29,6 @@ __all__ = [
     "rs_c3",
     "rs_c4",
     "kernel_c_alpha",
-    "kernel_c_alpha_bound",
     "sup_weight_bound",
     "novaho_k2",
     "increment_k1_literal",
@@ -45,10 +43,6 @@ __all__ = [
     "stieltjes_d4",
     "stieltjes_dprime_N",
 ]
-
-
-def _gamma(x: float) -> float:
-    return float(np.exp(gammaln(x)))
 
 
 # ---------------------------------------------------------------- Lebesgue
@@ -103,9 +97,6 @@ def kernel_c_alpha(alpha: float) -> float:
     """Declared bound for the exponential-kernel constant:
     C_alpha <= 1/(1-2 alpha) + 4."""
     return 1.0 / (1.0 - 2.0 * alpha) + 4.0
-
-
-kernel_c_alpha_bound = kernel_c_alpha
 
 
 def sup_weight_bound(p: float, lam: float) -> float:

@@ -294,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         for flag, attr in _FLAG_NAMES.items():
-            p.add_argument(f"--{flag}", dest=attr, default=None)
+            p.add_argument(f"--{flag}", dest=attr, default=None, type=_CASTS[attr])
     return ap
 
 
@@ -305,12 +305,17 @@ def main(argv=None) -> int:
         for key, val in _load_config_file(args.config).items():
             attr = _FLAG_NAMES.get(key, key)
             if attr not in _CASTS:
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, attr, _CASTS[attr](val))
+                print(f"error: unknown config key {key!r}", file=sys.stderr)
+                return 2
+            try:
+                setattr(cfg, attr, _CASTS[attr](val))
+            except ValueError:
+                print(f"error: config key {key!r}: invalid value {val!r}", file=sys.stderr)
+                return 2
     for attr in _CASTS:
         val = getattr(args, attr, None)
         if val is not None:
-            setattr(cfg, attr, _CASTS[attr](val))
+            setattr(cfg, attr, val)
     return run_experiment(cfg)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .grid import GridFunction, power_cell_weights, row_singular_integrals
+from .grid import GridFunction, increment_row_integrals, power_cell_weights
 
 __all__ = [
     "FracParams",
@@ -59,11 +59,6 @@ def _gamma(x: float) -> float:
     return float(np.exp(gammaln(x)))
 
 
-def _signed_increment_rows(v: np.ndarray) -> np.ndarray:
-    """rows[i, j] = v[i] - v[j]; vanishes on the diagonal."""
-    return v[:, None] - v[None, :]
-
-
 def left_frac_derivative_all(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
     """(D^alpha_{0+} f)(s_i) at every interior node for a scalar sample.
 
@@ -72,13 +67,16 @@ def left_frac_derivative_all(values: np.ndarray, h: float, alpha: float) -> np.n
 
         (1/Gamma(1-alpha)) * ( f(s)/s^alpha
             + alpha * int_0^s (f(s) - f(y)) / (s - y)^{alpha+1} dy ).
+
+    The increment integral of every node is one FFT convolution
+    (grid.increment_row_integrals): O(n log n) for all n nodes, within
+    1e-12 of max|f - f(0)| * sum(weights) of the direct row rule
+    (grid.row_singular_integrals on the table f(s_i) - f(s_j)).
     """
     v = np.asarray(values, dtype=float)
     n = v.shape[0] - 1
     s = h * np.arange(n + 1)
-    inc = row_singular_integrals(
-        _signed_increment_rows(v), h, alpha + 1.0, diagonal_vanishes=True
-    )
+    inc = increment_row_integrals(v, h, alpha + 1.0)
     out = np.full(n + 1, np.nan)
     out[1:] = (v[1:] / s[1:] ** alpha + alpha * inc[1:]) / _gamma(1.0 - alpha)
     return out

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc
 
 from .fbm import DriverPath
-from .fraccalc import beta_fn, left_frac_derivative_all, weyl_bracket_matrix
+from .fraccalc import _gamma, beta_fn, left_frac_derivative_all, weyl_bracket_matrix
 from .grid import BivariateKernelValues, GridFunction, TimeGrid
 
 __all__ = [
@@ -160,6 +160,13 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
     residue of the dropped phases).  The product integrand carries
     s^{-alpha} and (t-s)^{alpha-1} endpoint singularities, removed by
     dividing out the exact kernel and product-integrating against it.
+
+    Cost O(d m n^2 log n): each row t_i takes, per component, one
+    FFT-convolution left derivative (fraccalc.left_frac_derivative_all,
+    O(n log n)) and an O(n) outer quadrature; the Weyl bracket table is
+    built once, in O(m n^2).  The FFT changes only the summation order
+    of the derivative's increment integral, which agrees with the direct
+    row rule to 1e-12 of its row scale.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
@@ -172,7 +179,7 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
     vals = np.zeros((n + 1, d))
     brackets = [weyl_bracket_matrix(g.component(c), h, alpha) for c in range(g.m)]
     nodes = grid.nodes
-    g1a = float(np.exp(gammaln(1.0 - alpha)))
+    g1a = _gamma(1.0 - alpha)
     for i in range(1, n + 1):
         t = nodes[i]
         if i == 1:

@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import bounds
 from .coeffs import CoefficientSet, builtin_coefficients, verify_hypotheses
 from .errors import VolterraError
 from .fbm import DriverPath, _davies_harte_increments
-from .fraccalc import beta_fn
+from .fraccalc import _gamma, beta_fn
 from .grid import (
     BivariateKernelValues,
     GridFunction,
@@ -55,10 +54,6 @@ __all__ = [
 
 _LAMBDA_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0)
 _HURST_GRID = (0.6, 0.75, 0.9)
-
-
-def _gamma(x: float) -> float:
-    return float(np.exp(gammaln(x)))
 
 
 def _prop_slack(n: int, c: float = 0.4) -> float:

@@ -75,6 +75,30 @@ def test_bad_config_line(tmp_path):
         main(["solve", "--config", str(cfg)])
 
 
+def test_non_numeric_flag_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--n", "abc", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 96\nbogus = 1\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.strip() == "error: unknown config key 'bogus'"
+    assert not (tmp_path / "x").exists()
+
+
+def test_bad_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = abc\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.strip() == "error: config key 'n': invalid value 'abc'"
+
+
 def test_infeasible_solve_names_constraint(tmp_path, capsys):
     # alpha outside the admissible window: diagnostic + exit status 2
     code = main(["solve", "--coeffs", "smooth-volterra", "--H", "0.75",

@@ -10,6 +10,8 @@ from volterra_fbm.grid import (
     GridFunction,
     TimeGrid,
     build_grid,
+    gap_weights,
+    increment_row_integrals,
     left_singular_integral,
     prefix_singular_integrals,
     row_singular_integrals,
@@ -140,6 +142,32 @@ def test_row_integrals_match_single_node_calls():
             continue
         f = GridFunction(sub, np.abs(v[i] - v[: i + 1]))
         np.testing.assert_allclose(rows[i], singular_weighted_integral(f, 1.3, i)[0], rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+@pytest.mark.parametrize("alpha", [0.01, 0.25, 0.49])
+def test_increment_convolution_matches_direct_rows(n, alpha):
+    # oracle: the direct row rule on the explicit signed increment table
+    rng = np.random.default_rng(n)
+    h = 1.0 / n
+    theta = alpha + 1.0
+    v = 2.0 + np.cumsum(rng.normal(size=n + 1)) * np.sqrt(h)
+    direct = row_singular_integrals(v[:, None] - v[None, :], h, theta, diagonal_vanishes=True)
+    got = increment_row_integrals(v, h, theta)
+    c, _ = gap_weights(n, h, theta, diagonal_vanishes=True)
+    row_scale = np.max(np.abs(v - v[0])) * np.sum(c)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, direct, rtol=0.0, atol=1e-12 * row_scale)
+
+
+def test_increment_convolution_ignores_offset():
+    # increments do not see a constant shift, however large
+    rng = np.random.default_rng(11)
+    n = 257
+    v = np.cumsum(rng.normal(size=n + 1)) / np.sqrt(n)
+    base = increment_row_integrals(v, 1.0 / n, 1.3)
+    np.testing.assert_allclose(increment_row_integrals(v + 1e8, 1.0 / n, 1.3), base,
+                               rtol=0.0, atol=1e-7 * np.max(np.abs(base)))
 
 
 def test_prefix_integrals_match_quad():
