@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .coeffs import builtin_coefficients
-from .errors import AdmissibilityError, VolterraError
+from .errors import AdmissibilityError, CatalogError, VolterraError
 from .fbm import DriverPath, Seed, sample_cholesky, sample_davies_harte, _covariance_matrix
 from .grid import build_grid
 from .norms import HolderParams, w_alpha_infty_norm
@@ -39,7 +39,6 @@ class ExperimentConfig:
     T: float = 1.0
     n: int = 256
     m: int = 1
-    d: int = 1
     coeffs: str = "smooth-volterra"
     paths: int = 1
     seed: int = 1
@@ -245,8 +244,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             return _cmd_moments(cfg, out)
         if cfg.subcommand == "convergence":
             return _cmd_convergence(cfg, out)
-    except (AdmissibilityError, ValueError) as exc:
-        # constraint violations carry the violated condition in the message
+    except (AdmissibilityError, CatalogError, ValueError) as exc:
+        # bad parameters, an unknown catalog entry included, exit 2 like
+        # usage errors; constraint violations name the condition
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VolterraError as exc:
@@ -263,7 +263,7 @@ def _load_config_file(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
+            raise ValueError(f"bad config line {raw.strip()!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         out[key] = val
     return out
@@ -271,14 +271,14 @@ def _load_config_file(path: str) -> dict:
 
 _FLAG_NAMES = {
     "H": "H", "alpha": "alpha", "lambda": "lam", "T": "T", "n": "n", "m": "m",
-    "d": "d", "coeffs": "coeffs", "paths": "paths", "seed": "seed", "tol": "tol",
+    "coeffs": "coeffs", "paths": "paths", "seed": "seed", "tol": "tol",
     "max-iter": "max_iter", "workers": "workers", "out": "out_dir", "x0": "x0",
     "sampler": "sampler", "cases": "cases", "families": "families",
     "emit-paths": "emit_paths",
 }
 _CASTS = {
     "H": float, "alpha": float, "lam": float, "T": float, "n": int, "m": int,
-    "d": int, "coeffs": str, "paths": int, "seed": int, "tol": float,
+    "coeffs": str, "paths": int, "seed": int, "tol": float,
     "max_iter": int, "workers": int, "out_dir": str, "x0": float,
     "sampler": str, "cases": int, "families": str, "emit_paths": int,
 }
@@ -302,7 +302,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = ExperimentConfig(subcommand=args.subcommand)
     if args.config:
-        for key, val in _load_config_file(args.config).items():
+        try:
+            entries = _load_config_file(args.config)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for key, val in entries.items():
             attr = _FLAG_NAMES.get(key, key)
             if attr not in _CASTS:
                 print(f"error: unknown config key {key!r}", file=sys.stderr)

@@ -9,13 +9,32 @@ and integrates each cell against the kernel in closed form, so it is
 exact for piecewise-linear data and keeps its order on kernels with
 ``theta`` up to 2 provided the integrand vanishes at the singular
 endpoint (increment-type integrands).
+
+On a uniform grid the node weights depend only on the gap i - j
+between the node and the singular endpoint, so a whole row rule is one
+Toeplitz matrix of gap weights.  Three routes share it:
+
+- ``row_singular_integrals``: any (n+1)^2 table of integrands, O(n^2);
+  the rule for general tables and the oracle of the other two.
+- ``abs_increment_row_integrals``: the integrands |v_i - v_j|^p of a
+  (n+1, d) sample, O(n^2 d) in 256-row blocks without building the
+  table; bit-identical to ``row_singular_integrals`` on that table.
+- ``increment_row_integrals``: the signed integrands v_i - v_j of a
+  scalar sample, one FFT convolution, O(n log n); equal to the direct
+  rule up to round-off.
+
+``power_cell_weights`` keeps one read-only weight table per (h, theta);
+a shorter row's weights are a bit-exact prefix of a longer row's.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SingularityError
 
@@ -28,6 +47,7 @@ __all__ = [
     "power_cell_weights",
     "gap_weights",
     "row_singular_integrals",
+    "abs_increment_row_integrals",
     "increment_row_integrals",
     "prefix_singular_integrals",
     "left_singular_integral",
@@ -36,6 +56,16 @@ __all__ = [
 # |phi(endpoint)| above this (relative to the integrand scale) with
 # theta >= 1 is a non-integrable singularity, not rounding noise.
 _ENDPOINT_ATOL = 1e-12
+
+# rows per block of the direct row rules: at n = 2048 a block of weights
+# or of integrands is 4 MB, against 34 MB for a whole (n+1)^2 table
+_ROW_CHUNK = 256
+
+# (h, theta) keys kept by power_cell_weights; a run uses a handful, the
+# verify suite's random alphas a new one per case
+_WEIGHT_TABLE_KEYS = 32
+_weight_tables: OrderedDict = OrderedDict()
+_weight_tables_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -139,19 +169,7 @@ class BivariateKernelValues:
         return cls(grid, vals)
 
 
-def power_cell_weights(n_cells: int, h: float, theta: float):
-    """Node weights for product integration against u**-theta on a
-    uniform grid, indexed by cell distance ("gap") from the singularity.
-
-    The cell at gap g spans u in [g*h, (g+1)*h].  Returns (A, B) where
-    A[g] multiplies the integrand value at the cell node farther from
-    the singularity and B[g] the nearer one.  A has length n_cells,
-    B length n_cells + 1 (B[n_cells] is needed by row corrections).
-    For theta >= 1, B[0] is +inf: the nearer node of the singular cell
-    only ever multiplies a vanishing increment.
-    """
-    if not 0.0 <= theta < 2.0:
-        raise ValueError(f"kernel exponent must lie in [0, 2), got {theta}")
+def _power_cell_table(n_cells: int, h: float, theta: float):
     g = np.arange(n_cells + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         if theta == 1.0:
@@ -164,7 +182,40 @@ def power_cell_weights(n_cells: int, h: float, theta: float):
     # finite first moment
     a[0] = h ** (1.0 - theta) / (2.0 - theta)
     b = p0 - a
-    return a[:n_cells], b
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
+
+
+def power_cell_weights(n_cells: int, h: float, theta: float):
+    """Node weights for product integration against u**-theta on a
+    uniform grid, indexed by cell distance ("gap") from the singularity.
+
+    The cell at gap g spans u in [g*h, (g+1)*h].  Returns (A, B) where
+    A[g] multiplies the integrand value at the cell node farther from
+    the singularity and B[g] the nearer one.  A has length n_cells,
+    B length n_cells + 1 (B[n_cells] is needed by row corrections).
+    For theta >= 1, B[0] is +inf: the nearer node of the singular cell
+    only ever multiplies a vanishing increment.
+
+    Every weight is a function of (g, h, theta) alone, so the weights
+    of a shorter row are a bit-exact prefix of a longer row's.  One
+    table per (h, theta), at the largest n_cells asked for, serves all
+    rows; A and B are read-only views into it.
+    """
+    if not 0.0 <= theta < 2.0:
+        raise ValueError(f"kernel exponent must lie in [0, 2), got {theta}")
+    key = (float(h), float(theta))
+    with _weight_tables_lock:
+        table = _weight_tables.get(key)
+        if table is None or table[0].shape[0] <= n_cells:
+            table = _power_cell_table(n_cells, h, theta)
+            _weight_tables[key] = table
+            if len(_weight_tables) > _WEIGHT_TABLE_KEYS:
+                _weight_tables.popitem(last=False)
+        _weight_tables.move_to_end(key)
+    a, b = table
+    return a[:n_cells], b[: n_cells + 1]
 
 
 def _check_increment_endpoint(endpoint_vals: np.ndarray, scale: float, theta: float):
@@ -269,12 +320,20 @@ def gap_weights(n_cells: int, h: float, theta: float, diagonal_vanishes: bool = 
     return c, b
 
 
+def _toeplitz_block(c: np.ndarray) -> np.ndarray:
+    """Zero-copy (n+1, n+1) view W with W[i, j] = c[i - j] for j <= i
+    and 0 above the diagonal: row i is the window of
+    concat(c[::-1], zeros(n+1)) starting at n - i."""
+    n1 = c.shape[0]
+    padded = np.concatenate([c[::-1], np.zeros(n1)])
+    return sliding_window_view(padded, n1)[n1 - 1 :: -1]
+
+
 def row_singular_integrals(
     rows: np.ndarray,
     h: float,
     theta: float,
     diagonal_vanishes: bool = False,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Per-row singular integrals against the right-sided kernel.
 
@@ -284,6 +343,13 @@ def row_singular_integrals(
 
     diagonal_vanishes=True asserts rows[i, i] == 0 (increment-type
     integrands), which is required when theta >= 1.
+
+    The rule for general tables, and the oracle of the two increment
+    routes.  Cost O(n^2) on top of the caller's table: rows are taken
+    in blocks of 256, each weighted by a copy of its block of the gap
+    weights' Toeplitz matrix and summed along the row with one einsum.
+    abs_increment_row_integrals shares the block, the copy and the
+    einsum, which is what makes the two bit-identical.
     """
     m = np.asarray(rows, dtype=float)
     n = m.shape[0] - 1
@@ -291,22 +357,65 @@ def row_singular_integrals(
         raise SingularityError(
             "theta >= 1 requires increment-type rows (diagonal_vanishes=True)"
         )
-    c, b = gap_weights(n, h, theta, diagonal_vanishes)
     if diagonal_vanishes:
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         _check_increment_endpoint(np.diagonal(m), scale, max(theta, 1.0))
+    return _blocked_row_rule(n, h, theta, diagonal_vanishes, lambda lo, hi: m[lo:hi])
+
+
+def abs_increment_row_integrals(
+    values: np.ndarray, h: float, theta: float, power: float = 1.0
+) -> np.ndarray:
+    """out[i] = integral_0^{t_i} (t_i - s)**-theta * |v(t_i) - v(s)|**power ds
+    for every i, for a sample v of shape (n+1,) or (n+1, d) (Euclidean
+    norm over the d components).
+
+    Fused form of row_singular_integrals on the table
+    rows[i, j] = |v_i - v_j|**power, without building that table:
+
+        out[i] = sum_{j<=i} c[i-j] |v_i - v_j|**p - b[i] |v_i - v_0|**p.
+
+    Each block of 256 rows computes its increments with the same
+    formula the table would use, sqrt(add.reduce(d*d, axis=-1)), in one
+    reused buffer (for d = 1 the one-term sum is the term itself), and
+    meets the same weight block and einsum, so the result is
+    bit-identical to the table route.  Cost O(n^2 d) time and O(256 n d)
+    memory, against O(n^2) memory for the table.  The diagonal is zero
+    by construction, so theta >= 1 needs no endpoint check.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 1:
+        v = v[:, None]
+    n, dim = v.shape[0] - 1, v.shape[1]
+    buf = np.empty((min(_ROW_CHUNK, n), n + 1, dim))
+
+    def increments(lo, hi):
+        d = buf[: hi - lo]
+        np.subtract(v[lo:hi, None, :], v[None, :, :], out=d)
+        np.multiply(d, d, out=d)
+        m = np.add.reduce(d, axis=-1) if dim > 1 else d[..., 0]
+        np.sqrt(m, out=m)
+        return m if power == 1.0 else m ** power
+
+    return _blocked_row_rule(n, h, theta, True, increments)
+
+
+def _blocked_row_rule(n: int, h: float, theta: float, diagonal_vanishes: bool, block_of):
+    """out[i] = sum_j W[i, j] rows[i, j] - b[i] rows[i, 0] over blocks of
+    _ROW_CHUNK rows, where block_of(lo, hi) returns rows[lo:hi] as an
+    (hi - lo, n+1) array.  Row 0 is an empty integral."""
+    c, b = gap_weights(n, h, theta, diagonal_vanishes)
+    weights = _toeplitz_block(c)
+    buf = np.empty((min(_ROW_CHUNK, n), n + 1))
     out = np.zeros(n + 1)
-    cols = np.arange(n + 1)
-    for lo in range(1, n + 1, chunk):
-        hi = min(lo + chunk, n + 1)
-        idx = np.arange(lo, hi)
-        gaps = idx[:, None] - cols[None, :]
-        mask = gaps >= 0
-        w = np.where(mask, c[np.where(mask, gaps, 0)], 0.0)
-        block = m[lo:hi]
+    for lo in range(1, n + 1, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, n + 1)
+        w = buf[: hi - lo]
+        np.copyto(w, weights[lo:hi])
+        block = block_of(lo, hi)
         out[lo:hi] = np.einsum("ij,ij->i", w, block)
         # node j=0 carries only the far weight of cell 0
-        out[lo:hi] -= b[idx] * block[:, 0]
+        out[lo:hi] -= b[lo:hi] * block[:, 0]
     return out
 
 

@@ -15,13 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, power_cell_weights, row_singular_integrals
+from .grid import GridFunction, abs_increment_row_integrals, power_cell_weights
 
 __all__ = [
     "HolderParams",
     "NormReport",
     "w_alpha_infty_norm",
     "w_alpha_lambda_norm",
+    "fractional_aggregate",
+    "fractional_norm",
+    "check_weight",
     "holder_norm",
     "w_1malpha_norm",
     "alpha_1_norm",
@@ -67,33 +70,36 @@ class NormReport:
     components: tuple[float, float]
 
 
-def _increment_rows(f: GridFunction, power: float = 1.0) -> np.ndarray:
-    """rows[i, j] = |f(t_i) - f(t_j)|^power (Euclidean over components)."""
-    d = f.values[:, None, :] - f.values[None, :, :]
-    m = np.linalg.norm(d, axis=2)
-    if power != 1.0:
-        m = m ** power
-    return m
-
-
-def _per_node_aggregate(f: GridFunction, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def fractional_aggregate(f: GridFunction, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(|f(t_i)|, integral_0^{t_i} |f(t_i)-f(s)| (t_i-s)^{-alpha-1} ds)
-    at every node."""
+    at every node: the per-node parts of the fractional norms, one
+    O(n^2) pass."""
     sup_part = f.pointwise_norm()
-    inc = row_singular_integrals(
-        _increment_rows(f), f.grid.h, alpha + 1.0, diagonal_vanishes=True
-    )
+    inc = abs_increment_row_integrals(f.values, f.grid.h, alpha + 1.0)
     return sup_part, inc
+
+
+def fractional_norm(nodes: np.ndarray, aggregate: tuple[np.ndarray, np.ndarray], lam: float) -> NormReport:
+    """sup_t e^{-lam t} ( |f(t)| + increment integral ) from the
+    fractional_aggregate of f; lam = 0 is the unweighted norm."""
+    sup_part, inc = aggregate
+    w = np.exp(-lam * nodes)
+    agg = w * (sup_part + inc)
+    i = int(np.argmax(agg))
+    return NormReport(float(agg[i]), float(nodes[i]), (float(w[i] * sup_part[i]), float(w[i] * inc[i])))
+
+
+def check_weight(lam: float):
+    """The weighted norm is defined for lam >= 1 only."""
+    if lam < 1.0:
+        raise ValueError(f"weight lambda must be >= 1, got {lam}")
 
 
 def w_alpha_infty_norm(f: GridFunction, alpha: float) -> NormReport:
     """sup_t ( |f(t)| + int_0^t |f(t)-f(s)| / (t-s)^{alpha+1} ds )."""
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    sup_part, inc = _per_node_aggregate(f, alpha)
-    agg = sup_part + inc
-    i = int(np.argmax(agg))
-    return NormReport(float(agg[i]), float(f.grid.nodes[i]), (float(sup_part[i]), float(inc[i])))
+    return fractional_norm(f.grid.nodes, fractional_aggregate(f, alpha), 0.0)
 
 
 def w_alpha_lambda_norm(f: GridFunction, alpha: float, lam: float) -> NormReport:
@@ -101,13 +107,8 @@ def w_alpha_lambda_norm(f: GridFunction, alpha: float, lam: float) -> NormReport
     defined for lam >= 1 only."""
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    if lam < 1.0:
-        raise ValueError(f"weight lambda must be >= 1, got {lam}")
-    sup_part, inc = _per_node_aggregate(f, alpha)
-    w = np.exp(-lam * f.grid.nodes)
-    agg = w * (sup_part + inc)
-    i = int(np.argmax(agg))
-    return NormReport(float(agg[i]), float(f.grid.nodes[i]), (float(w[i] * sup_part[i]), float(w[i] * inc[i])))
+    check_weight(lam)
+    return fractional_norm(f.grid.nodes, fractional_aggregate(f, alpha), lam)
 
 
 def holder_norm(f: GridFunction, exponent: float) -> float:
@@ -163,9 +164,7 @@ def alpha_1_norm(f: GridFunction, alpha: float) -> float:
     # left-singular kernel s^-alpha, integrable without cancellation
     a_w, b_w = power_cell_weights(f.grid.n, h, alpha)
     first = float(np.dot(a_w, mag[1:]) + np.dot(b_w[: f.grid.n], mag[:-1]))
-    inner = row_singular_integrals(
-        _increment_rows(f), h, alpha + 1.0, diagonal_vanishes=True
-    )
+    inner = abs_increment_row_integrals(f.values, h, alpha + 1.0)
     # outer integrand is bounded and vanishes at s=0: plain trapezoid
     second = float(np.trapezoid(inner, dx=h))
     return first + second
@@ -175,9 +174,7 @@ def delta_functional(f: GridFunction, alpha: float, delta: float) -> float:
     """sup_u int_0^u |f(u)-f(s)|^delta / (u-s)^{alpha+1} ds."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    inc = row_singular_integrals(
-        _increment_rows(f, power=delta), f.grid.h, alpha + 1.0, diagonal_vanishes=True
-    )
+    inc = abs_increment_row_integrals(f.values, f.grid.h, alpha + 1.0, power=delta)
     return float(np.max(inc))
 
 

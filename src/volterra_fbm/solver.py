@@ -24,10 +24,12 @@ from .grid import GridFunction
 from .integrals import diffusion_term, drift_term
 from .norms import (
     HolderParams,
+    check_weight,
     delta_functional,
+    fractional_aggregate,
+    fractional_norm,
     holder_exponent_estimate,
     w_alpha_infty_norm,
-    w_alpha_lambda_norm,
 )
 
 __all__ = [
@@ -224,22 +226,25 @@ def picard_solve(
     # a priori radii from the pilot application, with margin
     sup0 = max(x_prev.sup_norm(), x_next.sup_norm())
     n_bound = 2.0 * sup0 + 1.0
-    delta_bound = 2.0 * delta_functional(x_next, alpha, cs.delta) + 1.0
+    delta_next = delta_functional(x_next, alpha, cs.delta)
+    delta_bound = 2.0 * delta_next + 1.0
     lam_selected = select_lambda(cs, params, lam_g, n_bound, delta_bound)
     lam = lambda_override if lambda_override is not None else min(lam_selected, LAMBDA_CAP)
+    check_weight(lam)
 
     distances = []
     sup_radius = sup0
-    delta_radius = max(
-        delta_functional(x_prev, alpha, cs.delta), delta_functional(x_next, alpha, cs.delta)
-    )
+    delta_radius = max(delta_functional(x_prev, alpha, cs.delta), delta_next)
     converged = False
     for _ in range(max_iter):
         gap = GridFunction(grid, x_next.values - x_prev.values)
-        distances.append(w_alpha_lambda_norm(gap, alpha, lam).value)
+        # one aggregate serves the weighted distance and the unweighted
+        # stopping norm
+        agg = fractional_aggregate(gap, alpha)
+        distances.append(fractional_norm(grid.nodes, agg, lam).value)
         # stop on the unweighted norm: it dominates the weighted one, so
         # this is strictly stronger than a weighted-gap tolerance
-        if w_alpha_infty_norm(gap, alpha).value < tol:
+        if fractional_norm(grid.nodes, agg, 0.0).value < tol:
             converged = True
             break
         x_prev = x_next

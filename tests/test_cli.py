@@ -68,11 +68,27 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert a != b
 
 
-def test_bad_config_line(tmp_path):
+def test_bad_config_line(tmp_path, capsys):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("n 96\n")
-    with pytest.raises(ValueError):
-        main(["solve", "--config", str(cfg)])
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.strip() == "error: bad config line 'n 96'"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_unknown_coeffs_is_usage_error(tmp_path, capsys, via_config):
+    argv = ["solve", "--n", "16", "--out", str(tmp_path / "x")]
+    if via_config:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("coeffs = nope\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--coeffs", "nope"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown coefficient set 'nope'")
+    assert "Traceback" not in err
 
 
 def test_non_numeric_flag_is_usage_error(tmp_path, capsys):

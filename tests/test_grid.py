@@ -1,18 +1,25 @@
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from volterra_fbm import grid as grid_mod
 from volterra_fbm.errors import SingularityError
 from volterra_fbm.grid import (
     BivariateKernelValues,
     GridFunction,
     TimeGrid,
+    abs_increment_row_integrals,
     build_grid,
     gap_weights,
     increment_row_integrals,
     left_singular_integral,
+    power_cell_weights,
     prefix_singular_integrals,
     row_singular_integrals,
     singular_weighted_integral,
@@ -158,6 +165,101 @@ def test_increment_convolution_matches_direct_rows(n, alpha):
     row_scale = np.max(np.abs(v - v[0])) * np.sum(c)
     assert got[0] == 0.0
     np.testing.assert_allclose(got, direct, rtol=0.0, atol=1e-12 * row_scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 1000])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("power", [1.0, 0.5])
+@pytest.mark.parametrize("alpha", [0.01, 0.25, 0.49])
+def test_abs_increment_rows_match_table_route(n, d, power, alpha):
+    # oracle: the row rule on the explicit table |v_i - v_j|**power,
+    # built as the norms used to build it; the fused kernel must agree
+    # to the bit
+    rng = np.random.default_rng(n + d)
+    h = 1.0 / n
+    v = 2.0 + np.cumsum(rng.normal(size=(n + 1, d)), axis=0) * np.sqrt(h)
+    table = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=2)
+    if power != 1.0:
+        table = table ** power
+    direct = row_singular_integrals(table, h, alpha + 1.0, diagonal_vanishes=True)
+    got = abs_increment_row_integrals(v[:, 0] if d == 1 else v, h, alpha + 1.0, power=power)
+    assert np.array_equal(got, direct)
+
+
+def _oracle_table(n, seed, increments):
+    rng = np.random.default_rng(seed)
+    if increments:
+        v = np.cumsum(rng.normal(size=n + 1)) / np.sqrt(n)
+        return np.abs(v[:, None] - v[None, :])
+    return rng.normal(size=(n + 1, n + 1))
+
+
+# sha256 of row_singular_integrals' output bytes before it shared its
+# weight block with the fused kernel (numpy 2.4, x86-64)
+_ROW_RULE_DIGESTS = [
+    (64, 0.3, False, "365988dfe5fcb3c702fcd2dab5b7bb018180d86c1367d730b908c1871d500842"),
+    (300, 1.25, True, "c62ba02a0d4f78307fa80a0af330360525c7469d9ca5ce520a1b6bfe684df0c8"),
+    (1000, 0.7, False, "c9a316f071cbaee8d881e48d4981d035ddd1dd006ee5fa8d8c76359b36a03f75"),
+    (2048, 1.49, True, "d366d6c8ae6c5bad4a37b1d57f322772a13e965d7274a587d228f2ad1461f59c"),
+]
+
+
+@pytest.mark.parametrize("n, theta, increments, digest", _ROW_RULE_DIGESTS)
+def test_row_rule_output_unchanged(n, theta, increments, digest):
+    out = row_singular_integrals(_oracle_table(n, n, increments), 1.0 / n, theta,
+                                 diagonal_vanishes=increments)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [64, 96, 1024, 2048])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 1.2, 1.3, 1.7, 1.8])
+def test_power_cell_weights_prefix_is_fresh_table(n, theta):
+    h = 1.0 / n
+    power_cell_weights(n, h, theta)
+    for k in range(n + 1):
+        a, b = power_cell_weights(k, h, theta)
+        fa, fb = grid_mod._power_cell_table(k, h, theta)
+        assert a.shape == (k,) and b.shape == (k + 1,)
+        assert np.array_equal(a, fa[:k]) and np.array_equal(b, fb)
+
+
+def test_power_cell_weights_are_read_only():
+    a, b = power_cell_weights(16, 0.125, 1.3)
+    with pytest.raises(ValueError):
+        a[0] = 1.0
+    with pytest.raises(ValueError):
+        b[1] = 1.0
+
+
+def test_power_cell_weights_under_threads():
+    # more threads than cores, each growing and reading tables of shared
+    # keys; every view must equal a fresh table and the cache stays bounded
+    keys = [(1.0 / 64, 0.3), (1.0 / 64, 1.3), (0.01, 1.7)]
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            h, theta = keys[rng.integers(len(keys))]
+            k = int(rng.integers(0, 512))
+            a, b = power_cell_weights(k, h, theta)
+            fa, fb = grid_mod._power_cell_table(k, h, theta)
+            if not (np.array_equal(a, fa[:k]) and np.array_equal(b, fb)):
+                errors.append((h, theta, k))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(grid_mod._weight_tables) <= grid_mod._WEIGHT_TABLE_KEYS
 
 
 def test_increment_convolution_ignores_offset():
