@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coeffs import builtin_coefficients
+from .coeffs import CoefficientSet, builtin_coefficients
 from .errors import AdmissibilityError, CatalogError, VolterraError
 from .fbm import DriverPath, Seed, sample_cholesky, sample_davies_harte, _covariance_matrix
 from .grid import build_grid
@@ -118,9 +118,19 @@ def _cmd_sample(cfg: ExperimentConfig, out: Path) -> int:
     return 0 if worst <= 4.0 else 1
 
 
-def _solve_one(cfg: ExperimentConfig, p: int):
-    grid = build_grid(cfg.T, cfg.n)
+def _coefficients(cfg: ExperimentConfig) -> CoefficientSet:
+    """The catalog entry, checked against --m before any driver is
+    sampled."""
     cs = builtin_coefficients(cfg.coeffs)
+    if cs.m != cfg.m:
+        raise CatalogError(
+            f"coefficient set {cfg.coeffs!r} has driver dimension m={cs.m}, but --m is {cfg.m}"
+        )
+    return cs
+
+
+def _solve_one(cfg: ExperimentConfig, cs: CoefficientSet, p: int):
+    grid = build_grid(cfg.T, cfg.n)
     params = HolderParams(H=cfg.H, alpha=cfg.alpha, T=cfg.T)
     driver = _sample_driver(cfg, grid, p)
     x0 = np.full(cs.d, cfg.x0)
@@ -142,10 +152,11 @@ def _write_solution(rec, grid, out: Path, p: int) -> None:
 
 
 def _cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
+    cs = _coefficients(cfg)
     grid = build_grid(cfg.T, cfg.n)
     status = 0
     with ThreadPoolExecutor(max_workers=max(cfg.workers, 1)) as ex:
-        recs = list(ex.map(lambda p: _solve_one(cfg, p), range(cfg.paths)))
+        recs = list(ex.map(lambda p: _solve_one(cfg, cs, p), range(cfg.paths)))
     for p, rec in enumerate(recs):
         _write_solution(rec, grid, out, p)
         if not rec.converged:
@@ -184,8 +195,9 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
+    cs = _coefficients(cfg)
     with ThreadPoolExecutor(max_workers=max(cfg.workers, 1)) as ex:
-        recs = list(ex.map(lambda p: _solve_one(cfg, p), range(cfg.paths)))
+        recs = list(ex.map(lambda p: _solve_one(cfg, cs, p), range(cfg.paths)))
     norms = np.array([w_alpha_infty_norm(r.x, cfg.alpha).value for r in recs])
     # dedicated bootstrap stream, disjoint from the path streams
     boot_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xB007,)))
@@ -207,7 +219,7 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.n % 4 != 0:
         raise ValueError("convergence study needs n divisible by 4")
     grid_fine = build_grid(cfg.T, cfg.n)
-    cs = builtin_coefficients(cfg.coeffs)
+    cs = _coefficients(cfg)
     params = HolderParams(H=cfg.H, alpha=cfg.alpha, T=cfg.T)
     fine = _sample_driver(cfg, grid_fine, 0)
     rows = []
@@ -304,6 +316,10 @@ def main(argv=None) -> int:
     if args.config:
         try:
             entries = _load_config_file(args.config)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot read config file {args.config!r}: {reason}", file=sys.stderr)
+            return 2
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -13,7 +13,11 @@ domain s <= t:
     d2sigma_dxdt(t, s, x) -> (..., d, m, d)
 
 t and s broadcast against each other and against the leading axes of
-the state x of shape (..., d).  All evaluators must be pure.
+the state x of shape (..., d).  All evaluators must be pure.  The drift
+and diffusion maps call b and sigma on row blocks of the triangle
+s <= t with t of shape (r, 1), s of shape (r, k) and the state
+un-broadcast, shape (1, k, d): a factor of x(s) alone is computed once
+per column.  A result smaller than the broadcast shape is broadcast.
 
 Constants are declared metadata, not inferred: the solver's weight
 selection needs them a priori.  Every catalog value below is derived

@@ -5,6 +5,12 @@ integral F_t(f), its composition with a drift coefficient, the
 Riemann-Stieltjes sum against a driver (the pathwise Young integral),
 and the fractional-derivative representation of the same integral used
 as the accuracy arbiter for rough drivers.
+
+The coefficient maps drift_term and diffusion_term never build the
+(n+1)^2 table: they evaluate the coefficient on the causal triangle in
+blocks of rows and apply the table rules (lebesgue_volterra, young_rs)
+block by block, bit-identically.  The table rules remain for general
+tables and as the maps' test oracles.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
+from .errors import EvaluationError
 from .fbm import DriverPath
 from .fraccalc import _gamma, beta_fn, left_frac_derivative_all, weyl_bracket_matrix
-from .grid import BivariateKernelValues, GridFunction, TimeGrid
+from .grid import _ROW_CHUNK, BivariateKernelValues, GridFunction, TimeGrid
 
 __all__ = [
     "IntegralResult",
@@ -41,9 +48,9 @@ class IntegralResult:
         return self.values.grid
 
 
-def _as_matrix_kernel(f: BivariateKernelValues) -> np.ndarray:
-    """Kernel values as (n+1, n+1, d, m); scalar kernels become d=m=1."""
-    v = f.values
+def _as_matrix_kernel(v: np.ndarray) -> np.ndarray:
+    """Kernel values (rows, cols[, d[, m]]) as (rows, cols, d, m); scalar
+    kernels become d=m=1."""
     if v.ndim == 2:
         return v[:, :, None, None]
     if v.ndim == 3:
@@ -53,9 +60,55 @@ def _as_matrix_kernel(f: BivariateKernelValues) -> np.ndarray:
     raise ValueError(f"kernel value rank {v.ndim - 2} not supported")
 
 
+def _check_driver_dimension(m: int, g: DriverPath) -> None:
+    if m == 1 and g.m > 1:
+        raise ValueError(f"kernel has driver dimension 1, driver has m={g.m}")
+    if m != g.m:
+        raise ValueError(f"kernel driver dimension {m} != driver m={g.m}")
+
+
+def _triangle_blocks(fn, x: GridFunction, which: str):
+    """Evaluate fn(t_i, t_j, x(t_j)) on the causal triangle j <= i, in
+    blocks of _ROW_CHUNK rows.
+
+    Yields (lo, hi, vals) with vals of shape (hi - lo, hi, ...): rows
+    lo <= i < hi against columns j < hi, which covers those rows'
+    triangle.  s is clipped to t, so the entries j > i are evaluations
+    at s = t_i that no rule reads.  The state goes in un-broadcast, as
+    (1, hi, d), so a state-only factor is computed once per column.
+    Only the triangle is checked for finiteness.
+    """
+    grid = x.grid
+    t = grid.nodes
+    n1 = grid.n + 1
+    for lo in range(0, n1, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, n1)
+        ti = t[lo:hi, None]
+        vals = np.asarray(fn(ti, np.minimum(t[None, :hi], ti), x.values[None, :hi]), dtype=float)
+        # evaluators of constant shape may return a smaller array
+        vals = np.broadcast_to(vals, (hi - lo, hi) + vals.shape[2:])
+        if not np.all(np.isfinite(vals)):
+            _check_triangle_finite(which, vals, grid, lo)
+        yield lo, hi, vals
+
+
+def _check_triangle_finite(which: str, vals: np.ndarray, grid: TimeGrid, lo: int) -> None:
+    """Raise EvaluationError at the first non-finite triangle entry of
+    the block whose first row is lo; entries above the diagonal pass."""
+    bad = ~np.isfinite(vals).reshape(vals.shape[:2] + (-1,)).all(axis=2)
+    bad &= np.arange(vals.shape[1])[None, :] <= np.arange(lo, lo + vals.shape[0])[:, None]
+    if not bad.any():
+        return
+    k, j = np.argwhere(bad)[0]
+    raise EvaluationError(
+        f"{which} evaluator returned non-finite value at "
+        f"(t, s) = ({grid.nodes[lo + k]:g}, {grid.nodes[j]:g})"
+    )
+
+
 def lebesgue_volterra(f: BivariateKernelValues) -> IntegralResult:
     """F_t(f) = int_0^t f(t, s) ds, trapezoidal in s per row."""
-    v = _as_matrix_kernel(f)[:, :, :, 0]
+    v = _as_matrix_kernel(f.values)[:, :, :, 0]
     n = f.grid.n
     h = f.grid.h
     csum = np.cumsum(v, axis=1)
@@ -72,29 +125,20 @@ def drift_term(b, x: GridFunction) -> IntegralResult:
     """F^{(b)}_t(x) = int_0^t b(t, s, x(s)) ds.
 
     b follows the coefficient evaluator contract: broadcastable arrays
-    (t, s) plus states of shape (..., d), returning (..., d).
+    (t, s) plus states of shape (..., d), returning (..., d).  The rule
+    is lebesgue_volterra's, row block by row block: the same sequential
+    row sums, so the result is bit-identical to it on the full table.
     """
-    grid = x.grid
-    t = grid.nodes[:, None]
-    s = grid.nodes[None, :]
-    states = np.broadcast_to(x.values[None, :, :], (grid.n + 1,) + x.values.shape)
-    vals = np.asarray(b(t, np.minimum(s, t), states), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise_nonfinite("drift", vals, grid)
-    kernel = BivariateKernelValues(grid, vals)
-    res = lebesgue_volterra(kernel)
-    return IntegralResult(res.values, "lebesgue-product-rule")
-
-
-def raise_nonfinite(which: str, vals: np.ndarray, grid: TimeGrid):
-    from .errors import EvaluationError
-
-    bad = np.argwhere(~np.isfinite(vals))
-    i, j = int(bad[0][0]), int(bad[0][1])
-    raise EvaluationError(
-        f"{which} evaluator returned non-finite value at "
-        f"(t, s) = ({grid.nodes[i]:g}, {grid.nodes[j]:g})"
-    )
+    h = x.grid.h
+    rows = []
+    for lo, hi, vals in _triangle_blocks(b, x, "drift"):
+        v = _as_matrix_kernel(vals)[:, :, :, 0]
+        csum = np.cumsum(v, axis=1)
+        k = np.arange(hi - lo)
+        rows.append(h * (csum[k, lo + k] - 0.5 * (v[:, 0] + v[k, lo + k])))
+    vals = np.concatenate(rows)
+    vals[0] = 0.0
+    return IntegralResult(GridFunction(x.grid, vals), "lebesgue-product-rule")
 
 
 def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
@@ -104,12 +148,8 @@ def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
 
     contracting the m-dimension of dg against matrix-valued kernels.
     """
-    v = _as_matrix_kernel(f)
-    m = v.shape[3]
-    if m == 1 and g.m > 1:
-        raise ValueError(f"kernel has driver dimension 1, driver has m={g.m}")
-    if m != g.m:
-        raise ValueError(f"kernel driver dimension {m} != driver m={g.m}")
+    v = _as_matrix_kernel(f.values)
+    _check_driver_dimension(v.shape[3], g)
     dg = np.diff(g.values, axis=0)  # (n, m)
     n = f.grid.n
     # strictly-lower-triangular contraction; upper triangle already zero,
@@ -170,11 +210,10 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    v = _as_matrix_kernel(f)
+    v = _as_matrix_kernel(f.values)
+    _check_driver_dimension(v.shape[3], g)
     grid = f.grid
     n, h = grid.n, grid.h
-    if v.shape[3] != g.m:
-        raise ValueError(f"kernel driver dimension {v.shape[3]} != driver m={g.m}")
     d = v.shape[2]
     vals = np.zeros((n + 1, d))
     brackets = [weyl_bracket_matrix(g.component(c), h, alpha) for c in range(g.m)]
@@ -200,21 +239,23 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
     return IntegralResult(GridFunction(grid, vals), "fractional-representation")
 
 
-def diffusion_term(sigma, x: GridFunction, g: DriverPath, alpha: float | None = None) -> IntegralResult:
+def diffusion_term(sigma, x: GridFunction, g: DriverPath) -> IntegralResult:
     """G^{(sigma)}_t(x) = int_0^t sigma(t, s, x(s)) dg_s by left-point
-    Riemann-Stieltjes sums; pass alpha to cross-check with the
-    fractional route instead.
+    Riemann-Stieltjes sums.
 
     sigma follows the evaluator contract: (t, s, state) -> (..., d, m).
+    The rule is young_rs's, row block by row block, and bit-identical to
+    it on the full table.
     """
-    grid = x.grid
-    t = grid.nodes[:, None]
-    s = grid.nodes[None, :]
-    states = np.broadcast_to(x.values[None, :, :], (grid.n + 1,) + x.values.shape)
-    vals = np.asarray(sigma(t, np.minimum(s, t), states), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise_nonfinite("diffusion", vals, grid)
-    kernel = BivariateKernelValues(grid, vals)
-    if alpha is None:
-        return young_rs(kernel, g)
-    return young_frac(kernel, g, alpha)
+    n = x.grid.n
+    dg = np.diff(g.values, axis=0)  # (n, m)
+    rows = []
+    for lo, hi, vals in _triangle_blocks(sigma, x, "diffusion"):
+        v = _as_matrix_kernel(vals)
+        _check_driver_dimension(v.shape[3], g)
+        cols = min(hi, n)
+        # left-point rule: only j < i enters row i
+        strict = np.arange(cols)[None, :] < np.arange(lo, hi)[:, None]
+        w = np.where(strict[:, :, None, None], v[:, :cols], 0.0)
+        rows.append(np.einsum("ijdm,jm->id", w, dg[:cols]))
+    return IntegralResult(GridFunction(x.grid, np.concatenate(rows)), "riemann-stieltjes-sum")

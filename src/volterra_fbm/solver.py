@@ -234,7 +234,8 @@ def picard_solve(
 
     distances = []
     sup_radius = sup0
-    delta_radius = max(delta_functional(x_prev, alpha, cs.delta), delta_next)
+    # the constant starting iterate has no increments: its functional is 0
+    delta_radius = max(0.0, delta_next)
     converged = False
     for _ in range(max_iter):
         gap = GridFunction(grid, x_next.values - x_prev.values)

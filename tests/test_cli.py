@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from volterra_fbm import cli
 from volterra_fbm.cli import ExperimentConfig, emit_report, main, run_experiment
 
 
@@ -74,6 +75,32 @@ def test_bad_config_line(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.strip() == "error: bad config line 'n 96'"
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "nope.txt"
+    if kind == "directory":
+        path.mkdir()
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: cannot read config file {str(path)!r}: {reason}"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "moments", "convergence"])
+def test_m_mismatch_is_usage_error_before_sampling(tmp_path, capsys, monkeypatch, subcommand):
+    def no_sampling(*args):
+        raise AssertionError("a driver was sampled")
+
+    monkeypatch.setattr(cli, "_sample_driver", no_sampling)
+    argv = [subcommand, "--coeffs", "smooth-volterra", "--m", "2", "--n", "16",
+            "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == ("error: coefficient set 'smooth-volterra' has driver dimension m=1, "
+                           "but --m is 2")
 
 
 @pytest.mark.parametrize("via_config", [False, True])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from volterra_fbm.coeffs import builtin_coefficients
 from volterra_fbm.errors import EvaluationError
 from volterra_fbm.fbm import DriverPath, Seed, deterministic_driver, sample_davies_harte
 from volterra_fbm.grid import BivariateKernelValues, GridFunction, build_grid
@@ -222,3 +223,117 @@ def test_diffusion_term_cases():
     # left-point rule is O(h): error bounded by ~h/2
     r3 = diffusion_term(sigma_exp, x, lin).values.values[:, 0]
     np.testing.assert_allclose(r3, 1 - np.exp(-g.nodes), atol=g.h / 2 * 1.05)
+
+
+# --- the row-blocked triangle maps against the table rules -------------
+
+def square_kernel(fn, x: GridFunction) -> BivariateKernelValues:
+    """fn on the whole (n+1)^2 square with the state broadcast over t:
+    the table the blocked maps avoid building."""
+    g = x.grid
+    t = g.nodes[:, None]
+    s = g.nodes[None, :]
+    states = np.broadcast_to(x.values[None, :, :], (g.n + 1,) + x.values.shape)
+    return BivariateKernelValues(g, np.asarray(fn(t, np.minimum(s, t), states), dtype=float))
+
+
+def unbroadcast(fn):
+    """fn, asserting the maps' call: the state un-broadcast, (1, k, d)."""
+
+    def wrapped(t, s, x):
+        assert x.ndim == 3 and x.shape[0] == 1 and x.shape[1] == np.shape(s)[1]
+        return fn(t, s, x)
+
+    return wrapped
+
+
+def causal_b(t, s, x):
+    assert np.all(s <= t)
+    return np.sin(x) / (1.0 + t - s)[..., None]
+
+
+def causal_sigma(t, s, x):
+    return causal_b(t, s, x)[..., None] * np.exp(-(t - s))[..., None, None]
+
+
+def matrix_sigma(t, s, x):
+    # d = 2, m = 3
+    assert np.all(s <= t)
+    e = np.exp(-(np.asarray(t) - np.asarray(s)))
+    a = np.array([[1.0, 0.3, -0.2], [0.5, -1.0, 0.7]])
+    return np.cos(x)[..., :, None] * a * e[..., None, None]
+
+
+def state_only_b(t, s, x):
+    # smaller than the block: broadcast by the map
+    return np.tanh(x)
+
+
+ORACLE_NS = (2, 3, 255, 256, 257, 1000)
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+@pytest.mark.parametrize("name", ["smooth-volterra", "linear-drift", "bounded-growth", "constant-sigma"])
+def test_blocked_maps_match_table_rules_catalog(n, name):
+    cs = builtin_coefficients(name)
+    g = build_grid(1.0, n)
+    rng = np.random.default_rng(n)
+    x = GridFunction(g, 1.0 + 0.1 * np.cumsum(rng.normal(size=n + 1)))
+    drv = sample_davies_harte(g, 0.75, 1, Seed(n))
+    assert np.array_equal(
+        drift_term(cs.b, x).values.values, lebesgue_volterra(square_kernel(cs.b, x)).values.values
+    )
+    assert np.array_equal(
+        diffusion_term(cs.sigma, x, drv).values.values,
+        young_rs(square_kernel(cs.sigma, x), drv).values.values,
+    )
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_blocked_maps_match_table_rules_vector(n):
+    g = build_grid(2.0, n)
+    rng = np.random.default_rng(100 + n)
+    x = GridFunction(g, rng.normal(size=(n + 1, 2)))
+    drv1 = sample_davies_harte(g, 0.7, 1, Seed(n))
+    drv3 = sample_davies_harte(g, 0.7, 3, Seed(n))
+    for b in (causal_b, state_only_b):
+        assert np.array_equal(
+            drift_term(unbroadcast(b), x).values.values, lebesgue_volterra(square_kernel(b, x)).values.values
+        )
+    assert np.array_equal(
+        diffusion_term(unbroadcast(causal_sigma), x, drv1).values.values,
+        young_rs(square_kernel(causal_sigma, x), drv1).values.values,
+    )
+    r = diffusion_term(unbroadcast(matrix_sigma), x, drv3).values.values
+    assert r.shape == (n + 1, 2)
+    assert np.array_equal(r, young_rs(square_kernel(matrix_sigma, x), drv3).values.values)
+
+
+def test_diffusion_term_dimension_mismatch():
+    g = build_grid(1.0, 16)
+    x = GridFunction(g, np.zeros(g.n + 1))
+    drv2 = sample_davies_harte(g, 0.75, 2, Seed(1))
+    with pytest.raises(ValueError, match="driver dimension 1, driver has m=2"):
+        diffusion_term(builtin_coefficients("smooth-volterra").sigma, x, drv2)
+    with pytest.raises(ValueError, match="driver dimension 3 != driver m=2"):
+        diffusion_term(matrix_sigma, GridFunction(g, np.zeros((g.n + 1, 2))), drv2)
+
+
+def test_nonfinite_check_covers_the_triangle_only():
+    g = build_grid(1.0, 512)
+    nodes = g.nodes
+    x = GridFunction(g, nodes.copy())
+
+    def nan_above_diagonal(t, s, xv):
+        # x(t_j) = t_j, so x > t marks the unread entries j > i
+        return np.where(xv[..., 0] > t, np.nan, 1.0)[..., None]
+
+    np.testing.assert_allclose(drift_term(nan_above_diagonal, x).values.values[:, 0], nodes, atol=1e-13)
+
+    def nan_at_one_node(t, s, xv):
+        hit = (t == nodes[300]) & (s == nodes[7])
+        return np.where(hit, np.nan, 1.0)[..., None] + 0.0 * xv
+
+    msg = f"drift evaluator returned non-finite value at \\(t, s\\) = \\({nodes[300]:g}, {nodes[7]:g}\\)"
+    with pytest.raises(EvaluationError, match=msg):
+        drift_term(nan_at_one_node, x)
