@@ -21,7 +21,7 @@ import numpy as np
 
 from .coeffs import CoefficientSet, builtin_coefficients
 from .errors import AdmissibilityError, CatalogError, VolterraError
-from .fbm import DriverPath, Seed, sample_cholesky, sample_davies_harte, _covariance_matrix
+from .fbm import DriverPath, Seed, _covariance_matrix, _sampler
 from .grid import build_grid
 from .norms import HolderParams, w_alpha_infty_norm
 from .solver import euler_solve, picard_solve
@@ -76,10 +76,7 @@ def emit_report(records: list[dict], fmt: str, out_path: Path) -> None:
 
 
 def _sample_driver(cfg: ExperimentConfig, grid, path_index: int) -> DriverPath:
-    seed = Seed(cfg.seed)
-    if cfg.sampler == "cholesky":
-        return sample_cholesky(grid, cfg.H, cfg.m, seed, path_index)
-    return sample_davies_harte(grid, cfg.H, cfg.m, seed, path_index)
+    return _sampler(cfg.sampler)(grid, cfg.H, cfg.m, Seed(cfg.seed), path_index)
 
 
 def _cmd_sample(cfg: ExperimentConfig, out: Path) -> int:
@@ -96,6 +93,7 @@ def _cmd_sample(cfg: ExperimentConfig, out: Path) -> int:
                 v = path.values[1:, c]
                 sums += np.outer(v, v)
             if emitted < cfg.emit_paths:
+                out.mkdir(parents=True, exist_ok=True)
                 path.to_csv(out / f"path_{p:05d}.csv")
                 emitted += 1
     count = cfg.paths * cfg.m
@@ -241,21 +239,20 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+_COMMANDS = {
+    "sample": _cmd_sample, "solve": _cmd_solve, "verify": _cmd_verify,
+    "moments": _cmd_moments, "convergence": _cmd_convergence,
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Dispatch a subcommand; returns the process exit status."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if cfg.subcommand not in _COMMANDS:
+        raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
     try:
-        if cfg.subcommand == "sample":
-            return _cmd_sample(cfg, out)
-        if cfg.subcommand == "solve":
-            return _cmd_solve(cfg, out)
-        if cfg.subcommand == "verify":
-            return _cmd_verify(cfg, out)
-        if cfg.subcommand == "moments":
-            return _cmd_moments(cfg, out)
-        if cfg.subcommand == "convergence":
-            return _cmd_convergence(cfg, out)
+        # an unknown sampler is a usage error before any draw or output
+        _sampler(cfg.sampler)
+        return _COMMANDS[cfg.subcommand](cfg, Path(cfg.out_dir))
     except (AdmissibilityError, CatalogError, ValueError) as exc:
         # bad parameters, an unknown catalog entry included, exit 2 like
         # usage errors; constraint violations name the condition
@@ -264,7 +261,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except VolterraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -302,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pathwise Volterra solver and estimate-verification suite",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name in ("sample", "solve", "verify", "moments", "convergence"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         for flag, attr in _FLAG_NAMES.items():

@@ -79,11 +79,6 @@ class CoefficientSet:
     b_is_zero: bool = False
     params: dict = field(default_factory=dict)
 
-    def rho(self, alpha: float) -> float:
-        """Integrability order of the drift offset as consumed by the
-        Lebesgue estimates (the stronger usable endpoint 1/alpha)."""
-        return 1.0 / alpha
-
     def sigma_at_origin(self) -> np.ndarray:
         return np.asarray(self.sigma(0.0, 0.0, np.zeros(self.d)), dtype=float)
 

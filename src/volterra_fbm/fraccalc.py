@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .grid import GridFunction, increment_row_integrals, power_cell_weights
+from .grid import GridFunction, _pair_blocks, increment_row_integrals
 
 __all__ = [
     "FracParams",
@@ -98,28 +98,6 @@ def left_frac_derivative(f: GridFunction, params: FracParams, s_index: int) -> n
     return out
 
 
-def _weyl_tail_integrals(v: np.ndarray, h: float, alpha: float, a: int, signed: bool = True):
-    """J(a, i) = int_{t_a}^{t_i} psi(y) (y - t_a)^{alpha-2} dy for all
-    i > a, where psi(y) = v[a] - v(y) (signed) or |v(y) - v[a]|.
-
-    The kernel exponent is 2 - alpha in (1.5, 2); psi vanishes at the
-    singular endpoint, so the increment-type product rule applies.
-    Returns shape (n - a + 1,), entry k = J(a, a + k).
-    """
-    theta = 2.0 - alpha
-    tail = v[a:]
-    psi = (v[a] - tail) if signed else np.abs(tail - v[a])
-    k = tail.shape[0] - 1  # number of cells ahead of a
-    if k == 0:
-        return np.zeros(1)
-    a_w, b_w = power_cell_weights(k, h, theta)
-    contrib = a_w * psi[1:]
-    contrib[1:] += b_w[1:k] * psi[1:-1]
-    out = np.zeros(k + 1)
-    np.cumsum(contrib, out=out[1:])
-    return out
-
-
 def right_weyl_derivative(g_values: np.ndarray, h: float, alpha: float, s_index: int, t_index: int) -> float:
     """(D^{1-alpha}_{t-} g_{t-})(s) in the real convention:
 
@@ -130,25 +108,36 @@ def right_weyl_derivative(g_values: np.ndarray, h: float, alpha: float, s_index:
     if not 0 <= a < i <= g_values.shape[0] - 1:
         raise ValueError(f"need 0 <= s < t inside the grid, got ({s_index}, {t_index})")
     v = np.asarray(g_values, dtype=float)
-    tail = _weyl_tail_integrals(v, h, alpha, a, signed=True)
+    _, _, tail = next(_pair_blocks(v[: i + 1], h, a, a + 1, theta=2.0 - alpha))
     dt = (i - a) * h
-    bracket = (v[a] - v[i]) / dt ** (1.0 - alpha) + (1.0 - alpha) * tail[i - a]
+    bracket = (v[a] - v[i]) / dt ** (1.0 - alpha) + (1.0 - alpha) * tail[0, -1]
     return bracket / _gamma(alpha)
+
+
+def _bracket_blocks(v: np.ndarray, h: float, alpha: float, lo: int):
+    """Blocks (a0, B): B[a - a0, k - 1] = Gamma(alpha) * right_weyl_derivative at (a, a + k)."""
+    n = v.shape[0] - 1
+    gap_pow = (np.arange(1, n + 1) * h) ** (1.0 - alpha)
+    for a0, dv, tail in _pair_blocks(v, h, lo, n, theta=2.0 - alpha):
+        # in place: dv / gap_pow + (1 - alpha) * tail, no block-sized temporaries
+        dv /= gap_pow[: dv.shape[1]]
+        dv += np.multiply(tail, 1.0 - alpha, out=tail)
+        yield a0, dv
 
 
 def weyl_bracket_matrix(g_values: np.ndarray, h: float, alpha: float) -> np.ndarray:
     """Full pair table V[a, i] = right_weyl_derivative at (s_a, t_i) for
-    a < i; other entries NaN.  O(n^2) time and memory; used by the
-    fractional integral representation which needs whole columns."""
+    a < i; other entries NaN.  O(n^2) time; O(n^2) memory for the result,
+    plus O(64 n) for the one 64-row block in flight.  Used by the
+    fractional integral representation, which needs whole columns.
+    """
     v = np.asarray(g_values, dtype=float)
     n = v.shape[0] - 1
     ga = _gamma(alpha)
     out = np.full((n + 1, n + 1), np.nan)
-    gaps = np.arange(1, n + 1) * h
-    for a in range(n):
-        tail = _weyl_tail_integrals(v, h, alpha, a, signed=True)
-        d = gaps[: n - a]
-        out[a, a + 1 :] = ((v[a] - v[a + 1 :]) / d ** (1.0 - alpha) + (1.0 - alpha) * tail[1:]) / ga
+    for a0, bracket in _bracket_blocks(v, h, alpha, 0):
+        for r, row in enumerate(bracket):
+            out[a0 + r, a0 + r + 1 :] = row[: n - a0 - r] / ga
     return out
 
 
@@ -157,7 +146,8 @@ def lambda_alpha(g_values: np.ndarray, h: float, alpha: float):
 
         Lambda_alpha(g) = sup_{0<s<t<=T} |D^{1-alpha}_{t-} g_{t-}(s)| / Gamma(1-alpha),
 
-    with s ranging over interior nodes.  Returns (value, (s_idx, t_idx)).
+    with s ranging over interior nodes.  Returns (value, (s_idx, t_idx)),
+    the argmax being the first maximal pair in (s, t) row-major order.
     The discrete sup is a lower estimate of the continuum one; callers
     needing an upper bound should use
     ``norms.w_1malpha_norm(g) / (Gamma(1-alpha) * Gamma(alpha))``.
@@ -166,17 +156,12 @@ def lambda_alpha(g_values: np.ndarray, h: float, alpha: float):
     n = v.shape[0] - 1
     if n < 2:
         raise ValueError("need at least 2 cells")
-    ga = _gamma(alpha)
-    g1a = _gamma(1.0 - alpha)
     best = -1.0
     arg = (1, 2)
-    gaps = np.arange(1, n + 1) * h
-    for a in range(1, n):
-        tail = _weyl_tail_integrals(v, h, alpha, a, signed=True)
-        d = gaps[: n - a]
-        row = np.abs((v[a] - v[a + 1 :]) / d ** (1.0 - alpha) + (1.0 - alpha) * tail[1:])
-        k = int(np.argmax(row))
-        if row[k] > best:
-            best = float(row[k])
-            arg = (a, a + 1 + k)
-    return best / (ga * g1a), arg
+    for a0, bracket in _bracket_blocks(v, h, alpha, 1):
+        mag = np.abs(bracket, out=bracket)
+        r, k = np.unravel_index(np.nanargmax(mag), mag.shape)
+        if mag[r, k] > best:
+            best = float(mag[r, k])
+            arg = (a0 + int(r), a0 + int(r) + int(k) + 1)
+    return best / (_gamma(alpha) * _gamma(1.0 - alpha)), arg

@@ -23,6 +23,10 @@ Toeplitz matrix of gap weights.  Three routes share it:
   scalar sample, one FFT convolution, O(n log n); equal to the direct
   rule up to round-off.
 
+Sups over node pairs s < t (Weyl bracket, Lambda_alpha, driver and Holder
+norms) take ``_pair_blocks``: increments and left-singular tail integrals
+by (row, gap), in blocks of 64 rows.
+
 ``power_cell_weights`` keeps one read-only weight table per (h, theta);
 a shorter row's weights are a bit-exact prefix of a longer row's.
 """
@@ -60,6 +64,10 @@ _ENDPOINT_ATOL = 1e-12
 # rows per block of the direct row rules: at n = 2048 a block of weights
 # or of integrands is 4 MB, against 34 MB for a whole (n+1)^2 table
 _ROW_CHUNK = 256
+
+# rows per block of the pair tables: at n = 2048 a block is 1 MB per
+# array; 256-row blocks cost young_frac 7 MB of peak RSS at n = 1024
+_PAIR_ROWS = 64
 
 # (h, theta) keys kept by power_cell_weights; a run uses a handful, the
 # verify suite's random alphas a new one per case
@@ -152,10 +160,6 @@ class BivariateKernelValues:
         if not np.all(np.isfinite(v)):
             raise ValueError("kernel values must be finite on the lower triangle")
         object.__setattr__(self, "values", v)
-
-    @property
-    def value_shape(self) -> tuple:
-        return self.values.shape[2:]
 
     @classmethod
     def from_callable(cls, grid: TimeGrid, fn) -> "BivariateKernelValues":
@@ -445,3 +449,30 @@ def increment_row_integrals(values: np.ndarray, h: float, theta: float) -> np.nd
     # index 0 is skipped: there b[0] = +inf would multiply w[0] = 0
     out[1:] = w[1:] * (np.cumsum(c)[1:] - b[1:]) - conv[1 : n + 1]
     return out
+
+
+def _pair_blocks(values, h: float, lo: int, hi: int, theta: float | None = None, signed: bool = True):
+    """Node-pair table of v, shape (n+1,) or (n+1, d), rows lo <= a < hi, in
+    blocks of _PAIR_ROWS rows from a0: yields (a0, dv, tail) with
+    dv[a - a0, k - 1] = v[a] - v[a + k] for k = 1..n - a0 (NaN past t_n; the
+    sign of the Weyl integrand, zeros included) and, given theta,
+    tail[a - a0, k - 1] = int_{t_a}^{t_{a+k}} psi(y) (y - t_a)**-theta dy,
+    psi = v[a] - v(y) (signed) or |v(y) - v[a]|: the one-row product rule's
+    terms, summed by a sequential cumsum, so bit for bit that rule.  Each
+    block's arrays are fresh: callers may overwrite them."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[0] - 1
+    pad = np.concatenate([v, np.full((_PAIR_ROWS,) + v.shape[1:], np.nan)])
+    for a0 in range(lo, hi, _PAIR_ROWS):
+        a1, k = min(a0 + _PAIR_ROWS, hi), n - a0
+        # the windows of v after rows a0..a1-1; for d > 1 the window axis goes before d
+        ahead = np.moveaxis(sliding_window_view(pad, k, axis=0)[a0 + 1 : a1 + 1], -1, 1)
+        dv = np.subtract(v[a0:a1, None], ahead, order="C")
+        tail = None
+        if theta is not None:
+            a_w, b_w = power_cell_weights(k, h, theta)
+            psi = dv if signed else np.abs(dv)
+            contrib = a_w * psi
+            contrib[:, 1:] += b_w[1:k] * psi[:, :-1]
+            tail = np.cumsum(contrib, axis=1, out=contrib)
+        yield a0, dv, tail

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, abs_increment_row_integrals, power_cell_weights
+from .grid import GridFunction, _pair_blocks, abs_increment_row_integrals, power_cell_weights
 
 __all__ = [
     "HolderParams",
@@ -116,14 +116,12 @@ def holder_norm(f: GridFunction, exponent: float) -> float:
     if not 0.0 < exponent <= 1.0:
         raise ValueError(f"Holder exponent must lie in (0, 1], got {exponent}")
     n = f.grid.n
-    h = f.grid.h
-    sup = f.sup_norm()
+    gap_pow = (f.grid.h * np.arange(1, n + 1)) ** exponent
     semi = 0.0
-    for i in range(1, n + 1):
-        d = np.linalg.norm(f.values[i] - f.values[:i], axis=1)
-        gaps = (h * np.arange(i, 0, -1)) ** exponent
-        semi = max(semi, float(np.max(d / gaps)))
-    return sup + semi
+    for _, dv, _ in _pair_blocks(f.values, f.grid.h, 0, n):
+        dist = np.sqrt(np.add.reduce(dv * dv, axis=-1))
+        semi = max(semi, float(np.nanmax(dist / gap_pow[: dist.shape[1]])))
+    return f.sup_norm() + semi
 
 
 def w_1malpha_norm(g_values: np.ndarray, h: float, alpha: float) -> float:
@@ -139,18 +137,11 @@ def w_1malpha_norm(g_values: np.ndarray, h: float, alpha: float) -> float:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     v = np.asarray(g_values, dtype=float)
     n = v.shape[0] - 1
-    theta = 2.0 - alpha
-    a_w, b_w = power_cell_weights(n, h, theta)
-    gaps = (np.arange(1, n + 1) * h) ** (1.0 - alpha)
+    gap_pow = (np.arange(1, n + 1) * h) ** (1.0 - alpha)
     best = 0.0
-    for a in range(1, n):
-        psi = np.abs(v[a:] - v[a])
-        k = n - a
-        contrib = a_w[:k] * psi[1:]
-        contrib[1:] += b_w[1:k] * psi[1:-1]
-        integ = np.cumsum(contrib)
-        row = np.abs(v[a + 1 :] - v[a]) / gaps[:k] + integ
-        best = max(best, float(np.max(row)))
+    for _, dv, tail in _pair_blocks(v, h, 1, n, theta=2.0 - alpha, signed=False):
+        row = np.abs(dv) / gap_pow[: dv.shape[1]] + tail
+        best = max(best, float(np.nanmax(row)))
     return best
 
 

@@ -27,6 +27,7 @@ from .grid import (
     BivariateKernelValues,
     GridFunction,
     TimeGrid,
+    abs_increment_row_integrals,
     build_grid,
     left_singular_integral,
     prefix_singular_integrals,
@@ -82,11 +83,6 @@ def _rough_path(rng: np.random.Generator, grid: TimeGrid) -> np.ndarray:
     return a0 + a1 * np.cos(om * t) + 0.3 * a2 * z
 
 
-def _increment_integrals_of(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    m = np.abs(values[:, None] - values[None, :])
-    return row_singular_integrals(m, h, alpha + 1.0, diagonal_vanishes=True)
-
-
 # ------------------------------------------------------------- Lebesgue
 
 
@@ -131,7 +127,7 @@ def check_lebesgue_estimates(
         vals, L = _lebesgue_kernel_case(rng, grid)
         kernel = BivariateKernelValues(grid, vals)
         F = lebesgue_volterra(kernel).values.values[:, 0]
-        lhs = np.abs(F) + _increment_integrals_of(F, h, alpha)
+        lhs = np.abs(F) + abs_increment_row_integrals(F, h, alpha + 1.0)
         c1 = bounds.lebesgue_c1(alpha, T) * scale.get("C1", 1.0)
         c2 = bounds.lebesgue_c2(alpha, L, mu) * scale.get("C2", 1.0)
         inner = row_singular_integrals(np.abs(kernel.values), h, alpha)
@@ -218,7 +214,7 @@ def _double_increment_mass(row_t: np.ndarray, row_s: np.ndarray, h: float, alpha
     phi = (row_t - row_s)[: upto + 1]
     if upto < 1:
         return 0.0
-    inner = _increment_integrals_of(phi, h, alpha)
+    inner = abs_increment_row_integrals(phi, h, alpha + 1.0)
     return float(np.trapezoid(inner, dx=h))
 
 
@@ -264,13 +260,13 @@ def check_rs_estimates(
             term2 = left_singular_integral(np.abs(vals[i_t, i_s : i_t + 1]), h, alpha)
             term3 = _double_increment_mass(vals[i_t], vals[i_s], h, alpha, i_s)
             win = vals[i_t, i_s : i_t + 1]
-            inner = _increment_integrals_of(win, h, alpha)
+            inner = abs_increment_row_integrals(win, h, alpha + 1.0)
             term4 = float(np.trapezoid(inner, dx=h))
             L1.append(lhs)
             R1.append(lam_up * (term1 + term2 + alpha * (term3 + term4)))
 
         # ---- weighted aggregate bound at sampled nodes
-        g_inc = _increment_integrals_of(G, h, alpha)
+        g_inc = abs_increment_row_integrals(G, h, alpha + 1.0)
         t_samples = {n, int(rng.integers(2, n)), int(rng.integers(2, n))}
         for i_t in t_samples:
             tt = grid.nodes[i_t]
@@ -278,7 +274,7 @@ def check_rs_estimates(
             row = vals[i_t, : i_t + 1]
             phi1 = K_prof[: i_t + 1] * (tt - grid.nodes[: i_t + 1]) ** (mu - alpha)
             p1 = left_singular_integral(phi1, h, alpha)
-            gf = np.abs(row) + _increment_integrals_of(row, h, alpha)
+            gf = np.abs(row) + abs_increment_row_integrals(row, h, alpha + 1.0)
             p2_right = singular_weighted_integral(
                 GridFunction(_subgrid(tt, i_t), gf), 2.0 * alpha, i_t
             )[0]

@@ -101,6 +101,7 @@ def test_m_mismatch_is_usage_error_before_sampling(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.strip() == ("error: coefficient set 'smooth-volterra' has driver dimension m=1, "
                            "but --m is 2")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("via_config", [False, True])
@@ -116,6 +117,28 @@ def test_unknown_coeffs_is_usage_error(tmp_path, capsys, via_config):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown coefficient set 'nope'")
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_unknown_sampler_is_usage_error(tmp_path, capsys, monkeypatch, via_config):
+    def no_sampling(*args):
+        raise AssertionError("a driver was sampled")
+
+    monkeypatch.setattr(cli, "_sample_driver", no_sampling)
+    argv = ["sample", "--n", "8", "--paths", "2", "--out", str(tmp_path / "x")]
+    if via_config:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("sampler = choleski\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--sampler", "choleski"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown sampler 'choleski'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
 
 
 def test_non_numeric_flag_is_usage_error(tmp_path, capsys):

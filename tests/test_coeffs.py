@@ -90,11 +90,6 @@ def test_corrupted_partial_fails_fd_check():
     assert not rep.passed
 
 
-def test_rho_is_inverse_alpha():
-    cs = builtin_coefficients("smooth-volterra")
-    assert cs.rho(0.25) == pytest.approx(4.0)
-
-
 def test_declared_constants_are_safe_not_just_sampled():
     # inflating N must not break the local constants for these catalogs
     cs = builtin_coefficients("bounded-growth")

@@ -54,6 +54,11 @@ def test_component_streams_independent_of_batching():
     np.testing.assert_array_equal(whole.values[:, 0], single.values[:, 0])
 
 
+def test_sample_paths_rejects_unknown_sampler():
+    with pytest.raises(ValueError, match="unknown sampler 'choleski'"):
+        sample_paths(build_grid(1.0, 8), 0.75, 1, Seed(1), 2, "choleski")
+
+
 def test_cholesky_covariance_audit():
     # small-n Monte Carlo against the analytic covariance
     g = build_grid(1.0, 8)

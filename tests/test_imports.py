@@ -15,3 +15,22 @@ def test_package_import_stays_light():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_scripts_import():
+    # every script imports cleanly without running its __main__ block, so
+    # a package name that a script still uses cannot vanish unnoticed
+    root = Path(volterra_fbm.__file__).resolve().parents[2]
+    scripts = sorted(str(p) for p in (root / "scripts").glob("*.py"))
+    assert scripts
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import importlib.util, sys\n"
+        "for i, path in enumerate(sys.argv[1:]):\n"
+        "    spec = importlib.util.spec_from_file_location(f'script_{i}', path)\n"
+        "    spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, *scripts], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
