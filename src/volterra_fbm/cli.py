@@ -100,18 +100,16 @@ def _cmd_sample(cfg: ExperimentConfig, out: Path) -> int:
     emp = sums / count
     ana = _covariance_matrix(grid.nodes[1:], cfg.H)
     se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / count)
-    rows = []
-    worst = 0.0
-    for i in range(cfg.n):
-        for j in range(i + 1):
-            z = abs(emp[i, j] - ana[i, j]) / se[i, j]
-            worst = max(worst, z)
-            rows.append({
-                "i": i + 1, "j": j + 1,
-                "analytic": float(ana[i, j]), "empirical": float(emp[i, j]),
-                "stderr": float(se[i, j]), "z": float(z),
-            })
-    emit_report(rows, "csv", out / "covariance_audit.csv")
+    # lower triangle in row-major order, one line per entry, floats as
+    # emit_report writes them
+    i, j = np.tril_indices(cfg.n)
+    z = np.abs(emp[i, j] - ana[i, j]) / se[i, j]
+    worst = float(z.max())
+    cols = (i + 1, j + 1, ana[i, j], emp[i, j], se[i, j], z)
+    lines = ["i,j,analytic,empirical,stderr,z"]
+    lines += map("%d,%d,%.17g,%.17g,%.17g,%.17g".__mod__, zip(*(c.tolist() for c in cols)))
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "covariance_audit.csv").write_text("\n".join(lines) + "\n")
     print(f"sample: {cfg.paths} paths, covariance max |z| = {worst:.3f}")
     return 0 if worst <= 4.0 else 1
 

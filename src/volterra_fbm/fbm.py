@@ -10,12 +10,13 @@ deterministic functions of a :class:`Seed`.
 from __future__ import annotations
 
 import csv
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmbeddingError, FactorizationError
-from .grid import TimeGrid
+from .grid import TimeGrid, _cached_table
 
 __all__ = [
     "Seed",
@@ -32,6 +33,7 @@ _MAX_JITTER = 1e-12
 # circulant eigenvalues of fGn are nonnegative in exact arithmetic; a
 # worse violation signals an implementation bug, not rounding
 _EIGEN_TOL = 1e-9
+_eigenvalue_tables: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,12 @@ def sample_cholesky(grid: TimeGrid, H: float, m: int, seed: Seed, path_index: in
 
 
 def _fgn_circulant_eigenvalues(n: int, H: float) -> np.ndarray:
+    """Eigenvalues of the fGn circulant embedding of size 2n, one
+    read-only array per (n, H)."""
+    return _cached_table(_eigenvalue_tables, (int(n), float(H)), lambda: _circulant_eigenvalues(n, H))
+
+
+def _circulant_eigenvalues(n: int, H: float) -> np.ndarray:
     k = np.arange(n + 1, dtype=float)
     rho = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
     circ = np.concatenate([rho, rho[-2:0:-1]])  # length 2n
@@ -151,7 +159,9 @@ def _fgn_circulant_eigenvalues(n: int, H: float) -> np.ndarray:
             f"circulant embedding produced eigenvalue {eig.min():.3e}; "
             "the fGn embedding is nonnegative definite, this is a bug"
         )
-    return np.clip(eig, 0.0, None)
+    eig = np.clip(eig, 0.0, None)
+    eig.flags.writeable = False
+    return eig
 
 
 def _davies_harte_increments(n: int, H: float, rng: np.random.Generator) -> np.ndarray:

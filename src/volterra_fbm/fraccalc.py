@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .grid import GridFunction, _pair_blocks, increment_row_integrals
+from .grid import GridFunction, _gap_powers, _pair_blocks, increment_row_integrals
 
 __all__ = [
     "FracParams",
@@ -109,15 +109,14 @@ def right_weyl_derivative(g_values: np.ndarray, h: float, alpha: float, s_index:
         raise ValueError(f"need 0 <= s < t inside the grid, got ({s_index}, {t_index})")
     v = np.asarray(g_values, dtype=float)
     _, _, tail = next(_pair_blocks(v[: i + 1], h, a, a + 1, theta=2.0 - alpha))
-    dt = (i - a) * h
-    bracket = (v[a] - v[i]) / dt ** (1.0 - alpha) + (1.0 - alpha) * tail[0, -1]
+    bracket = (v[a] - v[i]) / _gap_powers(i - a, h, 1.0 - alpha)[-1] + (1.0 - alpha) * tail[0, -1]
     return bracket / _gamma(alpha)
 
 
 def _bracket_blocks(v: np.ndarray, h: float, alpha: float, lo: int):
     """Blocks (a0, B): B[a - a0, k - 1] = Gamma(alpha) * right_weyl_derivative at (a, a + k)."""
     n = v.shape[0] - 1
-    gap_pow = (np.arange(1, n + 1) * h) ** (1.0 - alpha)
+    gap_pow = _gap_powers(n, h, 1.0 - alpha)
     for a0, dv, tail in _pair_blocks(v, h, lo, n, theta=2.0 - alpha):
         # in place: dv / gap_pow + (1 - alpha) * tail, no block-sized temporaries
         dv /= gap_pow[: dv.shape[1]]

@@ -16,12 +16,20 @@ Toeplitz matrix of gap weights.  Three routes share it:
 
 - ``row_singular_integrals``: any (n+1)^2 table of integrands, O(n^2);
   the rule for general tables and the oracle of the other two.
-- ``abs_increment_row_integrals``: the integrands |v_i - v_j|^p of a
-  (n+1, d) sample, O(n^2 d) in 256-row blocks without building the
-  table; bit-identical to ``row_singular_integrals`` on that table.
+- ``abs_increment_row_integrals_many``: the integrands |v_i - v_j|^p of
+  several samples, each (n_k+1, d_k) with its own power, O(n^2 d) per
+  sample without building the table; bit-identical to
+  ``row_singular_integrals`` on each table.  ``abs_increment_row_integrals``
+  is its one-sample case.
 - ``increment_row_integrals``: the signed integrands v_i - v_j of a
   scalar sample, one FFT convolution, O(n log n); equal to the direct
   rule up to round-off.
+
+The first two are one kernel, ``_blocked_row_rule``: rows in blocks of
+256, each block cut at its last row's column (the weights beyond are
+zero, about half of a full-width block), one weight copy per block for
+all samples, one einsum per block and sample.  A solver step measures
+two samples in one call, the verify suite's double integrals dozens.
 
 Sups over node pairs s < t (Weyl bracket, Lambda_alpha, driver and Holder
 norms) take ``_pair_blocks``: increments and left-singular tail integrals
@@ -52,6 +60,7 @@ __all__ = [
     "gap_weights",
     "row_singular_integrals",
     "abs_increment_row_integrals",
+    "abs_increment_row_integrals_many",
     "increment_row_integrals",
     "prefix_singular_integrals",
     "left_singular_integral",
@@ -69,11 +78,26 @@ _ROW_CHUNK = 256
 # array; 256-row blocks cost young_frac 7 MB of peak RSS at n = 1024
 _PAIR_ROWS = 64
 
-# (h, theta) keys kept by power_cell_weights; a run uses a handful, the
-# verify suite's random alphas a new one per case
-_WEIGHT_TABLE_KEYS = 32
+# keys kept per table cache (power_cell_weights, the fBm circulant
+# eigenvalues); a run uses a handful, the verify suite's random alphas a
+# new one per case
+_TABLE_KEYS = 32
+_tables_lock = threading.Lock()
 _weight_tables: OrderedDict = OrderedDict()
-_weight_tables_lock = threading.Lock()
+
+
+def _cached_table(cache: OrderedDict, key, build, stale=None):
+    """cache[key], made by build() when missing or stale(entry); the
+    least recently used of more than _TABLE_KEYS keys is dropped.  One
+    lock serves every cache."""
+    with _tables_lock:
+        entry = cache.get(key)
+        if entry is None or (stale is not None and stale(entry)):
+            entry = cache[key] = build()
+            if len(cache) > _TABLE_KEYS:
+                cache.popitem(last=False)
+        cache.move_to_end(key)
+    return entry
 
 
 @dataclass(frozen=True)
@@ -209,16 +233,11 @@ def power_cell_weights(n_cells: int, h: float, theta: float):
     """
     if not 0.0 <= theta < 2.0:
         raise ValueError(f"kernel exponent must lie in [0, 2), got {theta}")
-    key = (float(h), float(theta))
-    with _weight_tables_lock:
-        table = _weight_tables.get(key)
-        if table is None or table[0].shape[0] <= n_cells:
-            table = _power_cell_table(n_cells, h, theta)
-            _weight_tables[key] = table
-            if len(_weight_tables) > _WEIGHT_TABLE_KEYS:
-                _weight_tables.popitem(last=False)
-        _weight_tables.move_to_end(key)
-    a, b = table
+    a, b = _cached_table(
+        _weight_tables, (float(h), float(theta)),
+        lambda: _power_cell_table(n_cells, h, theta),
+        stale=lambda table: table[0].shape[0] <= n_cells,
+    )
     return a[:n_cells], b[: n_cells + 1]
 
 
@@ -349,11 +368,9 @@ def row_singular_integrals(
     integrands), which is required when theta >= 1.
 
     The rule for general tables, and the oracle of the two increment
-    routes.  Cost O(n^2) on top of the caller's table: rows are taken
-    in blocks of 256, each weighted by a copy of its block of the gap
-    weights' Toeplitz matrix and summed along the row with one einsum.
-    abs_increment_row_integrals shares the block, the copy and the
-    einsum, which is what makes the two bit-identical.
+    routes.  Cost O(n^2) on top of the caller's table, through the same
+    blocked kernel as abs_increment_row_integrals, which is what makes
+    the two bit-identical.
     """
     m = np.asarray(rows, dtype=float)
     n = m.shape[0] - 1
@@ -364,7 +381,7 @@ def row_singular_integrals(
     if diagonal_vanishes:
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         _check_increment_endpoint(np.diagonal(m), scale, max(theta, 1.0))
-    return _blocked_row_rule(n, h, theta, diagonal_vanishes, lambda lo, hi: m[lo:hi])
+    return _blocked_row_rule(h, theta, diagonal_vanishes, [n + 1], lambda k, lo, hi: m[lo:hi, :hi])[0]
 
 
 def abs_increment_row_integrals(
@@ -372,55 +389,92 @@ def abs_increment_row_integrals(
 ) -> np.ndarray:
     """out[i] = integral_0^{t_i} (t_i - s)**-theta * |v(t_i) - v(s)|**power ds
     for every i, for a sample v of shape (n+1,) or (n+1, d) (Euclidean
-    norm over the d components).
+    norm over the d components).  The one-sample case of
+    abs_increment_row_integrals_many."""
+    return abs_increment_row_integrals_many([(values, power)], h, theta)[0]
+
+
+def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np.ndarray]:
+    """abs_increment_row_integrals of each (values, power) in samples, in
+    one pass: the gap weights and each block's weight copy serve every
+    sample.  Samples may differ in length, dimension and power; each
+    result is bit for bit its own one-sample call.
 
     Fused form of row_singular_integrals on the table
     rows[i, j] = |v_i - v_j|**power, without building that table:
 
         out[i] = sum_{j<=i} c[i-j] |v_i - v_j|**p - b[i] |v_i - v_0|**p.
 
-    Each block of 256 rows computes its increments with the same
-    formula the table would use, sqrt(add.reduce(d*d, axis=-1)), in one
-    reused buffer (for d = 1 the one-term sum is the term itself), and
-    meets the same weight block and einsum, so the result is
-    bit-identical to the table route.  Cost O(n^2 d) time and O(256 n d)
-    memory, against O(n^2) memory for the table.  The diagonal is zero
-    by construction, so theta >= 1 needs no endpoint check.
+    The increments of a block go to one buffer shared by all samples:
+    |v_i - v_j| for d = 1 (equal to the table's sqrt((v_i - v_j)**2)
+    unless that square under- or overflows), sqrt(add.reduce(d*d,
+    axis=-1)) for d > 1, then the power in place.  Cost O(n^2 d) time
+    per sample and O(256 n d) memory in all.  The diagonal is zero by
+    construction, so theta >= 1 needs no endpoint check.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    n, dim = v.shape[0] - 1, v.shape[1]
-    buf = np.empty((min(_ROW_CHUNK, n), n + 1, dim))
+    vs, powers = [], []
+    for values, power in samples:
+        v = np.asarray(values, dtype=float)
+        vs.append(v[:, None] if v.ndim == 1 else v)
+        powers.append(power)
+    n = max(v.shape[0] for v in vs) - 1
+    buf = np.empty(min(_ROW_CHUNK, n) * (n + 1) * max(v.shape[1] for v in vs))
 
-    def increments(lo, hi):
-        d = buf[: hi - lo]
-        np.subtract(v[lo:hi, None, :], v[None, :, :], out=d)
-        np.multiply(d, d, out=d)
-        m = np.add.reduce(d, axis=-1) if dim > 1 else d[..., 0]
-        np.sqrt(m, out=m)
-        return m if power == 1.0 else m ** power
+    def increments(k, lo, hi):
+        v, dim = vs[k], vs[k].shape[1]
+        if dim == 1:
+            m = buf[: (hi - lo) * hi].reshape(hi - lo, hi)
+            np.subtract(v[lo:hi], v[:hi, 0], out=m)
+            np.abs(m, out=m)
+        else:
+            d = buf[: (hi - lo) * hi * dim].reshape(hi - lo, hi, dim)
+            np.subtract(v[lo:hi, None, :], v[None, :hi, :], out=d)
+            np.multiply(d, d, out=d)
+            m = np.add.reduce(d, axis=-1)
+            np.sqrt(m, out=m)
+        if powers[k] != 1.0:
+            m **= powers[k]
+        return m
 
-    return _blocked_row_rule(n, h, theta, True, increments)
+    return _blocked_row_rule(h, theta, True, [v.shape[0] for v in vs], increments)
 
 
-def _blocked_row_rule(n: int, h: float, theta: float, diagonal_vanishes: bool, block_of):
-    """out[i] = sum_j W[i, j] rows[i, j] - b[i] rows[i, 0] over blocks of
-    _ROW_CHUNK rows, where block_of(lo, hi) returns rows[lo:hi] as an
-    (hi - lo, n+1) array.  Row 0 is an empty integral."""
+def _blocked_row_rule(h: float, theta: float, diagonal_vanishes: bool, lengths, block_of) -> list[np.ndarray]:
+    """The row rule of several samples, sample k having lengths[k] nodes:
+    out_k[i] = sum_{j<=i} W[i, j] rows_k[i, j] - b[i] rows_k[i, 0] for
+    every row i of sample k (row 0 is an empty integral), in blocks of
+    _ROW_CHUNK rows.  block_of(k, lo, hi) returns rows_k[lo:hi, :hi]:
+    a block stops at its last row's column, past which every weight is
+    zero.  The gap weights and each block's weight copy are made once
+    for all samples.
+
+    The rows are summed by one einsum per block and sample, whose
+    rounding depends on the row length, so a sample keeps its own
+    length: appending zero columns changes the last bit of some sums.
+    Cutting a block at column hi does not; tests/test_row_kernel.py pins
+    the outputs of the full-width rule.  Blocks start at rows 1 + 256 k,
+    so their width hi = lo + 256 is one past a multiple of every SIMD
+    stride: the last kept column, alone past the vector loop, holds only
+    the last row's diagonal term.
+    """
+    n = max(lengths) - 1
     c, b = gap_weights(n, h, theta, diagonal_vanishes)
     weights = _toeplitz_block(c)
-    buf = np.empty((min(_ROW_CHUNK, n), n + 1))
-    out = np.zeros(n + 1)
+    wbuf = np.empty(min(_ROW_CHUNK, n) * (n + 1))
+    outs = [np.zeros(size) for size in lengths]
     for lo in range(1, n + 1, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, n + 1)
-        w = buf[: hi - lo]
-        np.copyto(w, weights[lo:hi])
-        block = block_of(lo, hi)
-        out[lo:hi] = np.einsum("ij,ij->i", w, block)
-        # node j=0 carries only the far weight of cell 0
-        out[lo:hi] -= b[lo:hi] * block[:, 0]
-    return out
+        w = wbuf[: (hi - lo) * hi].reshape(hi - lo, hi)
+        np.copyto(w, weights[lo:hi, :hi])
+        for k, out in enumerate(outs):
+            top = min(hi, out.shape[0])
+            if top <= lo:
+                continue
+            block = block_of(k, lo, top)
+            out[lo:top] = np.einsum("ij,ij->i", w[: top - lo, :top], block)
+            # node j=0 carries only the far weight of cell 0
+            out[lo:top] -= b[lo:top] * block[:, 0]
+    return outs
 
 
 def increment_row_integrals(values: np.ndarray, h: float, theta: float) -> np.ndarray:
@@ -449,6 +503,14 @@ def increment_row_integrals(values: np.ndarray, h: float, theta: float) -> np.nd
     # index 0 is skipped: there b[0] = +inf would multiply w[0] = 0
     out[1:] = w[1:] * (np.cumsum(c)[1:] - b[1:]) - conv[1 : n + 1]
     return out
+
+
+def _gap_powers(k: int, h: float, exponent: float) -> np.ndarray:
+    """(g*h)**exponent for the gaps g = 1..k of the node-pair tables, by
+    numpy's array power: every consumer of a pair's gap power takes it
+    from here, so they agree to the bit (Python's scalar ** rounds
+    differently for a few percent of gaps)."""
+    return (np.arange(1, k + 1) * h) ** exponent
 
 
 def _pair_blocks(values, h: float, lo: int, hi: int, theta: float | None = None, signed: bool = True):

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, _pair_blocks, abs_increment_row_integrals, power_cell_weights
+from .grid import (
+    GridFunction,
+    _gap_powers,
+    _pair_blocks,
+    abs_increment_row_integrals,
+    abs_increment_row_integrals_many,
+    power_cell_weights,
+)
 
 __all__ = [
     "HolderParams",
@@ -29,6 +36,7 @@ __all__ = [
     "w_1malpha_norm",
     "alpha_1_norm",
     "delta_functional",
+    "delta_and_gap_aggregate",
     "holder_exponent_estimate",
 ]
 
@@ -116,7 +124,7 @@ def holder_norm(f: GridFunction, exponent: float) -> float:
     if not 0.0 < exponent <= 1.0:
         raise ValueError(f"Holder exponent must lie in (0, 1], got {exponent}")
     n = f.grid.n
-    gap_pow = (f.grid.h * np.arange(1, n + 1)) ** exponent
+    gap_pow = _gap_powers(n, f.grid.h, exponent)
     semi = 0.0
     for _, dv, _ in _pair_blocks(f.values, f.grid.h, 0, n):
         dist = np.sqrt(np.add.reduce(dv * dv, axis=-1))
@@ -137,7 +145,7 @@ def w_1malpha_norm(g_values: np.ndarray, h: float, alpha: float) -> float:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     v = np.asarray(g_values, dtype=float)
     n = v.shape[0] - 1
-    gap_pow = (np.arange(1, n + 1) * h) ** (1.0 - alpha)
+    gap_pow = _gap_powers(n, h, 1.0 - alpha)
     best = 0.0
     for _, dv, tail in _pair_blocks(v, h, 1, n, theta=2.0 - alpha, signed=False):
         row = np.abs(dv) / gap_pow[: dv.shape[1]] + tail
@@ -161,12 +169,30 @@ def alpha_1_norm(f: GridFunction, alpha: float) -> float:
     return first + second
 
 
-def delta_functional(f: GridFunction, alpha: float, delta: float) -> float:
-    """sup_u int_0^u |f(u)-f(s)|^delta / (u-s)^{alpha+1} ds."""
+def _check_delta(delta: float):
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
+
+
+def delta_functional(f: GridFunction, alpha: float, delta: float) -> float:
+    """sup_u int_0^u |f(u)-f(s)|^delta / (u-s)^{alpha+1} ds."""
+    _check_delta(delta)
     inc = abs_increment_row_integrals(f.values, f.grid.h, alpha + 1.0, power=delta)
     return float(np.max(inc))
+
+
+def delta_and_gap_aggregate(
+    x_next: GridFunction, x_prev: GridFunction, alpha: float, delta: float
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """(delta_functional(x_next), fractional_aggregate(x_next - x_prev)):
+    the two norm passes of a Picard step, as one row-rule pass over both
+    samples.  Bit for bit the two separate calls."""
+    _check_delta(delta)
+    gap = GridFunction(x_next.grid, x_next.values - x_prev.values)
+    inc_next, inc_gap = abs_increment_row_integrals_many(
+        [(x_next.values, delta), (gap.values, 1.0)], gap.grid.h, alpha + 1.0
+    )
+    return float(np.max(inc_next)), (gap.pointwise_norm(), inc_gap)
 
 
 def holder_exponent_estimate(f: GridFunction) -> float:

@@ -25,8 +25,8 @@ from .integrals import diffusion_term, drift_term
 from .norms import (
     HolderParams,
     check_weight,
+    delta_and_gap_aggregate,
     delta_functional,
-    fractional_aggregate,
     fractional_norm,
     holder_exponent_estimate,
     w_alpha_infty_norm,
@@ -226,7 +226,9 @@ def picard_solve(
     # a priori radii from the pilot application, with margin
     sup0 = max(x_prev.sup_norm(), x_next.sup_norm())
     n_bound = 2.0 * sup0 + 1.0
-    delta_next = delta_functional(x_next, alpha, cs.delta)
+    # one row pass after each map application: the new iterate's delta
+    # functional and the aggregate of its gap to the previous one
+    delta_next, agg = delta_and_gap_aggregate(x_next, x_prev, alpha, cs.delta)
     delta_bound = 2.0 * delta_next + 1.0
     lam_selected = select_lambda(cs, params, lam_g, n_bound, delta_bound)
     lam = lambda_override if lambda_override is not None else min(lam_selected, LAMBDA_CAP)
@@ -237,11 +239,9 @@ def picard_solve(
     # the constant starting iterate has no increments: its functional is 0
     delta_radius = max(0.0, delta_next)
     converged = False
-    for _ in range(max_iter):
-        gap = GridFunction(grid, x_next.values - x_prev.values)
-        # one aggregate serves the weighted distance and the unweighted
-        # stopping norm
-        agg = fractional_aggregate(gap, alpha)
+    for it in range(max_iter):
+        # one gap aggregate serves the weighted distance and the
+        # unweighted stopping norm
         distances.append(fractional_norm(grid.nodes, agg, lam).value)
         # stop on the unweighted norm: it dominates the weighted one, so
         # this is strictly stronger than a weighted-gap tolerance
@@ -251,7 +251,11 @@ def picard_solve(
         x_prev = x_next
         x_next = _apply_map(cs, x0, x_prev, g)
         sup_radius = max(sup_radius, x_next.sup_norm())
-        delta_radius = max(delta_radius, delta_functional(x_next, alpha, cs.delta))
+        if it + 1 < max_iter:
+            delta_next, agg = delta_and_gap_aggregate(x_next, x_prev, alpha, cs.delta)
+        else:  # the last iterate's gap is never measured
+            delta_next = delta_functional(x_next, alpha, cs.delta)
+        delta_radius = max(delta_radius, delta_next)
 
     # a posteriori contraction modulus over the realized ball (the
     # re-derived Lipschitz constants at the realized radii)

@@ -28,6 +28,7 @@ from .grid import (
     GridFunction,
     TimeGrid,
     abs_increment_row_integrals,
+    abs_increment_row_integrals_many,
     build_grid,
     left_singular_integral,
     prefix_singular_integrals,
@@ -208,14 +209,16 @@ def _stieltjes_kernel_case(rng, grid: TimeGrid):
     return vals, K_profile
 
 
-def _double_increment_mass(row_t: np.ndarray, row_s: np.ndarray, h: float, alpha: float, upto: int) -> float:
-    """int_0^{s} int_0^u |phi(u) - phi(y)| / (u-y)^{alpha+1} dy du for
-    phi = row_t - row_s restricted to the first upto+1 nodes."""
-    phi = (row_t - row_s)[: upto + 1]
-    if upto < 1:
-        return 0.0
-    inner = abs_increment_row_integrals(phi, h, alpha + 1.0)
-    return float(np.trapezoid(inner, dx=h))
+def _w_path(row: np.ndarray, vals: np.ndarray, i_t: int, h: float, alpha: float) -> np.ndarray:
+    """w[j] = int_0^{t_j} int_0^u |phi_j(u) - phi_j(y)| / (u-y)^{alpha+1} dy du
+    for phi_j = row - vals[j] on the first j+1 nodes, j = 1..i_t - 1;
+    w[0] = w[i_t] = 0.  One row-rule pass serves every j, each prefix at
+    its own length."""
+    w = np.zeros(i_t + 1)
+    samples = [(row[: j + 1] - vals[j, : j + 1], 1.0) for j in range(1, i_t)]
+    for j, inner in enumerate(abs_increment_row_integrals_many(samples, h, alpha + 1.0), start=1):
+        w[j] = np.trapezoid(inner, dx=h)
+    return w
 
 
 def check_rs_estimates(
@@ -258,10 +261,14 @@ def check_rs_estimates(
             lhs = abs(G[i_t] - G[i_s])
             term1 = (tt - ss) ** mu * k_over_u[i_s]
             term2 = left_singular_integral(np.abs(vals[i_t, i_s : i_t + 1]), h, alpha)
-            term3 = _double_increment_mass(vals[i_t], vals[i_s], h, alpha, i_s)
-            win = vals[i_t, i_s : i_t + 1]
-            inner = abs_increment_row_integrals(win, h, alpha + 1.0)
-            term4 = float(np.trapezoid(inner, dx=h))
+            # double increment masses of vals[i_t] - vals[i_s] up to s and
+            # of vals[i_t] on [s, t]
+            inner3, inner4 = abs_increment_row_integrals_many(
+                [((vals[i_t] - vals[i_s])[: i_s + 1], 1.0), (vals[i_t, i_s : i_t + 1], 1.0)],
+                h, alpha + 1.0,
+            )
+            term3 = float(np.trapezoid(inner3, dx=h))
+            term4 = float(np.trapezoid(inner4, dx=h))
             L1.append(lhs)
             R1.append(lam_up * (term1 + term2 + alpha * (term3 + term4)))
 
@@ -279,13 +286,8 @@ def check_rs_estimates(
                 GridFunction(_subgrid(tt, i_t), gf), 2.0 * alpha, i_t
             )[0]
             p2_left = left_singular_integral(gf, h, alpha)
-            w_path = np.empty(i_t + 1)
-            w_path[0] = 0.0
-            for j in range(1, i_t + 1):
-                w_path[j] = _double_increment_mass(row, vals[j, : i_t + 1], h, alpha, j)
-            w_path[i_t] = 0.0
             triple = singular_weighted_integral(
-                GridFunction(_subgrid(tt, i_t), w_path), alpha + 1.0, i_t
+                GridFunction(_subgrid(tt, i_t), _w_path(row, vals, i_t, h, alpha)), alpha + 1.0, i_t
             )[0]
             L2.append(lhs)
             R2.append(lam_up * (c3 * p1 + c4 * (p2_right + p2_left) + alpha * triple))

@@ -215,3 +215,27 @@ def test_convergence_schema(tmp_path):
 def test_run_experiment_unknown_subcommand():
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(subcommand="noop"))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_verify_matches_golden(tmp_path, capsys):
+    # five verify JSON files and stdout of a small run, byte for byte
+    # (recorded with numpy 2.4 on x86-64)
+    want = GOLDEN / "verify_cases12_seed3"
+    code = main(["verify", "--cases", "12", "--seed", "3", "--out", str(tmp_path / "v")])
+    assert code == 0
+    assert capsys.readouterr().out == (want / "stdout.txt").read_text()
+    got = read_bytes_tree(tmp_path / "v")
+    assert got == {p: b for p, b in read_bytes_tree(want).items() if p.suffix == ".json"}
+
+
+def test_sample_audit_matches_golden(tmp_path, capsys):
+    want = GOLDEN / "sample_n8"
+    code = main(["sample", "--n", "8", "--paths", "400", "--m", "2", "--H", "0.7",
+                 "--seed", "5", "--emit-paths", "0", "--out", str(tmp_path / "s")])
+    assert code == 0
+    assert capsys.readouterr().out == (want / "stdout.txt").read_text()
+    audit = Path("covariance_audit.csv")
+    assert read_bytes_tree(tmp_path / "s") == {audit: (want / audit).read_bytes()}

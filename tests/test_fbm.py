@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from volterra_fbm import fbm as fbm_mod
+from volterra_fbm import grid as grid_mod
 from volterra_fbm.fbm import (
     DriverPath,
     Seed,
@@ -148,3 +152,44 @@ def test_driver_path_validation():
         DriverPath(g, np.ones(3))
     with pytest.raises(ValueError):
         sample_cholesky(g, 1.2, 1, Seed(0))
+
+
+# sha256 of the sampler outputs before the circulant eigenvalues were
+# cached per (n, H) (numpy 2.4, x86-64)
+_SAMPLE_PATHS_DIGESTS = [
+    ((8, 0.75, 200, 1, 1), "37f31f5b826d7d6986bfa853571335707deb8d834f969da360099f9a7feb7537"),
+    ((8, 0.6, 50, 2, 7), "ab1c3f00e1a5a1a31ac30329d1bebbcffc9668de6a0967c328d50d9370eda0db"),
+    ((64, 0.9, 20, 1, 3), "812fc202bfc1400c7608e021a9a26b2fdccdc56b5c7f099569301489306e394c"),
+    ((257, 0.55, 5, 2, 11), "3da904f238e375e3304d49779357c38172a8ac3d5bfe5543ff294e68719d65a2"),
+]
+_DAVIES_HARTE_DIGESTS = [
+    ((2, 0.75, 1, 0, 0), "846c0e438f64bb34a2acb1721c5bd8ef1193a4b871f64f7b9739fa4ae52e41cc"),
+    ((8, 0.75, 1, 1, 3), "6da7d1dd838cb9861fbe2159b2b512517ee63a59aea2c638d7dd171f56f6c5ab"),
+    ((100, 0.7, 3, 5, 2), "f7cb50ec60a44ed9d11d26e8766cfac35318fd2cf58295954fe8386735594397"),
+    ((1024, 0.95, 1, 9, 0), "0bbbd0ebe5dd684cb8bf6bb1255d7f5c689040fbc240558b164dc5b0e6fef148"),
+]
+
+
+@pytest.mark.parametrize("key, digest", _SAMPLE_PATHS_DIGESTS)
+def test_sample_paths_pinned(key, digest):
+    n, H, P, m, seed = key
+    out = sample_paths(build_grid(1.0, n), H, m, Seed(seed), P)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("key, digest", _DAVIES_HARTE_DIGESTS)
+def test_sample_davies_harte_pinned(key, digest):
+    n, H, m, seed, p = key
+    out = sample_davies_harte(build_grid(2.0, n), H, m, Seed(seed), p).values
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+def test_circulant_eigenvalues_cached_read_only():
+    eig = fbm_mod._fgn_circulant_eigenvalues(16, 0.7)
+    assert fbm_mod._fgn_circulant_eigenvalues(16, 0.7) is eig
+    assert not eig.flags.writeable
+    with pytest.raises(ValueError):
+        eig[0] = 1.0
+    for n in range(2, 2 + 2 * grid_mod._TABLE_KEYS):
+        fbm_mod._fgn_circulant_eigenvalues(n, 0.7)
+    assert len(fbm_mod._eigenvalue_tables) == grid_mod._TABLE_KEYS

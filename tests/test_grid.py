@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from volterra_fbm import fbm as fbm_mod
 from volterra_fbm import grid as grid_mod
 from volterra_fbm.errors import SingularityError
 from volterra_fbm.grid import (
@@ -233,7 +234,9 @@ def test_power_cell_weights_are_read_only():
 
 def test_power_cell_weights_under_threads():
     # more threads than cores, each growing and reading tables of shared
-    # keys; every view must equal a fresh table and the cache stays bounded
+    # keys; every view must equal a fresh table and the cache stays bounded.
+    # The fBm eigenvalue cache shares the lock: its lookups run alongside,
+    # over more keys than the cap, so entries are evicted under contention
     keys = [(1.0 / 64, 0.3), (1.0 / 64, 1.3), (0.01, 1.7)]
     errors = []
 
@@ -246,6 +249,10 @@ def test_power_cell_weights_under_threads():
             fa, fb = grid_mod._power_cell_table(k, h, theta)
             if not (np.array_equal(a, fa[:k]) and np.array_equal(b, fb)):
                 errors.append((h, theta, k))
+            n, H = int(rng.integers(2, 40)), (0.6, 0.75, 0.9)[rng.integers(3)]
+            eig = fbm_mod._fgn_circulant_eigenvalues(n, H)
+            if not np.array_equal(eig, fbm_mod._circulant_eigenvalues(n, H)):
+                errors.append((n, H))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -259,7 +266,8 @@ def test_power_cell_weights_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(grid_mod._weight_tables) <= grid_mod._WEIGHT_TABLE_KEYS
+    assert len(grid_mod._weight_tables) <= grid_mod._TABLE_KEYS
+    assert len(fbm_mod._eigenvalue_tables) <= grid_mod._TABLE_KEYS
 
 
 def test_increment_convolution_ignores_offset():

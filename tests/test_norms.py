@@ -8,7 +8,9 @@ from volterra_fbm.grid import GridFunction, build_grid
 from volterra_fbm.norms import (
     HolderParams,
     alpha_1_norm,
+    delta_and_gap_aggregate,
     delta_functional,
+    fractional_aggregate,
     holder_exponent_estimate,
     holder_norm,
     w_1malpha_norm,
@@ -192,3 +194,15 @@ def test_norm_report_argmax_stable_under_refinement():
     r1 = w_alpha_infty_norm(grid_fn(coarse_vals), 0.3)
     r2 = w_alpha_infty_norm(grid_fn(fine_vals), 0.3)
     assert abs(r1.sup_argmax - r2.sup_argmax) <= 0.1
+
+
+@pytest.mark.parametrize("d, delta", [(1, 1.0), (1, 0.7), (3, 0.5), (2, 1.0)])
+def test_delta_and_gap_aggregate_is_the_two_calls(d, delta):
+    x_prev, x_next = random_fn(11, n=300, d=d), random_fn(12, n=300, d=d)
+    got_delta, (got_sup, got_inc) = delta_and_gap_aggregate(x_next, x_prev, 0.3, delta)
+    want_sup, want_inc = fractional_aggregate(grid_fn(x_next.values - x_prev.values), 0.3)
+    assert got_delta == delta_functional(x_next, 0.3, delta)
+    assert np.array_equal(got_sup, want_sup)
+    assert np.array_equal(got_inc, want_inc)
+    with pytest.raises(ValueError):
+        delta_and_gap_aggregate(x_next, x_prev, 0.3, 1.5)

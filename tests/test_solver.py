@@ -91,6 +91,21 @@ def test_picard_distances_positive_until_convergence():
     assert rec.x.values[0, 0] == pytest.approx(1.0)
 
 
+def test_picard_iteration_cap_keeps_the_history():
+    # a capped solve stops unconverged with the first distances of the
+    # full one, bit for bit, and its radii cover the last iterate
+    cs = builtin_coefficients("smooth-volterra")
+    params = HolderParams(H=0.75, alpha=0.3, T=1.0)
+    drv = sample_davies_harte(build_grid(1.0, 128), 0.75, 1, Seed(4))
+    full = picard_solve(cs, 1.0, drv, params, tol=1e-9)
+    capped = picard_solve(cs, 1.0, drv, params, tol=1e-9, max_iter=3)
+    assert not capped.converged
+    assert capped.iterations == 3
+    assert capped.distances == full.distances[:3]
+    assert capped.delta_radius <= full.delta_radius
+    assert capped.sup_radius >= capped.x.sup_norm()
+
+
 def test_picard_rejects_infeasible_and_out_of_window():
     params = HolderParams(H=0.75, alpha=0.3, T=1.0)
     g = build_grid(1.0, 64)

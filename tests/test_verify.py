@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from volterra_fbm.coeffs import builtin_coefficients
+from volterra_fbm.grid import abs_increment_row_integrals
 from volterra_fbm.report import EstimateReport, make_report, ratio_of
 from volterra_fbm.verify import (
     SuiteConfig,
@@ -9,6 +10,7 @@ from volterra_fbm.verify import (
     check_lebesgue_estimates,
     check_rs_estimates,
     check_sigma_lemmas,
+    _w_path,
     run_suite,
 )
 
@@ -128,3 +130,28 @@ def test_estimate_report_records_constants():
     cu = reports[0].constants_used
     assert "C1" in cu and "C2" in cu
     assert isinstance(EstimateReport(**{**reports[0].__dict__}), EstimateReport)
+
+
+def _double_increment_mass(row_t, row_s, h, alpha, upto):
+    """The per-node rule _w_path replaced, kept as its oracle: one
+    row-rule call per node."""
+    phi = (row_t - row_s)[: upto + 1]
+    if upto < 1:
+        return 0.0
+    inner = abs_increment_row_integrals(phi, h, alpha + 1.0)
+    return float(np.trapezoid(inner, dx=h))
+
+
+@pytest.mark.parametrize("n, i_ts", [(64, (2, 3, 33, 64)), (300, (256, 257, 258, 300))])
+def test_w_path_is_the_per_node_rule(n, i_ts):
+    rng = np.random.default_rng(n)
+    h, alpha = 1.0 / n, 0.27
+    vals = np.cumsum(rng.normal(size=(n + 1, n + 1)), axis=1) * np.sqrt(h)
+    for i_t in i_ts:
+        row = vals[i_t, : i_t + 1]
+        want = np.empty(i_t + 1)
+        want[0] = 0.0
+        for j in range(1, i_t + 1):
+            want[j] = _double_increment_mass(row, vals[j, : i_t + 1], h, alpha, j)
+        want[i_t] = 0.0
+        assert np.array_equal(_w_path(row, vals, i_t, h, alpha), want)
