@@ -35,6 +35,7 @@ from .solver import (
     growth_bound_check,
     phi_exponent,
     picard_solve,
+    picard_solve_batch,
     select_lambda,
 )
 from .verify import SuiteConfig, run_suite

@@ -6,6 +6,10 @@ solution CSV/JSON), verify (inequality suite, JSON reports), moments
 (Picard-vs-Euler refinement table).  A flat key = value config file can
 preload any flag; explicit flags win.  All outputs are byte-stable
 functions of (config, seed) regardless of the worker count.
+
+solve and moments split the paths into fixed contiguous batches, sized
+from n alone; --workers threads run over the batches.  sample draws its
+batches on the calling thread.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import numpy as np
 
 from .coeffs import CoefficientSet, builtin_coefficients
 from .errors import AdmissibilityError, CatalogError, VolterraError
-from .fbm import DriverPath, Seed, _covariance_matrix, _sampler
+from .fbm import DriverPath, Seed, _covariance_matrix, _draw_block_rows, _sampler
 from .grid import build_grid
 from .norms import HolderParams, w_alpha_infty_norm
-from .solver import euler_solve, picard_solve
+from .solver import euler_solve, picard_solve, picard_solve_batch
 from .verify import SuiteConfig, run_suite
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_report", "main"]
@@ -75,27 +79,34 @@ def emit_report(records: list[dict], fmt: str, out_path: Path) -> None:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _sample_driver(cfg: ExperimentConfig, grid, path_index: int) -> DriverPath:
-    return _sampler(cfg.sampler)(grid, cfg.H, cfg.m, Seed(cfg.seed), path_index)
+# entries of the (n+1)^2 two-time tables in one batch of solves: 6 paths
+# at n = 96, one from n = 181
+_SOLVE_ENTRIES = 2 ** 16
+
+
+def _batches(paths: int, size: int) -> list[range]:
+    """Contiguous batches of size path indices (the last one shorter)."""
+    return [range(lo, min(lo + size, paths)) for lo in range(0, paths, size)]
+
+
+def _sample_drivers(cfg: ExperimentConfig, grid, paths) -> np.ndarray:
+    """Driver values of the given path indices, shape (P, n+1, m)."""
+    return _sampler(cfg.sampler)(grid, cfg.H, cfg.m, Seed(cfg.seed), paths)
 
 
 def _cmd_sample(cfg: ExperimentConfig, out: Path) -> int:
     grid = build_grid(cfg.T, cfg.n)
     sums = np.zeros((cfg.n, cfg.n))
-
-    def one(p):
-        return _sample_driver(cfg, grid, p)
-
-    emitted = 0
-    with ThreadPoolExecutor(max_workers=max(cfg.workers, 1)) as ex:
-        for p, path in enumerate(ex.map(one, range(cfg.paths))):
+    # one Davies-Harte block per batch, on this thread: the audit's outer
+    # products take most of the time, and a pool over batches did not pay
+    for batch in _batches(cfg.paths, _draw_block_rows(cfg.n)):
+        for p, values in zip(batch, _sample_drivers(cfg, grid, batch)):
             for c in range(cfg.m):
-                v = path.values[1:, c]
+                v = values[1:, c]
                 sums += np.outer(v, v)
-            if emitted < cfg.emit_paths:
+            if p < cfg.emit_paths:
                 out.mkdir(parents=True, exist_ok=True)
-                path.to_csv(out / f"path_{p:05d}.csv")
-                emitted += 1
+                DriverPath(grid, values, hurst=cfg.H).to_csv(out / f"path_{p:05d}.csv")
     count = cfg.paths * cfg.m
     emp = sums / count
     ana = _covariance_matrix(grid.nodes[1:], cfg.H)
@@ -125,15 +136,22 @@ def _coefficients(cfg: ExperimentConfig) -> CoefficientSet:
     return cs
 
 
-def _solve_one(cfg: ExperimentConfig, cs: CoefficientSet, p: int):
+def _solve_all(cfg: ExperimentConfig, cs: CoefficientSet) -> list:
+    """One SolutionRecord per path: a picard_solve_batch per batch."""
     grid = build_grid(cfg.T, cfg.n)
     params = HolderParams(H=cfg.H, alpha=cfg.alpha, T=cfg.T)
-    driver = _sample_driver(cfg, grid, p)
-    x0 = np.full(cs.d, cfg.x0)
-    return picard_solve(
-        cs, x0, driver, params, tol=cfg.tol, max_iter=cfg.max_iter,
-        lambda_override=cfg.lam,
-    )
+
+    def solve(paths):
+        drivers = [DriverPath(grid, v, hurst=cfg.H) for v in _sample_drivers(cfg, grid, paths)]
+        return picard_solve_batch(
+            cs, np.full(cs.d, cfg.x0), drivers, params, tol=cfg.tol, max_iter=cfg.max_iter,
+            lambda_override=cfg.lam,
+        )
+
+    # one task per batch; the batches never depend on --workers
+    batches = _batches(cfg.paths, max(1, _SOLVE_ENTRIES // (cfg.n + 1) ** 2))
+    with ThreadPoolExecutor(max_workers=max(cfg.workers, 1)) as ex:
+        return [rec for recs in ex.map(solve, batches) for rec in recs]
 
 
 def _write_solution(rec, grid, out: Path, p: int) -> None:
@@ -151,9 +169,7 @@ def _cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     cs = _coefficients(cfg)
     grid = build_grid(cfg.T, cfg.n)
     status = 0
-    with ThreadPoolExecutor(max_workers=max(cfg.workers, 1)) as ex:
-        recs = list(ex.map(lambda p: _solve_one(cfg, cs, p), range(cfg.paths)))
-    for p, rec in enumerate(recs):
+    for p, rec in enumerate(_solve_all(cfg, cs)):
         _write_solution(rec, grid, out, p)
         if not rec.converged:
             status = 1
@@ -192,17 +208,19 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
     cs = _coefficients(cfg)
-    with ThreadPoolExecutor(max_workers=max(cfg.workers, 1)) as ex:
-        recs = list(ex.map(lambda p: _solve_one(cfg, cs, p), range(cfg.paths)))
-    norms = np.array([w_alpha_infty_norm(r.x, cfg.alpha).value for r in recs])
+    norms = np.array([w_alpha_infty_norm(r.x, cfg.alpha).value for r in _solve_all(cfg, cs)])
     # dedicated bootstrap stream, disjoint from the path streams
     boot_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xB007,)))
     rows = []
     for p_ord in (1, 2, 4):
         vals = norms ** p_ord
         est = float(np.mean(vals))
-        idx = boot_rng.integers(0, len(vals), size=(1000, len(vals)))
-        boots = np.mean(vals[idx], axis=1)
+        # 1000 resamples in blocks of 100: the draws and means of one
+        # (1000, paths) index table, in a tenth of its memory
+        boots = np.concatenate([
+            np.mean(vals[boot_rng.integers(0, len(vals), size=(100, len(vals)))], axis=1)
+            for _ in range(10)
+        ])
         lo, hi = np.quantile(boots, (0.025, 0.975))
         rows.append({"p": p_ord, "estimate": est, "ci_lo": float(lo),
                      "ci_hi": float(hi), "paths": len(vals)})
@@ -217,7 +235,7 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
     grid_fine = build_grid(cfg.T, cfg.n)
     cs = _coefficients(cfg)
     params = HolderParams(H=cfg.H, alpha=cfg.alpha, T=cfg.T)
-    fine = _sample_driver(cfg, grid_fine, 0)
+    fine = DriverPath(grid_fine, _sample_drivers(cfg, grid_fine, range(1))[0], hurst=cfg.H)
     rows = []
     prev = None
     for n_sub in (cfg.n // 4, cfg.n // 2, cfg.n):

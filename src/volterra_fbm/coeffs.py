@@ -18,6 +18,10 @@ and diffusion maps call b and sigma on row blocks of the triangle
 s <= t with t of shape (r, 1), s of shape (r, k) and the state
 un-broadcast, shape (1, k, d): a factor of x(s) alone is computed once
 per column.  A result smaller than the broadcast shape is broadcast.
+A batch of P Picard solves stacks its paths on one more leading state
+axis, (P, 1, k, d).  Results are broadcast from the right, the last
+axis of b's and the last two of sigma's being the value's, so a result
+without the path axis, or of constant shape, serves every path.
 
 Constants are declared metadata, not inferred: the solver's weight
 selection needs them a priori.  Every catalog value below is derived

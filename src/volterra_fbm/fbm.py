@@ -34,6 +34,9 @@ _MAX_JITTER = 1e-12
 # worse violation signals an implementation bug, not rounding
 _EIGEN_TOL = 1e-9
 _eigenvalue_tables: OrderedDict = OrderedDict()
+# normals per Davies-Harte block: 2**18 keeps each of the block's
+# temporaries at 4 MB (8 MB complex) whatever the path count
+_DRAW_NORMALS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -134,13 +137,20 @@ def sample_cholesky(grid: TimeGrid, H: float, m: int, seed: Seed, path_index: in
 
     Cost O(n^3) once per (grid, H) plus O(n^2) per component; intended
     for moderate n and as the distributional oracle for the FFT sampler.
+    The one-path case of the Cholesky path stack.
     """
+    return DriverPath(grid, _cholesky_paths(grid, H, m, seed, [path_index])[0], hurst=H)
+
+
+def _cholesky_paths(grid: TimeGrid, H: float, m: int, seed: Seed, path_indices) -> np.ndarray:
+    """Cholesky drivers of the given path indices, shape (P, n+1, m):
+    one factor for the stack, one matrix-vector product per component."""
     L = _cholesky_factor(grid, H)
-    vals = np.zeros((grid.n + 1, m))
-    for c in range(m):
-        z = seed.generator(path_index, c).standard_normal(grid.n)
-        vals[1:, c] = L @ z
-    return DriverPath(grid, vals, hurst=H)
+    out = np.zeros((len(path_indices), grid.n + 1, m))
+    for k, p in enumerate(path_indices):
+        for c in range(m):
+            out[k, 1:, c] = L @ seed.generator(p, c).standard_normal(grid.n)
+    return out
 
 
 def _fgn_circulant_eigenvalues(n: int, H: float) -> np.ndarray:
@@ -164,40 +174,65 @@ def _circulant_eigenvalues(n: int, H: float) -> np.ndarray:
     return eig
 
 
-def _davies_harte_increments(n: int, H: float, rng: np.random.Generator) -> np.ndarray:
-    """One fractional Gaussian noise sequence of length n, unit spacing."""
+def _davies_harte_increments(n: int, H: float, rngs) -> np.ndarray:
+    """Fractional Gaussian noise sequences of length n, unit spacing, one
+    row per generator in rngs: shape (len(rngs), n).
+
+    Each row draws its 2n normals from its own generator in a fixed
+    documented order: first the two real modes z0 and zn, then the real
+    parts u and the imaginary parts v of the n-1 complex pairs.  Rows
+    are independent of each other and of the block size; one FFT along
+    axis 1 serves the block.
+    """
     eig = _fgn_circulant_eigenvalues(n, H)
     two_n = 2 * n
-    # random input consumed in a fixed documented order: first the two
-    # real modes, then the n-1 complex pairs
-    z0 = rng.standard_normal()
-    zn = rng.standard_normal()
-    u = rng.standard_normal(n - 1)
-    v = rng.standard_normal(n - 1)
-    w = np.zeros(two_n, dtype=complex)
-    w[0] = z0
-    w[n] = zn
-    w[1:n] = (u + 1j * v) / np.sqrt(2.0)
-    w[n + 1 :] = np.conj(w[1:n][::-1])
-    fgn = np.fft.fft(np.sqrt(eig / two_n) * w).real[:n]
-    return fgn
+    z = np.empty((len(rngs), two_n))
+    for row, rng in zip(z, rngs):
+        rng.standard_normal(out=row)
+    w = np.zeros((len(rngs), two_n), dtype=complex)
+    w[:, 0] = z[:, 0]
+    w[:, n] = z[:, 1]
+    w[:, 1:n] = (z[:, 2 : n + 1] + 1j * z[:, n + 1 :]) / np.sqrt(2.0)
+    w[:, n + 1 :] = np.conj(w[:, n - 1 : 0 : -1])
+    return np.fft.fft(np.sqrt(eig / two_n) * w, axis=1).real[:, :n]
 
 
 def sample_davies_harte(grid: TimeGrid, H: float, m: int, seed: Seed, path_index: int = 0) -> DriverPath:
     """O(n log n) circulant-embedding sample, distributionally identical
-    to :func:`sample_cholesky`."""
+    to :func:`sample_cholesky`.  The one-path case of the Davies-Harte
+    path stack."""
+    return DriverPath(grid, _davies_harte_paths(grid, H, m, seed, [path_index])[0], hurst=H)
+
+
+def _draw_block_rows(n: int) -> int:
+    """Paths per Davies-Harte block at n cells: 2n normals each, at most
+    _DRAW_NORMALS per block."""
+    return max(1, _DRAW_NORMALS // (2 * n))
+
+
+def _davies_harte_paths(grid: TimeGrid, H: float, m: int, seed: Seed, path_indices) -> np.ndarray:
+    """Davies-Harte drivers of the given path indices, shape (P, n+1, m),
+    in blocks of at most _DRAW_NORMALS normals per component: one FFT per
+    block and component.  Path p, component c draws from
+    seed.generator(p, c) alone, so every path is bit for bit the same
+    whatever stack it is drawn in."""
     if not 0.0 < H < 1.0:
         raise ValueError(f"Hurst parameter must lie in (0, 1), got {H}")
+    n = grid.n
     scale = grid.h ** H
-    vals = np.zeros((grid.n + 1, m))
-    for c in range(m):
-        rng = seed.generator(path_index, c)
-        fgn = _davies_harte_increments(grid.n, H, rng) * scale
-        vals[1:, c] = np.cumsum(fgn)
-    return DriverPath(grid, vals, hurst=H)
+    out = np.zeros((len(path_indices), n + 1, m))
+    rows = _draw_block_rows(n)
+    for lo in range(0, len(path_indices), rows):
+        block = path_indices[lo : lo + rows]
+        for c in range(m):
+            fgn = _davies_harte_increments(n, H, [seed.generator(p, c) for p in block]) * scale
+            out[lo : lo + len(block), 1:, c] = np.cumsum(fgn, axis=1)
+    return out
 
 
-_SAMPLERS = {"cholesky": sample_cholesky, "davies-harte": sample_davies_harte}
+# one sampler per name: a driver stack (P, n+1, m) for a sequence of path
+# indices
+_SAMPLERS = {"cholesky": _cholesky_paths, "davies-harte": _davies_harte_paths}
 
 
 def _sampler(name: str):
@@ -219,15 +254,4 @@ def sample_paths(
     Per-path streams come from the Seed derivation, so the result does
     not depend on batching or parallel fan-out.
     """
-    draw = _sampler(sampler)
-    out = np.zeros((n_paths, grid.n + 1, m))
-    if draw is sample_cholesky:  # one factor, inline draws: 3x faster at n = 8
-        L = _cholesky_factor(grid, H)
-        for p in range(n_paths):
-            for c in range(m):
-                z = seed.generator(p, c).standard_normal(grid.n)
-                out[p, 1:, c] = L @ z
-        return out
-    for p in range(n_paths):
-        out[p] = draw(grid, H, m, seed, path_index=p).values
-    return out
+    return _sampler(sampler)(grid, H, m, seed, range(n_paths))

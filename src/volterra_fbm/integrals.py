@@ -10,7 +10,9 @@ The coefficient maps drift_term and diffusion_term never build the
 (n+1)^2 table: they evaluate the coefficient on the causal triangle in
 blocks of rows and apply the table rules (lebesgue_volterra, young_rs)
 block by block, bit-identically.  The table rules remain for general
-tables and as the maps' test oracles.
+tables and as the maps' test oracles.  Both maps also take a stack of P
+paths at once, the path axis leading the state; each path's rows are
+bit for bit its one-path map.
 """
 
 from __future__ import annotations
@@ -48,62 +50,73 @@ class IntegralResult:
         return self.values.grid
 
 
-def _as_matrix_kernel(v: np.ndarray) -> np.ndarray:
-    """Kernel values (rows, cols[, d[, m]]) as (rows, cols, d, m); scalar
-    kernels become d=m=1."""
-    if v.ndim == 2:
-        return v[:, :, None, None]
-    if v.ndim == 3:
-        return v[:, :, :, None]
-    if v.ndim == 4:
+def _as_matrix_kernel(v: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Kernel values (lead axes..., rows, cols[, d[, m]]) as (..., rows,
+    cols, d, m); scalar kernels become d=m=1."""
+    rank = v.ndim - lead - 2
+    if rank == 0:
+        return v[..., None, None]
+    if rank == 1:
+        return v[..., None]
+    if rank == 2:
         return v
-    raise ValueError(f"kernel value rank {v.ndim - 2} not supported")
+    raise ValueError(f"kernel value rank {rank} not supported")
 
 
-def _check_driver_dimension(m: int, g: DriverPath) -> None:
-    if m == 1 and g.m > 1:
-        raise ValueError(f"kernel has driver dimension 1, driver has m={g.m}")
-    if m != g.m:
-        raise ValueError(f"kernel driver dimension {m} != driver m={g.m}")
+def _check_driver_dimension(m: int, g_m: int) -> None:
+    if m == 1 and g_m > 1:
+        raise ValueError(f"kernel has driver dimension 1, driver has m={g_m}")
+    if m != g_m:
+        raise ValueError(f"kernel driver dimension {m} != driver m={g_m}")
 
 
-def _triangle_blocks(fn, x: GridFunction, which: str):
+def _triangle_blocks(fn, grid: TimeGrid, states: np.ndarray, rank: int, which: str, errors):
     """Evaluate fn(t_i, t_j, x(t_j)) on the causal triangle j <= i, in
-    blocks of _ROW_CHUNK rows.
+    blocks of _ROW_CHUNK rows, for one path (states of shape (n+1, d))
+    or a stack of paths (P, n+1, d).
 
-    Yields (lo, hi, vals) with vals of shape (hi - lo, hi, ...): rows
-    lo <= i < hi against columns j < hi, which covers those rows'
+    Yields (lo, hi, vals) with vals of shape ([P,] hi - lo, hi, ...):
+    rows lo <= i < hi against columns j < hi, which covers those rows'
     triangle.  s is clipped to t, so the entries j > i are evaluations
     at s = t_i that no rule reads.  The state goes in un-broadcast, as
-    (1, hi, d), so a state-only factor is computed once per column.
-    Only the triangle is checked for finiteness.
+    (1, hi, d), or (P, 1, hi, d) for a stack, so a state-only factor is
+    computed once per column.  The result is broadcast from the right,
+    its last rank axes being the value's (1 for b, 2 for sigma), so one
+    without the path axis serves every path.  Only the triangle is
+    checked for finiteness; see _check_triangle_finite for errors.
     """
-    grid = x.grid
     t = grid.nodes
     n1 = grid.n + 1
+    lead = states.shape[:-2]
     for lo in range(0, n1, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, n1)
         ti = t[lo:hi, None]
-        vals = np.asarray(fn(ti, np.minimum(t[None, :hi], ti), x.values[None, :hi]), dtype=float)
-        # evaluators of constant shape may return a smaller array
-        vals = np.broadcast_to(vals, (hi - lo, hi) + vals.shape[2:])
+        vals = np.asarray(fn(ti, np.minimum(t[None, :hi], ti), states[..., None, :hi, :]), dtype=float)
+        vals = np.broadcast_to(vals, lead + (hi - lo, hi) + vals.shape[max(vals.ndim - rank, 0) :])
         if not np.all(np.isfinite(vals)):
-            _check_triangle_finite(which, vals, grid, lo)
+            _check_triangle_finite(which, vals, grid, lo, len(lead), errors)
         yield lo, hi, vals
 
 
-def _check_triangle_finite(which: str, vals: np.ndarray, grid: TimeGrid, lo: int) -> None:
-    """Raise EvaluationError at the first non-finite triangle entry of
-    the block whose first row is lo; entries above the diagonal pass."""
-    bad = ~np.isfinite(vals).reshape(vals.shape[:2] + (-1,)).all(axis=2)
-    bad &= np.arange(vals.shape[1])[None, :] <= np.arange(lo, lo + vals.shape[0])[:, None]
-    if not bad.any():
-        return
-    k, j = np.argwhere(bad)[0]
-    raise EvaluationError(
-        f"{which} evaluator returned non-finite value at "
-        f"(t, s) = ({grid.nodes[lo + k]:g}, {grid.nodes[j]:g})"
-    )
+def _check_triangle_finite(which: str, vals: np.ndarray, grid: TimeGrid, lo: int, lead: int, errors) -> None:
+    """EvaluationError at each path's first non-finite triangle entry of
+    the block whose first row is lo; entries above the diagonal pass.
+    With errors None it is raised; otherwise errors[p] keeps path p's
+    first one and the caller goes on with the other paths."""
+    rows, cols = vals.shape[lead : lead + 2]
+    bad = ~np.isfinite(vals).reshape(vals.shape[: lead + 2] + (-1,)).all(axis=-1)
+    bad &= np.arange(cols)[None, :] <= np.arange(lo, lo + rows)[:, None]
+    for p, path_bad in enumerate(bad.reshape(-1, rows, cols)):
+        if not path_bad.any() or (errors is not None and errors[p] is not None):
+            continue
+        k, j = np.argwhere(path_bad)[0]
+        exc = EvaluationError(
+            f"{which} evaluator returned non-finite value at "
+            f"(t, s) = ({grid.nodes[lo + k]:g}, {grid.nodes[j]:g})"
+        )
+        if errors is None:
+            raise exc
+        errors[p] = exc
 
 
 def lebesgue_volterra(f: BivariateKernelValues) -> IntegralResult:
@@ -121,24 +134,38 @@ def lebesgue_volterra(f: BivariateKernelValues) -> IntegralResult:
     return IntegralResult(GridFunction(f.grid, vals), "lebesgue-product-rule")
 
 
-def drift_term(b, x: GridFunction) -> IntegralResult:
+def drift_term(b, x, grid: TimeGrid | None = None, errors: list | None = None):
     """F^{(b)}_t(x) = int_0^t b(t, s, x(s)) ds.
 
     b follows the coefficient evaluator contract: broadcastable arrays
     (t, s) plus states of shape (..., d), returning (..., d).  The rule
     is lebesgue_volterra's, row block by row block: the same sequential
     row sums, so the result is bit-identical to it on the full table.
+
+    x is one path, a GridFunction, for which an IntegralResult is
+    returned; or the node values (P, n+1, d) of a stack of paths on
+    grid, for which the values (P, n+1, d) are returned, each path's bit
+    for bit its one-path map.  A non-finite evaluation raises
+    EvaluationError, unless errors is a list of P entries: then path p's
+    error goes to errors[p] (where it is None) and the others carry on.
     """
-    h = x.grid.h
+    if isinstance(x, GridFunction):
+        return IntegralResult(GridFunction(x.grid, _drift_rows(b, x.grid, x.values, None)), "lebesgue-product-rule")
+    return _drift_rows(b, grid, x, errors)
+
+
+def _drift_rows(b, grid: TimeGrid, states: np.ndarray, errors) -> np.ndarray:
+    h = grid.h
+    lead = states.ndim - 2
     rows = []
-    for lo, hi, vals in _triangle_blocks(b, x, "drift"):
-        v = _as_matrix_kernel(vals)[:, :, :, 0]
-        csum = np.cumsum(v, axis=1)
+    for lo, hi, vals in _triangle_blocks(b, grid, states, 1, "drift", errors):
+        v = _as_matrix_kernel(vals, lead)[..., 0]
+        csum = np.cumsum(v, axis=-2)
         k = np.arange(hi - lo)
-        rows.append(h * (csum[k, lo + k] - 0.5 * (v[:, 0] + v[k, lo + k])))
-    vals = np.concatenate(rows)
-    vals[0] = 0.0
-    return IntegralResult(GridFunction(x.grid, vals), "lebesgue-product-rule")
+        rows.append(h * (csum[..., k, lo + k, :] - 0.5 * (v[..., :, 0, :] + v[..., k, lo + k, :])))
+    vals = np.concatenate(rows, axis=-2)
+    vals[..., 0, :] = 0.0
+    return vals
 
 
 def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
@@ -149,7 +176,7 @@ def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
     contracting the m-dimension of dg against matrix-valued kernels.
     """
     v = _as_matrix_kernel(f.values)
-    _check_driver_dimension(v.shape[3], g)
+    _check_driver_dimension(v.shape[3], g.m)
     dg = np.diff(g.values, axis=0)  # (n, m)
     n = f.grid.n
     # strictly-lower-triangular contraction; upper triangle already zero,
@@ -211,7 +238,7 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     v = _as_matrix_kernel(f.values)
-    _check_driver_dimension(v.shape[3], g)
+    _check_driver_dimension(v.shape[3], g.m)
     grid = f.grid
     n, h = grid.n, grid.h
     d = v.shape[2]
@@ -239,23 +266,35 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
     return IntegralResult(GridFunction(grid, vals), "fractional-representation")
 
 
-def diffusion_term(sigma, x: GridFunction, g: DriverPath) -> IntegralResult:
+def diffusion_term(sigma, x, g, grid: TimeGrid | None = None, errors: list | None = None):
     """G^{(sigma)}_t(x) = int_0^t sigma(t, s, x(s)) dg_s by left-point
     Riemann-Stieltjes sums.
 
     sigma follows the evaluator contract: (t, s, state) -> (..., d, m).
     The rule is young_rs's, row block by row block, and bit-identical to
     it on the full table.
+
+    x and g are one path, a GridFunction and a DriverPath, for which an
+    IntegralResult is returned; or the node values (P, n+1, d) and
+    (P, n+1, m) of a stack of paths on grid, as in drift_term.  Each row
+    block is one einsum over the whole stack.
     """
-    n = x.grid.n
-    dg = np.diff(g.values, axis=0)  # (n, m)
+    if isinstance(x, GridFunction):
+        vals = _diffusion_rows(sigma, x.grid, x.values, g.values, None)
+        return IntegralResult(GridFunction(x.grid, vals), "riemann-stieltjes-sum")
+    return _diffusion_rows(sigma, grid, x, g, errors)
+
+
+def _diffusion_rows(sigma, grid: TimeGrid, states: np.ndarray, drivers: np.ndarray, errors) -> np.ndarray:
+    n = grid.n
+    dg = np.diff(drivers, axis=-2)  # ([P,] n, m)
     rows = []
-    for lo, hi, vals in _triangle_blocks(sigma, x, "diffusion"):
-        v = _as_matrix_kernel(vals)
-        _check_driver_dimension(v.shape[3], g)
+    for lo, hi, vals in _triangle_blocks(sigma, grid, states, 2, "diffusion", errors):
+        v = _as_matrix_kernel(vals, states.ndim - 2)
+        _check_driver_dimension(v.shape[-1], dg.shape[-1])
         cols = min(hi, n)
         # left-point rule: only j < i enters row i
         strict = np.arange(cols)[None, :] < np.arange(lo, hi)[:, None]
-        w = np.where(strict[:, :, None, None], v[:, :cols], 0.0)
-        rows.append(np.einsum("ijdm,jm->id", w, dg[:cols]))
-    return IntegralResult(GridFunction(x.grid, np.concatenate(rows)), "riemann-stieltjes-sum")
+        w = np.where(strict[:, :, None, None], v[..., :cols, :, :], 0.0)
+        rows.append(np.einsum("...ijdm,...jm->...id", w, dg[..., :cols, :]))
+    return np.concatenate(rows, axis=-2)

@@ -36,7 +36,7 @@ __all__ = [
     "w_1malpha_norm",
     "alpha_1_norm",
     "delta_functional",
-    "delta_and_gap_aggregate",
+    "norm_row_passes",
     "holder_exponent_estimate",
 ]
 
@@ -181,18 +181,20 @@ def delta_functional(f: GridFunction, alpha: float, delta: float) -> float:
     return float(np.max(inc))
 
 
-def delta_and_gap_aggregate(
-    x_next: GridFunction, x_prev: GridFunction, alpha: float, delta: float
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """(delta_functional(x_next), fractional_aggregate(x_next - x_prev)):
-    the two norm passes of a Picard step, as one row-rule pass over both
-    samples.  Bit for bit the two separate calls."""
+def norm_row_passes(aggregated, delta_of, h: float, alpha: float, delta: float):
+    """([fractional_aggregate of v for v in aggregated],
+    [delta_functional of v for v in delta_of]) for node values v of
+    shape (n+1, d): one abs_increment_row_integrals_many call serves
+    them all, each result bit for bit its own call.  A Picard step of a
+    batch measures all its paths' gaps and iterates in one such call."""
     _check_delta(delta)
-    gap = GridFunction(x_next.grid, x_next.values - x_prev.values)
-    inc_next, inc_gap = abs_increment_row_integrals_many(
-        [(x_next.values, delta), (gap.values, 1.0)], gap.grid.h, alpha + 1.0
+    if not len(aggregated) + len(delta_of):
+        return [], []
+    incs = abs_increment_row_integrals_many(
+        [(v, 1.0) for v in aggregated] + [(v, delta) for v in delta_of], h, alpha + 1.0
     )
-    return float(np.max(inc_next)), (gap.pointwise_norm(), inc_gap)
+    aggregates = [(np.linalg.norm(v, axis=1), inc) for v, inc in zip(aggregated, incs)]
+    return aggregates, [float(np.max(inc)) for inc in incs[len(aggregated) :]]
 
 
 def holder_exponent_estimate(f: GridFunction) -> float:

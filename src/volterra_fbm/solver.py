@@ -20,15 +20,14 @@ from .coeffs import CoefficientSet
 from .errors import AdmissibilityError, DivergenceError, NoContractionError
 from .fbm import DriverPath
 from .fraccalc import lambda_alpha
-from .grid import GridFunction
+from .grid import GridFunction, TimeGrid
 from .integrals import diffusion_term, drift_term
 from .norms import (
     HolderParams,
     check_weight,
-    delta_and_gap_aggregate,
-    delta_functional,
     fractional_norm,
     holder_exponent_estimate,
+    norm_row_passes,
     w_alpha_infty_norm,
 )
 
@@ -40,6 +39,7 @@ __all__ = [
     "admissible_alpha",
     "select_lambda",
     "picard_solve",
+    "picard_solve_batch",
     "euler_solve",
     "phi_exponent",
     "calibrate_growth_bound",
@@ -89,16 +89,23 @@ def admissible_alpha(H: float, beta: float, delta: float, mu: float) -> Admissib
     return AdmissibleWindow(alpha0, lower, feasible, constraints)
 
 
-def _contraction_factor(
-    cs: CoefficientSet, alpha: float, T: float, lam: float, lam_alpha_g: float,
-    N_bound: float, delta_bound: float, literal: bool,
-) -> float:
+def _contraction_terms(cs: CoefficientSet, alpha: float, T: float, N_bound: float, literal: bool):
+    """(d_N, D'_N) of the contraction factor on the ball of radius
+    N_bound, D'_N None without diffusion; neither depends on lambda."""
     d_n = bounds.drift_contraction_d_N(alpha, T, cs.L_N(N_bound))
+    if cs.sigma_is_zero:
+        return d_n, None
+    return d_n, bounds.stieltjes_dprime_N(
+        alpha, cs.beta, cs.mu, T, cs.K, cs.K_N(N_bound), recomputed=not literal
+    )
+
+
+def _contraction_factor(terms, alpha: float, lam: float, lam_alpha_g: float, delta_bound: float) -> float:
+    """Combined drift+diffusion Lipschitz factor at weight lam, from the
+    _contraction_terms of the ball."""
+    d_n, dp = terms
     factor = d_n / lam ** (1.0 - alpha)
-    if not cs.sigma_is_zero:
-        dp = bounds.stieltjes_dprime_N(
-            alpha, cs.beta, cs.mu, T, cs.K, cs.K_N(N_bound), recomputed=not literal
-        )
+    if dp is not None:
         factor += lam_alpha_g * dp * (1.0 + 2.0 * delta_bound) / lam ** (1.0 - 2.0 * alpha)
     return float(factor)
 
@@ -112,12 +119,10 @@ def select_lambda(
 ) -> float:
     """Smallest weight on the geometric ladder 1, 2, 4, ... making the
     combined drift+diffusion Lipschitz factor at most 1/2."""
+    terms = _contraction_terms(cs, params.alpha, params.T, N_bound, literal=True)
     lam = 1.0
     while lam <= _LAMBDA_LADDER_MAX:
-        f = _contraction_factor(
-            cs, params.alpha, params.T, lam, lambda_alpha_g, N_bound, delta_bound, literal=True
-        )
-        if f <= 0.5:
+        if _contraction_factor(terms, params.alpha, lam, lambda_alpha_g, delta_bound) <= 0.5:
             return lam
         lam *= 2.0
     raise NoContractionError(
@@ -175,15 +180,25 @@ def _check_admissible(cs: CoefficientSet, params: HolderParams):
         )
 
 
-def _apply_map(cs: CoefficientSet, x0: np.ndarray, x: GridFunction, g: DriverPath) -> GridFunction:
-    vals = np.tile(x0, (x.grid.n + 1, 1)).astype(float)
+def _apply_map(cs: CoefficientSet, x0: np.ndarray, grid: TimeGrid, states: np.ndarray, drivers: np.ndarray):
+    """x0 + F^{(b)}(x) + G^{(sigma)}(x) for a stack of P paths (P, n+1, d)
+    with drivers (P, n+1, m), and each path's error, None if it has none:
+    a non-finite evaluation or a non-finite iterate."""
+    errors = [None] * len(states)
+    vals = np.tile(x0, states.shape[:-1] + (1,))
     if not cs.b_is_zero:
-        vals = vals + drift_term(cs.b, x).values.values
+        vals = vals + drift_term(cs.b, states, grid, errors)
     if not cs.sigma_is_zero:
-        vals = vals + diffusion_term(cs.sigma, x, g).values.values
-    if not np.all(np.isfinite(vals)):
-        raise DivergenceError("Picard iterate produced a non-finite value")
-    return GridFunction(x.grid, vals)
+        vals = vals + diffusion_term(cs.sigma, states, drivers, grid, errors)
+    for k, finite in enumerate(np.isfinite(vals).all(axis=(1, 2))):
+        if not finite and errors[k] is None:
+            errors[k] = DivergenceError("Picard iterate produced a non-finite value")
+    return vals, errors
+
+
+def _sup_norms(states: np.ndarray) -> list[float]:
+    """GridFunction.sup_norm of each path of a stack (P, n+1, d)."""
+    return [float(v) for v in np.linalg.norm(states, axis=-1).max(axis=-1)]
 
 
 def total_lambda_alpha(g: DriverPath, alpha: float) -> float:
@@ -208,6 +223,35 @@ def picard_solve(
     tol as well, the weight being at most one).
 
     initial_offset shifts the starting iterate (uniqueness experiments).
+    The one-path case of picard_solve_batch.
+    """
+    return picard_solve_batch(cs, x0, [g], params, tol, max_iter, lambda_override, initial_offset)[0]
+
+
+def picard_solve_batch(
+    cs: CoefficientSet,
+    x0,
+    drivers: list[DriverPath],
+    params: HolderParams,
+    tol: float = 1e-8,
+    max_iter: int = 60,
+    lambda_override: float | None = None,
+    initial_offset: float = 0.0,
+) -> list[SolutionRecord]:
+    """picard_solve on each of several drivers on one grid, one record
+    per driver.
+
+    The iterates of the paths still iterating form one stack (P, n+1, d):
+    one map application and one fused norm pass per step serve them all.
+    Each path keeps its own weight (from its own capacity and a priori
+    radii), iteration count, distances and radii, and leaves the stack
+    when it converges or reaches max_iter.  Its record is bit for bit
+    that of a solve of its driver alone, whatever the batch.
+
+    A failing path (EvaluationError, DivergenceError, NoContractionError,
+    an invalid lambda_override) leaves the stack with its exception; once
+    the others are done, the lowest-index failing path's exception is
+    raised.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -215,69 +259,120 @@ def picard_solve(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (cs.d,):
         raise ValueError(f"initial state must have dimension {cs.d}, got {x0.shape}")
-    grid = g.grid
+    if not drivers:
+        return []
+    grid = drivers[0].grid
+    if any(g.grid != grid for g in drivers):
+        raise ValueError("all drivers of a batch must share one grid")
     alpha = params.alpha
+    n_paths = len(drivers)
+    errors = [None] * n_paths
+    lam_g = [total_lambda_alpha(g, alpha) for g in drivers]
+    g_all = np.stack([g.values for g in drivers])
 
-    lam_g = total_lambda_alpha(g, alpha)
-
-    x_prev = GridFunction(grid, np.tile(x0 + initial_offset, (grid.n + 1, 1)))
-    x_next = _apply_map(cs, x0, x_prev, g)
-
+    # the paths still iterating (act) and their stacked iterates
+    act = list(range(n_paths))
+    prev = np.tile(x0 + initial_offset, (n_paths, grid.n + 1, 1))
+    cur, errs = _apply_map(cs, x0, grid, prev, g_all)
     # a priori radii from the pilot application, with margin
-    sup0 = max(x_prev.sup_norm(), x_next.sup_norm())
-    n_bound = 2.0 * sup0 + 1.0
-    # one row pass after each map application: the new iterate's delta
-    # functional and the aggregate of its gap to the previous one
-    delta_next, agg = delta_and_gap_aggregate(x_next, x_prev, alpha, cs.delta)
-    delta_bound = 2.0 * delta_next + 1.0
-    lam_selected = select_lambda(cs, params, lam_g, n_bound, delta_bound)
-    lam = lambda_override if lambda_override is not None else min(lam_selected, LAMBDA_CAP)
-    check_weight(lam)
+    sup_radius = [max(a, b) for a, b in zip(_sup_norms(prev), _sup_norms(cur))]
+    act, keep = _leave_on_error(act, errs, errors)
+    prev, cur = prev[keep], cur[keep]
+    # one row pass after each map application: the new iterates' delta
+    # functionals and the aggregates of their gaps to the previous ones
+    aggs, deltas = norm_row_passes(cur - prev, cur, grid.h, alpha, cs.delta)
+    agg, lam, lam_selected, delta_radius = {}, {}, {}, {}
+    errs = [None] * len(act)
+    for k, p in enumerate(act):
+        agg[p] = aggs[k]
+        # the constant starting iterate has no increments: its functional is 0
+        delta_radius[p] = max(0.0, deltas[k])
+        try:
+            lam_selected[p] = select_lambda(cs, params, lam_g[p], 2.0 * sup_radius[p] + 1.0, 2.0 * deltas[k] + 1.0)
+            lam[p] = lambda_override if lambda_override is not None else min(lam_selected[p], LAMBDA_CAP)
+            check_weight(lam[p])
+        except (NoContractionError, ValueError) as exc:
+            errs[k] = exc
+    act, keep = _leave_on_error(act, errs, errors)
+    cur = cur[keep]
 
-    distances = []
-    sup_radius = sup0
-    # the constant starting iterate has no increments: its functional is 0
-    delta_radius = max(0.0, delta_next)
-    converged = False
+    distances = {p: [] for p in act}
+    converged = dict.fromkeys(act, False)
+    last = {}
     for it in range(max_iter):
-        # one gap aggregate serves the weighted distance and the
-        # unweighted stopping norm
-        distances.append(fractional_norm(grid.nodes, agg, lam).value)
-        # stop on the unweighted norm: it dominates the weighted one, so
-        # this is strictly stronger than a weighted-gap tolerance
-        if fractional_norm(grid.nodes, agg, 0.0).value < tol:
-            converged = True
+        for k, p in enumerate(act):
+            # one gap aggregate serves the weighted distance and the
+            # unweighted stopping norm
+            distances[p].append(fractional_norm(grid.nodes, agg[p], lam[p]).value)
+            # stop on the unweighted norm: it dominates the weighted one,
+            # so this is strictly stronger than a weighted-gap tolerance
+            if fractional_norm(grid.nodes, agg[p], 0.0).value < tol:
+                converged[p] = True
+                last[p] = cur[k].copy()
+        keep = [k for k, p in enumerate(act) if not converged[p]]
+        act = [act[k] for k in keep]
+        if not act:
             break
-        x_prev = x_next
-        x_next = _apply_map(cs, x0, x_prev, g)
-        sup_radius = max(sup_radius, x_next.sup_norm())
-        if it + 1 < max_iter:
-            delta_next, agg = delta_and_gap_aggregate(x_next, x_prev, alpha, cs.delta)
-        else:  # the last iterate's gap is never measured
-            delta_next = delta_functional(x_next, alpha, cs.delta)
-        delta_radius = max(delta_radius, delta_next)
+        prev = cur[keep]
+        cur, errs = _apply_map(cs, x0, grid, prev, g_all[act])
+        act, keep = _leave_on_error(act, errs, errors)
+        prev, cur = prev[keep], cur[keep]
+        for p, sup in zip(act, _sup_norms(cur)):
+            sup_radius[p] = max(sup_radius[p], sup)
+        # the last iterate's gap is never measured
+        gaps = cur - prev if it + 1 < max_iter else ()
+        aggs, deltas = norm_row_passes(gaps, cur, grid.h, alpha, cs.delta)
+        for k, p in enumerate(act):
+            delta_radius[p] = max(delta_radius[p], deltas[k])
+            if aggs:
+                agg[p] = aggs[k]
+    for k, p in enumerate(act):
+        last[p] = cur[k].copy()
 
-    # a posteriori contraction modulus over the realized ball (the
-    # re-derived Lipschitz constants at the realized radii)
-    factor = _contraction_factor(
-        cs, alpha, params.T, lam, lam_g,
-        max(sup_radius, 1e-12), delta_radius, literal=False,
-    )
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [
+        _record(cs, params, grid, x0, last[p], distances[p], lam[p], lam_selected[p], lam_g[p],
+                converged[p], sup_radius[p], delta_radius[p])
+        for p in range(n_paths)
+    ]
+
+
+def _leave_on_error(act: list[int], errs: list, errors: list):
+    """Move the exceptions errs[k] of the stacked paths act[k] to
+    errors[path]; returns the paths that go on and their stack rows."""
+    keep = []
+    for k, (p, exc) in enumerate(zip(act, errs)):
+        if exc is None:
+            keep.append(k)
+        else:
+            errors[p] = exc
+    return [act[k] for k in keep], keep
+
+
+def _record(cs, params, grid, x0, x, distances, lam, lam_selected, lam_g, converged, sup_radius, delta_radius):
+    """One path's SolutionRecord, with the a posteriori contraction
+    modulus over the realized ball (the re-derived Lipschitz constants
+    at the realized radii)."""
+    radius = max(sup_radius, 1e-12)
     factor = max(
-        factor,
-        _contraction_factor(cs, alpha, params.T, lam, lam_g, max(sup_radius, 1e-12), delta_radius, literal=True),
+        _contraction_factor(
+            _contraction_terms(cs, params.alpha, params.T, radius, literal=literal),
+            params.alpha, lam, lam_g, delta_radius,
+        )
+        for literal in (False, True)
     )
-
-    hoelder = holder_exponent_estimate(x_next) if grid.n >= 64 else float("nan")
+    x = GridFunction(grid, x)
     return SolutionRecord(
-        x=x_next,
+        x=x,
         x0=x0,
         iterations=len(distances),
         distances=tuple(distances),
         lambda_used=float(lam),
         lambda_selected=float(lam_selected),
         lambda_alpha_g=lam_g,
-        holder_estimate=hoelder,
+        holder_estimate=holder_exponent_estimate(x) if grid.n >= 64 else float("nan"),
         converged=converged,
         theoretical_factor=factor,
         sup_radius=float(sup_radius),

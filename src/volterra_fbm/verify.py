@@ -36,13 +36,7 @@ from .grid import (
     singular_weighted_integral,
 )
 from .integrals import diffusion_term, drift_term, lebesgue_volterra, young_rs
-from .norms import (
-    delta_functional,
-    holder_norm,
-    w_1malpha_norm,
-    w_alpha_infty_norm,
-    w_alpha_lambda_norm,
-)
+from .norms import fractional_norm, holder_norm, norm_row_passes, w_1malpha_norm
 from .report import EstimateReport, make_report
 
 __all__ = [
@@ -69,7 +63,7 @@ def _case_rng(seed: int, case: int) -> np.random.Generator:
 
 
 def _fbm_values(rng: np.random.Generator, n: int, T: float, H: float) -> np.ndarray:
-    inc = _davies_harte_increments(n, H, rng) * (T / n) ** H
+    inc = _davies_harte_increments(n, H, [rng])[0] * (T / n) ** H
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
@@ -156,20 +150,22 @@ def check_lebesgue_estimates(
         lhs_n1.append(holder_norm(Ff, 1.0 - alpha))
         rhs_n1.append(d1 * (1.0 + f.sup_norm()))
 
+        (agg_ff, agg_f, agg_gap, agg_diff), _ = norm_row_passes(
+            (Ff.values, f.values, Ff.values - Fh.values, f.values - hh.values), (), h, alpha, 1.0
+        )
         d2 = bounds.drift_d2(alpha, T, cs.L, cs.L_0, cs.mu, b0a) * scale.get("d2", 1.0)
-        lhs_n2.append(w_alpha_lambda_norm(Ff, alpha, lam).value)
+        lhs_n2.append(fractional_norm(grid.nodes, agg_ff, lam).value)
         rhs_n2.append(
-            d2 / lam ** (1.0 - 2.0 * alpha) * (1.0 + w_alpha_lambda_norm(f, alpha, lam).value)
+            d2 / lam ** (1.0 - 2.0 * alpha) * (1.0 + fractional_norm(grid.nodes, agg_f, lam).value)
         )
 
         radius = max(f.sup_norm(), hh.sup_norm())
         d_n = bounds.drift_contraction_d_N(alpha, T, cs.L_N(radius)) * scale.get("d_N", 1.0)
-        gap = GridFunction(grid, Ff.values - Fh.values)
-        lhs_ct.append(w_alpha_lambda_norm(gap, alpha, lam).value)
+        lhs_ct.append(fractional_norm(grid.nodes, agg_gap, lam).value)
         rhs_ct.append(
             d_n
             / lam ** (1.0 - alpha)
-            * w_alpha_lambda_norm(GridFunction(grid, f.values - hh.values), alpha, lam).value
+            * fractional_norm(grid.nodes, agg_diff, lam).value
         )
         consts.setdefault("d1", d1)
         consts.setdefault("d2", d2)
@@ -305,10 +301,16 @@ def check_rs_estimates(
         lam = _LAMBDA_LADDER[case % len(_LAMBDA_LADDER)]
         radius = max(f.sup_norm(), hh.sup_norm())
 
+        # every row pass of the three estimates in one kernel call
+        (agg_f, agg_gf, agg_gap, agg_diff), (df, dh) = norm_row_passes(
+            (f.values, Gf.values, Gf.values - Gh.values, f.values - hh.values),
+            (f.values, hh.values), h, alpha, cs.delta,
+        )
+
         d3 = bounds.stieltjes_d3(alpha, cs.beta, cs.mu, T, cs.K, s00, recomputed=True)
         d3 *= scale.get("d3", 1.0)
         d3_lit = bounds.stieltjes_d3(alpha, cs.beta, cs.mu, T, cs.K, s00, recomputed=False)
-        na_f = w_alpha_infty_norm(f, alpha).value
+        na_f = fractional_norm(grid.nodes, agg_f, 0.0).value
         lhs3 = holder_norm(Gf, 1.0 - alpha)
         L3.append(lhs3)
         R3.append(lam_up * d3 * (1.0 + na_f))
@@ -317,22 +319,19 @@ def check_rs_estimates(
 
         d4 = bounds.stieltjes_d4(alpha, cs.beta, cs.mu, T, cs.K, s00, recomputed=True)
         d4 *= scale.get("d4", 1.0)
-        L4.append(w_alpha_lambda_norm(Gf, alpha, lam).value)
+        L4.append(fractional_norm(grid.nodes, agg_gf, lam).value)
         R4.append(
             lam_up * d4 / lam ** (1.0 - 2.0 * alpha)
-            * (1.0 + w_alpha_lambda_norm(f, alpha, lam).value)
+            * (1.0 + fractional_norm(grid.nodes, agg_f, lam).value)
         )
 
         dpn = bounds.stieltjes_dprime_N(
             alpha, cs.beta, cs.mu, T, cs.K, cs.K_N(radius), recomputed=True
         ) * scale.get("dprime_N", 1.0)
-        gap = GridFunction(grid, Gf.values - Gh.values)
-        df = delta_functional(f, alpha, cs.delta)
-        dh = delta_functional(hh, alpha, cs.delta)
-        L5.append(w_alpha_lambda_norm(gap, alpha, lam).value)
+        L5.append(fractional_norm(grid.nodes, agg_gap, lam).value)
         R5.append(
             lam_up * dpn * (1.0 + df + dh) / lam ** (1.0 - 2.0 * alpha)
-            * w_alpha_lambda_norm(GridFunction(grid, f.values - hh.values), alpha, lam).value
+            * fractional_norm(grid.nodes, agg_diff, lam).value
         )
         consts.setdefault("d3_recomputed", d3)
         consts.setdefault("d3_literal", d3_lit)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from volterra_fbm import cli
+from volterra_fbm import cli, fbm
 from volterra_fbm.cli import ExperimentConfig, emit_report, main, run_experiment
 
 
@@ -94,7 +94,7 @@ def test_m_mismatch_is_usage_error_before_sampling(tmp_path, capsys, monkeypatch
     def no_sampling(*args):
         raise AssertionError("a driver was sampled")
 
-    monkeypatch.setattr(cli, "_sample_driver", no_sampling)
+    monkeypatch.setattr(cli, "_sample_drivers", no_sampling)
     argv = [subcommand, "--coeffs", "smooth-volterra", "--m", "2", "--n", "16",
             "--out", str(tmp_path / "x")]
     assert main(argv) == 2
@@ -125,7 +125,7 @@ def test_unknown_sampler_is_usage_error(tmp_path, capsys, monkeypatch, via_confi
     def no_sampling(*args):
         raise AssertionError("a driver was sampled")
 
-    monkeypatch.setattr(cli, "_sample_driver", no_sampling)
+    monkeypatch.setattr(cli, "_sample_drivers", no_sampling)
     argv = ["sample", "--n", "8", "--paths", "2", "--out", str(tmp_path / "x")]
     if via_config:
         cfg = tmp_path / "cfg.txt"
@@ -239,3 +239,65 @@ def test_sample_audit_matches_golden(tmp_path, capsys):
     assert capsys.readouterr().out == (want / "stdout.txt").read_text()
     audit = Path("covariance_audit.csv")
     assert read_bytes_tree(tmp_path / "s") == {audit: (want / audit).read_bytes()}
+
+
+def test_solve_matches_golden(tmp_path, capsys):
+    # solution CSV and JSON files and stdout of a 3-path solve, byte for
+    # byte (recorded with numpy 2.4 on x86-64, one task per path)
+    want = GOLDEN / "solve_n64_seed11"
+    code = main(["solve", "--n", "64", "--paths", "3", "--seed", "11", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert capsys.readouterr().out == (want / "stdout.txt").read_text()
+    got = read_bytes_tree(tmp_path / "o")
+    assert got == {p: b for p, b in read_bytes_tree(want).items() if p.name != "stdout.txt"}
+
+
+def test_moments_matches_golden(tmp_path, capsys):
+    want = GOLDEN / "moments_n32_seed5"
+    code = main(["moments", "--coeffs", "bounded-growth", "--n", "32", "--paths", "16",
+                 "--workers", "2", "--seed", "5", "--out", str(tmp_path / "m")])
+    assert code == 0
+    assert capsys.readouterr().out == (want / "stdout.txt").read_text()
+    csv = Path("moments.csv")
+    assert read_bytes_tree(tmp_path / "m") == {csv: (want / csv).read_bytes()}
+
+
+def test_batches_are_contiguous_and_sized_from_n():
+    assert cli._batches(256, 6) == [range(lo, min(lo + 6, 256)) for lo in range(0, 256, 6)]
+    assert cli._batches(4, 1) == [range(0, 1), range(1, 2), range(2, 3), range(3, 4)]
+    assert cli._batches(0, 9) == []
+    # solves: 6 paths per batch at n = 96, 2 at n = 180, one from n = 181
+    assert [cli._SOLVE_ENTRIES // (n + 1) ** 2 for n in (96, 180, 181)] == [6, 2, 1]
+    # draws: one Davies-Harte block, 2n normals a path
+    assert fbm._draw_block_rows(8) == fbm._DRAW_NORMALS // 16
+    assert fbm._draw_block_rows(fbm._DRAW_NORMALS) == 1
+
+
+def test_sample_draws_one_block_per_batch(tmp_path, monkeypatch):
+    batches = []
+    real = cli._sample_drivers
+
+    def counting(cfg, grid, paths):
+        batches.append(paths)
+        return real(cfg, grid, paths)
+
+    monkeypatch.setattr(cli, "_sample_drivers", counting)
+    monkeypatch.setattr(fbm, "_DRAW_NORMALS", 2 * 8 * 150)
+    assert main(["sample", "--n", "8", "--paths", "400", "--workers", "2", "--seed", "5",
+                 "--emit-paths", "0", "--out", str(tmp_path / "s")]) == 0
+    assert batches == [range(0, 150), range(150, 300), range(300, 400)]
+
+
+def test_pool_takes_one_task_per_batch(tmp_path, monkeypatch):
+    # n = 32: 60 paths per batch, so 130 paths make three tasks
+    tasks = []
+    real = cli._sample_drivers
+
+    def counting(cfg, grid, paths):
+        tasks.append(paths)
+        return real(cfg, grid, paths)
+
+    monkeypatch.setattr(cli, "_sample_drivers", counting)
+    assert main(["moments", "--coeffs", "bounded-growth", "--n", "32", "--paths", "130",
+                 "--workers", "2", "--seed", "5", "--out", str(tmp_path / "m")]) == 0
+    assert sorted(tasks, key=lambda r: r.start) == [range(0, 60), range(60, 120), range(120, 130)]

@@ -193,3 +193,17 @@ def test_circulant_eigenvalues_cached_read_only():
     for n in range(2, 2 + 2 * grid_mod._TABLE_KEYS):
         fbm_mod._fgn_circulant_eigenvalues(n, 0.7)
     assert len(fbm_mod._eigenvalue_tables) == grid_mod._TABLE_KEYS
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (8, 2), (100, 1)])
+def test_davies_harte_blocks_do_not_change_paths(monkeypatch, n, m):
+    # blocks of 1, 7 and all 23 paths draw the same bits, each path its
+    # one-path sample
+    grid = build_grid(1.0, n)
+    out = {}
+    for rows in (1, 7, 23):
+        monkeypatch.setattr(fbm_mod, "_DRAW_NORMALS", 2 * n * rows)
+        out[rows] = sample_paths(grid, 0.7, m, Seed(4), 23)
+    assert np.array_equal(out[1], out[7]) and np.array_equal(out[1], out[23])
+    for p in (0, 6, 7, 22):
+        assert np.array_equal(out[7][p], sample_davies_harte(grid, 0.7, m, Seed(4), p).values)

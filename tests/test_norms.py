@@ -8,11 +8,11 @@ from volterra_fbm.grid import GridFunction, build_grid
 from volterra_fbm.norms import (
     HolderParams,
     alpha_1_norm,
-    delta_and_gap_aggregate,
     delta_functional,
     fractional_aggregate,
     holder_exponent_estimate,
     holder_norm,
+    norm_row_passes,
     w_1malpha_norm,
     w_alpha_infty_norm,
     w_alpha_lambda_norm,
@@ -198,11 +198,20 @@ def test_norm_report_argmax_stable_under_refinement():
 
 @pytest.mark.parametrize("d, delta", [(1, 1.0), (1, 0.7), (3, 0.5), (2, 1.0)])
 def test_delta_and_gap_aggregate_is_the_two_calls(d, delta):
+    """A Picard step's one norm_row_passes call, the delta functional of
+    the new iterate and the aggregate of its gap, is the two separate
+    calls bit for bit, alone and among other samples."""
     x_prev, x_next = random_fn(11, n=300, d=d), random_fn(12, n=300, d=d)
-    got_delta, (got_sup, got_inc) = delta_and_gap_aggregate(x_next, x_prev, 0.3, delta)
-    want_sup, want_inc = fractional_aggregate(grid_fn(x_next.values - x_prev.values), 0.3)
-    assert got_delta == delta_functional(x_next, 0.3, delta)
+    gap = x_next.values - x_prev.values
+    want_sup, want_inc = fractional_aggregate(grid_fn(gap), 0.3)
+    want_delta = delta_functional(x_next, 0.3, delta)
+    [(got_sup, got_inc)], [got_delta] = norm_row_passes([gap], [x_next.values], x_next.grid.h, 0.3, delta)
+    assert got_delta == want_delta
     assert np.array_equal(got_sup, want_sup)
     assert np.array_equal(got_inc, want_inc)
+    other = random_fn(13, n=300, d=d).values
+    aggs, deltas = norm_row_passes([other, gap], [x_prev.values, x_next.values], x_next.grid.h, 0.3, delta)
+    assert np.array_equal(aggs[1][0], want_sup) and np.array_equal(aggs[1][1], want_inc)
+    assert deltas[0] == delta_functional(x_prev, 0.3, delta) and deltas[1] == want_delta
     with pytest.raises(ValueError):
-        delta_and_gap_aggregate(x_next, x_prev, 0.3, 1.5)
+        norm_row_passes([gap], [x_next.values], x_next.grid.h, 0.3, 1.5)
