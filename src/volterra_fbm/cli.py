@@ -29,7 +29,7 @@ from .fbm import DriverPath, Seed, _covariance_matrix, _draw_block_rows, _sample
 from .grid import build_grid
 from .norms import HolderParams, w_alpha_infty_norm
 from .solver import euler_solve, picard_solve, picard_solve_batch
-from .verify import SuiteConfig, run_suite
+from .verify import FAMILIES, SuiteConfig, run_suite
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_report", "main"]
 
@@ -53,7 +53,7 @@ class ExperimentConfig:
     x0: float = 1.0
     sampler: str = "davies-harte"
     cases: int = 1000
-    families: str = "lebesgue,stieltjes,lemmas,aux,hypotheses"
+    families: str = ",".join(FAMILIES)
     emit_paths: int = 16
 
 
@@ -266,8 +266,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
     try:
-        # an unknown sampler is a usage error before any draw or output
+        # an unknown sampler or a non-positive count is a usage error
+        # before any draw or output
         _sampler(cfg.sampler)
+        for flag in ("paths", "cases", "m"):
+            if getattr(cfg, flag) < 1:
+                raise ValueError(f"--{flag} must be positive, got {getattr(cfg, flag)}")
         return _COMMANDS[cfg.subcommand](cfg, Path(cfg.out_dir))
     except (AdmissibilityError, CatalogError, ValueError) as exc:
         # bad parameters, an unknown catalog entry included, exit 2 like
@@ -293,18 +297,15 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-_FLAG_NAMES = {
-    "H": "H", "alpha": "alpha", "lambda": "lam", "T": "T", "n": "n", "m": "m",
-    "coeffs": "coeffs", "paths": "paths", "seed": "seed", "tol": "tol",
-    "max-iter": "max_iter", "workers": "workers", "out": "out_dir", "x0": "x0",
-    "sampler": "sampler", "cases": "cases", "families": "families",
-    "emit-paths": "emit_paths",
-}
-_CASTS = {
-    "H": float, "alpha": float, "lam": float, "T": float, "n": int, "m": int,
-    "coeffs": str, "paths": int, "seed": int, "tol": float,
-    "max_iter": int, "workers": int, "out_dir": str, "x0": float,
-    "sampler": str, "cases": int, "families": str, "emit_paths": int,
+# --flag: (ExperimentConfig attribute, value type); a config file key
+# may be either name
+_FLAGS = {
+    "H": ("H", float), "alpha": ("alpha", float), "lambda": ("lam", float), "T": ("T", float),
+    "n": ("n", int), "m": ("m", int), "coeffs": ("coeffs", str), "paths": ("paths", int),
+    "seed": ("seed", int), "tol": ("tol", float), "max-iter": ("max_iter", int),
+    "workers": ("workers", int), "out": ("out_dir", str), "x0": ("x0", float),
+    "sampler": ("sampler", str), "cases": ("cases", int), "families": ("families", str),
+    "emit-paths": ("emit_paths", int),
 }
 
 
@@ -317,8 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        for flag, attr in _FLAG_NAMES.items():
-            p.add_argument(f"--{flag}", dest=attr, default=None, type=_CASTS[attr])
+        for flag, (attr, cast) in _FLAGS.items():
+            p.add_argument(f"--{flag}", dest=attr, default=None, type=cast)
     return ap
 
 
@@ -335,17 +336,19 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        by_attr = {attr: (attr, cast) for attr, cast in _FLAGS.values()}
         for key, val in entries.items():
-            attr = _FLAG_NAMES.get(key, key)
-            if attr not in _CASTS:
+            entry = _FLAGS.get(key, by_attr.get(key))
+            if entry is None:
                 print(f"error: unknown config key {key!r}", file=sys.stderr)
                 return 2
+            attr, cast = entry
             try:
-                setattr(cfg, attr, _CASTS[attr](val))
+                setattr(cfg, attr, cast(val))
             except ValueError:
                 print(f"error: config key {key!r}: invalid value {val!r}", file=sys.stderr)
                 return 2
-    for attr in _CASTS:
+    for attr, _ in _FLAGS.values():
         val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, attr, val)

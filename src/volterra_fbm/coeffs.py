@@ -87,32 +87,17 @@ class CoefficientSet:
         return np.asarray(self.sigma(0.0, 0.0, np.zeros(self.d)), dtype=float)
 
 
-def catalog_names() -> tuple[str, ...]:
-    return ("constant-sigma", "linear-drift", "smooth-volterra", "bounded-growth")
+def _lead_shape(t, s, x) -> tuple:
+    """Broadcast shape of (t, s) and the leading axes of the state x."""
+    return np.broadcast_shapes(np.shape(t), np.shape(s), np.shape(x)[:-1])
 
 
-def _zero_b(d):
-    def b(t, s, x):
-        shape = np.broadcast_shapes(np.shape(t), np.shape(s), np.shape(x)[:-1])
-        return np.zeros(shape + (d,))
-
-    return b
-
-
-def _zero_sigma(d, m):
-    def sigma(t, s, x):
-        shape = np.broadcast_shapes(np.shape(t), np.shape(s), np.shape(x)[:-1])
-        return np.zeros(shape + (d, m))
-
-    return sigma
-
-
-def _zero_partial3(d, m):
-    def p(t, s, x):
-        shape = np.broadcast_shapes(np.shape(t), np.shape(s), np.shape(x)[:-1])
-        return np.zeros(shape + (d, m, d))
-
-    return p
+def _constant(value) -> Callable:
+    """Evaluator of the constant array value, broadcast over the leading
+    axes of (t, s, x); zero arrays make the absent coefficient and the
+    vanishing partials."""
+    value = np.asarray(value, dtype=float)
+    return lambda t, s, x: np.broadcast_to(value, _lead_shape(t, s, x) + value.shape).copy()
 
 
 def _const(c: float) -> Callable[[float], float]:
@@ -123,20 +108,15 @@ def _constant_sigma(sigma0=None, d: int = 1, m: int = 1) -> CoefficientSet:
     """sigma identically a fixed matrix, b identically zero."""
     s0 = np.atleast_2d(np.asarray(sigma0 if sigma0 is not None else np.ones((d, m)), dtype=float))
     d, m = s0.shape
-
-    def sigma(t, s, x):
-        shape = np.broadcast_shapes(np.shape(t), np.shape(s), np.shape(x)[:-1])
-        return np.broadcast_to(s0, shape + (d, m)).copy()
-
     return CoefficientSet(
         name="constant-sigma",
         d=d,
         m=m,
-        sigma=sigma,
-        dsigma_dx=_zero_partial3(d, m),
-        dsigma_dt=_zero_sigma(d, m),
-        d2sigma_dxdt=_zero_partial3(d, m),
-        b=_zero_b(d),
+        sigma=_constant(s0),
+        dsigma_dx=_constant(np.zeros((d, m, d))),
+        dsigma_dt=_constant(np.zeros((d, m))),
+        d2sigma_dxdt=_constant(np.zeros((d, m, d))),
+        b=_constant(np.zeros(d)),
         K=0.0,
         K_N=_const(0.0),
         beta=1.0,
@@ -157,17 +137,16 @@ def _linear_drift(kappa: float = 1.0, d: int = 1, m: int = 1) -> CoefficientSet:
     """b(t, s, x) = kappa * x, sigma identically zero."""
 
     def b(t, s, x):
-        shape = np.broadcast_shapes(np.shape(t), np.shape(s), np.shape(x)[:-1])
-        return kappa * np.broadcast_to(x, shape + (d,)).copy()
+        return kappa * np.broadcast_to(x, _lead_shape(t, s, x) + (d,))
 
     return CoefficientSet(
         name="linear-drift",
         d=d,
         m=m,
-        sigma=_zero_sigma(d, m),
-        dsigma_dx=_zero_partial3(d, m),
-        dsigma_dt=_zero_sigma(d, m),
-        d2sigma_dxdt=_zero_partial3(d, m),
+        sigma=_constant(np.zeros((d, m))),
+        dsigma_dx=_constant(np.zeros((d, m, d))),
+        dsigma_dt=_constant(np.zeros((d, m))),
+        d2sigma_dxdt=_constant(np.zeros((d, m, d))),
         b=b,
         K=0.0,
         K_N=_const(0.0),
@@ -185,6 +164,21 @@ def _linear_drift(kappa: float = 1.0, d: int = 1, m: int = 1) -> CoefficientSet:
     )
 
 
+def _cos_decay(a: float) -> dict:
+    """The scalar diffusion a cos(x) e^{-(t-s)} and its three partials,
+    as CoefficientSet fields."""
+
+    def e(t, s):
+        return np.exp(-(np.asarray(t) - np.asarray(s)))
+
+    return {
+        "sigma": lambda t, s, x: (a * np.cos(x[..., 0]) * e(t, s))[..., None, None],
+        "dsigma_dx": lambda t, s, x: (-a * np.sin(x[..., 0]) * e(t, s))[..., None, None, None],
+        "dsigma_dt": lambda t, s, x: (-a * np.cos(x[..., 0]) * e(t, s))[..., None, None],
+        "d2sigma_dxdt": lambda t, s, x: (a * np.sin(x[..., 0]) * e(t, s))[..., None, None, None],
+    }
+
+
 def _smooth_volterra(a: float = 1.0, c: float = 1.0) -> CoefficientSet:
     """sigma = a cos(x) e^{-(t-s)}, b = c sin(x) / (1 + (t-s)); scalar.
 
@@ -195,22 +189,6 @@ def _smooth_volterra(a: float = 1.0, c: float = 1.0) -> CoefficientSet:
         L = L_0 = L_N = c, b0 = 0, gamma = 0, K_0 = a.
     """
 
-    def sigma(t, s, x):
-        e = np.exp(-(np.asarray(t) - np.asarray(s)))
-        return (a * np.cos(x[..., 0]) * e)[..., None, None]
-
-    def dsigma_dx(t, s, x):
-        e = np.exp(-(np.asarray(t) - np.asarray(s)))
-        return (-a * np.sin(x[..., 0]) * e)[..., None, None, None]
-
-    def dsigma_dt(t, s, x):
-        e = np.exp(-(np.asarray(t) - np.asarray(s)))
-        return (-a * np.cos(x[..., 0]) * e)[..., None, None]
-
-    def d2sigma_dxdt(t, s, x):
-        e = np.exp(-(np.asarray(t) - np.asarray(s)))
-        return (a * np.sin(x[..., 0]) * e)[..., None, None, None]
-
     def b(t, s, x):
         w = 1.0 / (1.0 + np.asarray(t) - np.asarray(s))
         return (c * np.sin(x[..., 0]) * w)[..., None]
@@ -219,10 +197,7 @@ def _smooth_volterra(a: float = 1.0, c: float = 1.0) -> CoefficientSet:
         name="smooth-volterra",
         d=1,
         m=1,
-        sigma=sigma,
-        dsigma_dx=dsigma_dx,
-        dsigma_dt=dsigma_dt,
-        d2sigma_dxdt=d2sigma_dxdt,
+        **_cos_decay(a),
         b=b,
         K=2.0 * a,
         K_N=_const(2.0 * a),
@@ -252,25 +227,16 @@ def _bounded_growth(a: float = 0.5, a2: float = 0.5, gamma: float = 0.5) -> Coef
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"growth order must lie in [0, 1], got {gamma}")
+    bounded = _cos_decay(a2)
 
     def sigma(t, s, x):
-        e = np.exp(-(np.asarray(t) - np.asarray(s)))
         grow = a * (1.0 + x[..., 0] ** 2) ** (gamma / 2.0)
-        return (grow + a2 * np.cos(x[..., 0]) * e)[..., None, None]
+        return grow[..., None, None] + bounded["sigma"](t, s, x)
 
     def dsigma_dx(t, s, x):
-        e = np.exp(-(np.asarray(t) - np.asarray(s)))
         xx = x[..., 0]
         grow = a * gamma * xx * (1.0 + xx ** 2) ** (gamma / 2.0 - 1.0)
-        return (grow - a2 * np.sin(xx) * e)[..., None, None, None]
-
-    def dsigma_dt(t, s, x):
-        e = np.exp(-(np.asarray(t) - np.asarray(s)))
-        return (-a2 * np.cos(x[..., 0]) * e)[..., None, None]
-
-    def d2sigma_dxdt(t, s, x):
-        e = np.exp(-(np.asarray(t) - np.asarray(s)))
-        return (a2 * np.sin(x[..., 0]) * e)[..., None, None, None]
+        return grow[..., None, None, None] + bounded["dsigma_dx"](t, s, x)
 
     return CoefficientSet(
         name="bounded-growth",
@@ -278,9 +244,9 @@ def _bounded_growth(a: float = 0.5, a2: float = 0.5, gamma: float = 0.5) -> Coef
         m=1,
         sigma=sigma,
         dsigma_dx=dsigma_dx,
-        dsigma_dt=dsigma_dt,
-        d2sigma_dxdt=d2sigma_dxdt,
-        b=_zero_b(1),
+        dsigma_dt=bounded["dsigma_dt"],
+        d2sigma_dxdt=bounded["d2sigma_dxdt"],
+        b=_constant(np.zeros(1)),
         K=a * gamma + 2.0 * a2,
         K_N=_const(a * gamma + 2.0 * a2),
         beta=1.0,
@@ -297,17 +263,23 @@ def _bounded_growth(a: float = 0.5, a2: float = 0.5, gamma: float = 0.5) -> Coef
     )
 
 
+_CATALOG = {
+    "constant-sigma": _constant_sigma,
+    "linear-drift": _linear_drift,
+    "smooth-volterra": _smooth_volterra,
+    "bounded-growth": _bounded_growth,
+}
+
+
+def catalog_names() -> tuple[str, ...]:
+    return tuple(_CATALOG)
+
+
 def builtin_coefficients(name: str, **params) -> CoefficientSet:
     """Catalog lookup; unknown names raise CatalogError."""
-    builders = {
-        "constant-sigma": _constant_sigma,
-        "linear-drift": _linear_drift,
-        "smooth-volterra": _smooth_volterra,
-        "bounded-growth": _bounded_growth,
-    }
-    if name not in builders:
-        raise CatalogError(f"unknown coefficient set {name!r}; catalog: {sorted(builders)}")
-    return builders[name](**params)
+    if name not in _CATALOG:
+        raise CatalogError(f"unknown coefficient set {name!r}; catalog: {sorted(_CATALOG)}")
+    return _CATALOG[name](**params)
 
 
 def _frob(a: np.ndarray, ncomp: int) -> np.ndarray:

@@ -19,7 +19,7 @@ class EmbeddingError(VolterraError):
 
 
 class CatalogError(VolterraError):
-    """Unknown coefficient-catalog entry."""
+    """Unknown catalog entry: a coefficient set or a verification family."""
 
 
 class NoContractionError(VolterraError):

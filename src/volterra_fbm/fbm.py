@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingError, FactorizationError
-from .grid import TimeGrid, _cached_table
+from .grid import GridFunction, TimeGrid, _cached_table
 
 __all__ = [
     "Seed",
@@ -57,25 +57,14 @@ class Seed:
 
 
 @dataclass(frozen=True)
-class DriverPath:
-    """m-dimensional driver sampled at the grid nodes.
+class DriverPath(GridFunction):
+    """m-dimensional driver sampled at the grid nodes, values of shape
+    (n+1, m).
 
     hurst is None for deterministic test drivers ("deterministic" tag).
     """
 
-    grid: TimeGrid
-    values: np.ndarray
     hurst: float | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.shape[0] != self.grid.n + 1:
-            raise ValueError(f"expected {self.grid.n + 1} node values, got {v.shape[0]}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("driver values must be finite")
-        object.__setattr__(self, "values", v)
 
     @property
     def m(self) -> int:
@@ -95,14 +84,17 @@ class DriverPath:
 
 def deterministic_driver(grid: TimeGrid, fn) -> DriverPath:
     """Driver from a deterministic function t -> scalar or m-vector."""
-    vals = np.asarray([np.atleast_1d(fn(t)) for t in grid.nodes], dtype=float)
-    return DriverPath(grid, vals, hurst=None)
+    return DriverPath.from_callable(grid, fn)
+
+
+def _check_hurst(H: float):
+    if not 0.0 < H < 1.0:
+        raise ValueError(f"Hurst parameter must lie in (0, 1), got {H}")
 
 
 def fbm_covariance(s: float, t: float, H: float) -> float:
     """R(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2."""
-    if not 0.0 < H < 1.0:
-        raise ValueError(f"Hurst parameter must lie in (0, 1), got {H}")
+    _check_hurst(H)
     if s < 0 or t < 0:
         raise ValueError("times must be nonnegative")
     return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
@@ -115,8 +107,7 @@ def _covariance_matrix(nodes: np.ndarray, H: float) -> np.ndarray:
 
 
 def _cholesky_factor(grid: TimeGrid, H: float) -> np.ndarray:
-    if not 0.0 < H < 1.0:
-        raise ValueError(f"Hurst parameter must lie in (0, 1), got {H}")
+    _check_hurst(H)
     cov = _covariance_matrix(grid.nodes[1:], H)
     jitter = 0.0
     max_diag = float(np.max(np.diag(cov)))
@@ -216,8 +207,7 @@ def _davies_harte_paths(grid: TimeGrid, H: float, m: int, seed: Seed, path_indic
     block and component.  Path p, component c draws from
     seed.generator(p, c) alone, so every path is bit for bit the same
     whatever stack it is drawn in."""
-    if not 0.0 < H < 1.0:
-        raise ValueError(f"Hurst parameter must lie in (0, 1), got {H}")
+    _check_hurst(H)
     n = grid.n
     scale = grid.h ** H
     out = np.zeros((len(path_indices), n + 1, m))

@@ -25,6 +25,7 @@ from .grid import GridFunction, _gap_powers, _pair_blocks, increment_row_integra
 
 __all__ = [
     "FracParams",
+    "check_alpha",
     "beta_fn",
     "left_frac_derivative",
     "left_frac_derivative_all",
@@ -34,18 +35,20 @@ __all__ = [
 ]
 
 
+def check_alpha(alpha: float):
+    """The fractional operators and norms take orders 0 < alpha < 1/2."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Order parameter for the fractional operators, 0 < alpha < 1/2."""
 
     alpha: float
-    T: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        if self.T <= 0:
-            raise ValueError("horizon must be positive")
+        check_alpha(self.alpha)
 
 
 def beta_fn(p: float, q: float) -> float:

@@ -241,9 +241,12 @@ def power_cell_weights(n_cells: int, h: float, theta: float):
     return a[:n_cells], b[: n_cells + 1]
 
 
-def _check_increment_endpoint(endpoint_vals: np.ndarray, scale: float, theta: float):
+def _check_increment_endpoint(endpoint_vals: np.ndarray, phi: np.ndarray, theta: float):
+    """For theta >= 1, the integrand phi must vanish at the singular
+    endpoint up to _ENDPOINT_ATOL of its scale."""
     if theta < 1.0:
         return
+    scale = float(np.max(np.abs(phi))) if phi.size else 0.0
     tol = _ENDPOINT_ATOL * max(scale, 1.0)
     worst = float(np.max(np.abs(endpoint_vals))) if np.size(endpoint_vals) else 0.0
     if worst > tol:
@@ -268,8 +271,7 @@ def singular_weighted_integral(f: GridFunction, theta: float, t_index: int) -> n
     h = f.grid.h
     phi = f.values[: i + 1]
     a, b = power_cell_weights(i, h, theta)
-    scale = float(np.max(np.abs(phi))) if phi.size else 0.0
-    _check_increment_endpoint(phi[-1], scale, theta)
+    _check_increment_endpoint(phi[-1], phi, theta)
     # cell k at gap g = i-k-1: far node phi[k], near node phi[k+1]
     far = phi[:-1][::-1]
     near = phi[1:][::-1]
@@ -294,8 +296,7 @@ def left_singular_integral(values: np.ndarray, h: float, theta: float) -> float:
     if k < 1:
         return 0.0
     a, b = power_cell_weights(k, h, theta)
-    scale = float(np.max(np.abs(phi)))
-    _check_increment_endpoint(phi[0], scale, theta)
+    _check_increment_endpoint(phi[0], phi, theta)
     near = phi[:-1]
     far = phi[1:]
     total = float(np.dot(a, far))
@@ -313,8 +314,7 @@ def prefix_singular_integrals(values: np.ndarray, h: float, theta: float) -> np.
     phi = np.asarray(values, dtype=float)
     n = phi.shape[0] - 1
     a, b = power_cell_weights(n, h, theta)
-    scale = float(np.max(np.abs(phi))) if phi.size else 0.0
-    _check_increment_endpoint(phi[0], scale, theta)
+    _check_increment_endpoint(phi[0], phi, theta)
     bb = b[:n].copy()
     if theta >= 1.0:
         bb[0] = 0.0
@@ -379,8 +379,7 @@ def row_singular_integrals(
             "theta >= 1 requires increment-type rows (diagonal_vanishes=True)"
         )
     if diagonal_vanishes:
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        _check_increment_endpoint(np.diagonal(m), scale, max(theta, 1.0))
+        _check_increment_endpoint(np.diagonal(m), m, max(theta, 1.0))
     return _blocked_row_rule(h, theta, diagonal_vanishes, [n + 1], lambda k, lo, hi: m[lo:hi, :hi])[0]
 
 

@@ -24,7 +24,7 @@ from scipy.special import betainc
 
 from .errors import EvaluationError
 from .fbm import DriverPath
-from .fraccalc import _gamma, beta_fn, left_frac_derivative_all, weyl_bracket_matrix
+from .fraccalc import _gamma, beta_fn, check_alpha, left_frac_derivative_all, weyl_bracket_matrix
 from .grid import _ROW_CHUNK, BivariateKernelValues, GridFunction, TimeGrid
 
 __all__ = [
@@ -235,8 +235,7 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
     of the derivative's increment integral, which agrees with the direct
     row rule to 1e-12 of its row scale.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    check_alpha(alpha)
     v = _as_matrix_kernel(f.values)
     _check_driver_dimension(v.shape[3], g.m)
     grid = f.grid

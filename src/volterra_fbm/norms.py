@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fraccalc import check_alpha
 from .grid import (
     GridFunction,
     _gap_powers,
     _pair_blocks,
     abs_increment_row_integrals,
     abs_increment_row_integrals_many,
-    power_cell_weights,
+    left_singular_integral,
 )
 
 __all__ = [
@@ -32,38 +33,42 @@ __all__ = [
     "fractional_aggregate",
     "fractional_norm",
     "check_weight",
+    "check_young_hurst",
     "holder_norm",
     "w_1malpha_norm",
     "alpha_1_norm",
+    "double_increment_masses",
     "delta_functional",
     "norm_row_passes",
     "holder_exponent_estimate",
 ]
 
 
+def check_young_hurst(H: float):
+    """The Young integral, and with it the solver, needs H in (1/2, 1)."""
+    if not 0.5 < H < 1.0:
+        raise ValueError(f"need H in (1/2, 1), got {H}")
+
+
 @dataclass(frozen=True)
 class HolderParams:
-    """Roughness/weight parameters for the solver and its norms.
+    """Roughness parameters for the solver and its norms.
 
     alpha must lie in (1 - H, 1/2) for the driver to have finite
-    capacity; lam >= 1 is the exponential weight of the contraction
-    metric.
+    capacity.  The solver selects the exponential weight of its
+    contraction metric itself (or takes picard_solve's lambda_override).
     """
 
     H: float
     alpha: float
     T: float
-    lam: float = 1.0
 
     def __post_init__(self):
-        if not 0.5 < self.H < 1.0:
-            raise ValueError(f"need H in (1/2, 1), got {self.H}")
+        check_young_hurst(self.H)
         if not (1.0 - self.H) < self.alpha < 0.5:
             raise ValueError(
                 f"need alpha in (1-H, 1/2) = ({1 - self.H:g}, 0.5), got {self.alpha}"
             )
-        if self.lam < 1.0:
-            raise ValueError(f"weight lambda must be >= 1, got {self.lam}")
         if self.T <= 0:
             raise ValueError("horizon must be positive")
 
@@ -82,6 +87,7 @@ def fractional_aggregate(f: GridFunction, alpha: float) -> tuple[np.ndarray, np.
     """(|f(t_i)|, integral_0^{t_i} |f(t_i)-f(s)| (t_i-s)^{-alpha-1} ds)
     at every node: the per-node parts of the fractional norms, one
     O(n^2) pass."""
+    check_alpha(alpha)
     sup_part = f.pointwise_norm()
     inc = abs_increment_row_integrals(f.values, f.grid.h, alpha + 1.0)
     return sup_part, inc
@@ -105,16 +111,12 @@ def check_weight(lam: float):
 
 def w_alpha_infty_norm(f: GridFunction, alpha: float) -> NormReport:
     """sup_t ( |f(t)| + int_0^t |f(t)-f(s)| / (t-s)^{alpha+1} ds )."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     return fractional_norm(f.grid.nodes, fractional_aggregate(f, alpha), 0.0)
 
 
 def w_alpha_lambda_norm(f: GridFunction, alpha: float, lam: float) -> NormReport:
     """Weighted variant sup_t e^{-lam t} ( |f(t)| + increment integral );
     defined for lam >= 1 only."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     check_weight(lam)
     return fractional_norm(f.grid.nodes, fractional_aggregate(f, alpha), lam)
 
@@ -141,8 +143,7 @@ def w_1malpha_norm(g_values: np.ndarray, h: float, alpha: float) -> float:
     for a scalar sample.  s runs over interior nodes; t includes the
     final node (immaterial for continuous data).
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    check_alpha(alpha)
     v = np.asarray(g_values, dtype=float)
     n = v.shape[0] - 1
     gap_pow = _gap_powers(n, h, 1.0 - alpha)
@@ -156,17 +157,20 @@ def w_1malpha_norm(g_values: np.ndarray, h: float, alpha: float) -> float:
 def alpha_1_norm(f: GridFunction, alpha: float) -> float:
     """int_0^T |f(s)| s^{-alpha} ds
     + int_0^T int_0^s |f(s)-f(y)| / (s-y)^{alpha+1} dy ds."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    check_alpha(alpha)
     h = f.grid.h
-    mag = f.pointwise_norm()
     # left-singular kernel s^-alpha, integrable without cancellation
-    a_w, b_w = power_cell_weights(f.grid.n, h, alpha)
-    first = float(np.dot(a_w, mag[1:]) + np.dot(b_w[: f.grid.n], mag[:-1]))
-    inner = abs_increment_row_integrals(f.values, h, alpha + 1.0)
-    # outer integrand is bounded and vanishes at s=0: plain trapezoid
-    second = float(np.trapezoid(inner, dx=h))
-    return first + second
+    first = left_singular_integral(f.pointwise_norm(), h, alpha)
+    return first + double_increment_masses([f.values], h, alpha)[0]
+
+
+def double_increment_masses(samples, h: float, alpha: float) -> list[float]:
+    """int_0^T int_0^s |v(s)-v(y)| / (s-y)^{alpha+1} dy ds for each sample
+    v, shape (k+1,) or (k+1, d), on its own k cells of width h: the inner
+    integrals of all samples in one row pass, the outer one by the plain
+    trapezoid rule, its integrand being bounded and vanishing at s = 0."""
+    inners = abs_increment_row_integrals_many([(v, 1.0) for v in samples], h, alpha + 1.0)
+    return [float(np.trapezoid(inner, dx=h)) for inner in inners]
 
 
 def _check_delta(delta: float):

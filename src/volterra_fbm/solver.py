@@ -19,13 +19,13 @@ from . import bounds
 from .coeffs import CoefficientSet
 from .errors import AdmissibilityError, DivergenceError, NoContractionError
 from .fbm import DriverPath
-from .fraccalc import lambda_alpha
+from .fraccalc import check_alpha, lambda_alpha
 from .grid import GridFunction, TimeGrid
 from .integrals import diffusion_term, drift_term
 from .norms import (
     HolderParams,
     check_weight,
-    fractional_norm,
+    check_young_hurst,
     holder_exponent_estimate,
     norm_row_passes,
     w_alpha_infty_norm,
@@ -76,8 +76,7 @@ def admissible_alpha(H: float, beta: float, delta: float, mu: float) -> Admissib
     """alpha window ((1-H) v (1-mu), alpha0) with
     alpha0 = min(1/2, beta, delta/(1+delta)), feasible iff
     beta > 1-H, delta > 1/H - 1 and min(beta, delta/(1+delta)) > 1-mu."""
-    if not 0.5 < H < 1.0:
-        raise ValueError(f"need H in (1/2, 1), got {H}")
+    check_young_hurst(H)
     alpha0 = min(0.5, beta, delta / (1.0 + delta))
     lower = max(1.0 - H, 1.0 - mu)
     constraints = {
@@ -269,63 +268,63 @@ def picard_solve_batch(
     errors = [None] * n_paths
     lam_g = [total_lambda_alpha(g, alpha) for g in drivers]
     g_all = np.stack([g.values for g in drivers])
-
-    # the paths still iterating (act) and their stacked iterates
-    act = list(range(n_paths))
     prev = np.tile(x0 + initial_offset, (n_paths, grid.n + 1, 1))
-    cur, errs = _apply_map(cs, x0, grid, prev, g_all)
-    # a priori radii from the pilot application, with margin
-    sup_radius = [max(a, b) for a, b in zip(_sup_norms(prev), _sup_norms(cur))]
-    act, keep = _leave_on_error(act, errs, errors)
-    prev, cur = prev[keep], cur[keep]
-    # one row pass after each map application: the new iterates' delta
-    # functionals and the aggregates of their gaps to the previous ones
-    aggs, deltas = norm_row_passes(cur - prev, cur, grid.h, alpha, cs.delta)
-    agg, lam, lam_selected, delta_radius = {}, {}, {}, {}
+    # a priori radii: running maxima over the iterates, the constant
+    # starting iterate included (it has no increments: its functional is 0)
+    sup_radius, delta_radius = _sup_norms(prev), [0.0] * n_paths
+
+    def step(act, prev, measure_gaps):
+        """Apply the map to the stacked iterates prev of the paths act and
+        raise their radii.  Returns the paths that go on, their iterates
+        and, if measure_gaps, the per-node parts |gap| + increment
+        integral of their gaps to prev, shape (P, n+1): one row pass
+        serves the new iterates' delta functionals and the gaps."""
+        cur, errs = _apply_map(cs, x0, grid, prev, g_all[act])
+        act, keep = _leave_on_error(act, errs, errors)
+        prev, cur = prev[keep], cur[keep]
+        aggs, deltas = norm_row_passes(cur - prev if measure_gaps else (), cur, grid.h, alpha, cs.delta)
+        for p, sup, delta in zip(act, _sup_norms(cur), deltas):
+            sup_radius[p] = max(sup_radius[p], sup)
+            delta_radius[p] = max(delta_radius[p], delta)
+        return act, cur, np.array([sup + inc for sup, inc in aggs]).reshape(len(aggs), grid.n + 1)
+
+    # the pilot application fixes each path's weight from its radii, with margin
+    act, cur, parts = step(list(range(n_paths)), prev, True)
+    lam, lam_selected = {}, {}
     errs = [None] * len(act)
     for k, p in enumerate(act):
-        agg[p] = aggs[k]
-        # the constant starting iterate has no increments: its functional is 0
-        delta_radius[p] = max(0.0, deltas[k])
         try:
-            lam_selected[p] = select_lambda(cs, params, lam_g[p], 2.0 * sup_radius[p] + 1.0, 2.0 * deltas[k] + 1.0)
+            lam_selected[p] = select_lambda(
+                cs, params, lam_g[p], 2.0 * sup_radius[p] + 1.0, 2.0 * delta_radius[p] + 1.0
+            )
             lam[p] = lambda_override if lambda_override is not None else min(lam_selected[p], LAMBDA_CAP)
             check_weight(lam[p])
         except (NoContractionError, ValueError) as exc:
             errs[k] = exc
     act, keep = _leave_on_error(act, errs, errors)
-    cur = cur[keep]
+    cur, parts = cur[keep], parts[keep]
+    weight = {p: np.exp(-lam[p] * grid.nodes) for p in act}
 
     distances = {p: [] for p in act}
     converged = dict.fromkeys(act, False)
     last = {}
     for it in range(max_iter):
-        for k, p in enumerate(act):
-            # one gap aggregate serves the weighted distance and the
-            # unweighted stopping norm
-            distances[p].append(fractional_norm(grid.nodes, agg[p], lam[p]).value)
-            # stop on the unweighted norm: it dominates the weighted one,
-            # so this is strictly stronger than a weighted-gap tolerance
-            if fractional_norm(grid.nodes, agg[p], 0.0).value < tol:
+        if not act:
+            break
+        # one gap measurement serves the weighted distance and the
+        # unweighted stopping norm, which dominates the weighted one, so
+        # the test is strictly stronger than a weighted-gap tolerance
+        weighted = np.stack([weight[p] for p in act]) * parts
+        for k, (p, dist, top) in enumerate(zip(act, weighted.max(axis=1), parts.max(axis=1))):
+            distances[p].append(float(dist))
+            if top < tol:
                 converged[p] = True
                 last[p] = cur[k].copy()
         keep = [k for k, p in enumerate(act) if not converged[p]]
-        act = [act[k] for k in keep]
-        if not act:
-            break
-        prev = cur[keep]
-        cur, errs = _apply_map(cs, x0, grid, prev, g_all[act])
-        act, keep = _leave_on_error(act, errs, errors)
-        prev, cur = prev[keep], cur[keep]
-        for p, sup in zip(act, _sup_norms(cur)):
-            sup_radius[p] = max(sup_radius[p], sup)
-        # the last iterate's gap is never measured
-        gaps = cur - prev if it + 1 < max_iter else ()
-        aggs, deltas = norm_row_passes(gaps, cur, grid.h, alpha, cs.delta)
-        for k, p in enumerate(act):
-            delta_radius[p] = max(delta_radius[p], deltas[k])
-            if aggs:
-                agg[p] = aggs[k]
+        act, cur = [act[k] for k in keep], cur[keep]
+        if act:
+            # the last iterate's gap is never measured
+            act, cur, parts = step(act, cur, it + 1 < max_iter)
     for k, p in enumerate(act):
         last[p] = cur[k].copy()
 
@@ -418,8 +417,7 @@ def phi_exponent(alpha: float, gamma: float) -> float:
         (1+eps)/(1-2 alpha), eps = 0.01  if gamma in [(1-2a)/(1-a), 1),
         1/(1-2 alpha)                    if gamma = 1.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    check_alpha(alpha)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"growth order must lie in [0, 1], got {gamma}")
     threshold = (1.0 - 2.0 * alpha) / (1.0 - alpha)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .coeffs import CoefficientSet, builtin_coefficients, verify_hypotheses
-from .errors import VolterraError
+from .coeffs import CoefficientSet, builtin_coefficients, catalog_names, verify_hypotheses
+from .errors import CatalogError
 from .fbm import DriverPath, _davies_harte_increments
 from .fraccalc import _gamma, beta_fn
 from .grid import (
@@ -28,7 +28,6 @@ from .grid import (
     GridFunction,
     TimeGrid,
     abs_increment_row_integrals,
-    abs_increment_row_integrals_many,
     build_grid,
     left_singular_integral,
     prefix_singular_integrals,
@@ -36,7 +35,7 @@ from .grid import (
     singular_weighted_integral,
 )
 from .integrals import diffusion_term, drift_term, lebesgue_volterra, young_rs
-from .norms import fractional_norm, holder_norm, norm_row_passes, w_1malpha_norm
+from .norms import double_increment_masses, fractional_norm, holder_norm, norm_row_passes, w_1malpha_norm
 from .report import EstimateReport, make_report
 
 __all__ = [
@@ -48,6 +47,7 @@ __all__ = [
     "run_suite",
 ]
 
+FAMILIES = ("lebesgue", "stieltjes", "lemmas", "aux", "hypotheses")
 _LAMBDA_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0)
 _HURST_GRID = (0.6, 0.75, 0.9)
 
@@ -58,8 +58,12 @@ def _prop_slack(n: int, c: float = 0.4) -> float:
     return max(0.05, c / np.sqrt(n))
 
 
-def _case_rng(seed: int, case: int) -> np.random.Generator:
-    return np.random.default_rng((seed, case))
+def _case(seed: int, case: int, n: int):
+    """An estimate case's generator, horizon T, order alpha and n-cell
+    grid on [0, T]."""
+    rng = np.random.default_rng((seed, case))
+    T = float(rng.choice((0.5, 1.0, 2.0)))
+    return rng, T, float(rng.uniform(0.08, 0.42)), build_grid(T, n)
 
 
 def _fbm_values(rng: np.random.Generator, n: int, T: float, H: float) -> np.ndarray:
@@ -111,12 +115,8 @@ def check_lebesgue_estimates(
     lhs_ct, rhs_ct = [], []
     consts: dict = {}
     for case in range(cases):
-        rng = _case_rng(rng_seed, case)
-        T = float(rng.choice((0.5, 1.0, 2.0)))
-        alpha = float(rng.uniform(0.08, 0.42))
-        mu = 1.0
-        grid = build_grid(T, n)
-        h = grid.h
+        rng, T, alpha, grid = _case(rng_seed, case, n)
+        mu, h = 1.0, grid.h
 
         # --- Volterra-Lebesgue bound per node
         vals, L = _lebesgue_kernel_case(rng, grid)
@@ -211,9 +211,7 @@ def _w_path(row: np.ndarray, vals: np.ndarray, i_t: int, h: float, alpha: float)
     w[0] = w[i_t] = 0.  One row-rule pass serves every j, each prefix at
     its own length."""
     w = np.zeros(i_t + 1)
-    samples = [(row[: j + 1] - vals[j, : j + 1], 1.0) for j in range(1, i_t)]
-    for j, inner in enumerate(abs_increment_row_integrals_many(samples, h, alpha + 1.0), start=1):
-        w[j] = np.trapezoid(inner, dx=h)
+    w[1:i_t] = double_increment_masses([row[: j + 1] - vals[j, : j + 1] for j in range(1, i_t)], h, alpha)
     return w
 
 
@@ -233,12 +231,8 @@ def check_rs_estimates(
     consts: dict = {}
     lit_flags = 0
     for case in range(cases):
-        rng = _case_rng(rng_seed, case)
-        T = float(rng.choice((0.5, 1.0, 2.0)))
-        alpha = float(rng.uniform(0.08, 0.42))
-        mu = 1.0
-        grid = build_grid(T, n)
-        h = grid.h
+        rng, T, alpha, grid = _case(rng_seed, case, n)
+        mu, h = 1.0, grid.h
         g_vals, _ = _driver_case(rng, grid, case)
         g = DriverPath(grid, g_vals, hurst=None)
         lam_up = w_1malpha_norm(g_vals, h, alpha) / (_gamma(1.0 - alpha) * _gamma(alpha))
@@ -259,12 +253,9 @@ def check_rs_estimates(
             term2 = left_singular_integral(np.abs(vals[i_t, i_s : i_t + 1]), h, alpha)
             # double increment masses of vals[i_t] - vals[i_s] up to s and
             # of vals[i_t] on [s, t]
-            inner3, inner4 = abs_increment_row_integrals_many(
-                [((vals[i_t] - vals[i_s])[: i_s + 1], 1.0), (vals[i_t, i_s : i_t + 1], 1.0)],
-                h, alpha + 1.0,
+            term3, term4 = double_increment_masses(
+                [(vals[i_t] - vals[i_s])[: i_s + 1], vals[i_t, i_s : i_t + 1]], h, alpha
             )
-            term3 = float(np.trapezoid(inner3, dx=h))
-            term4 = float(np.trapezoid(inner4, dx=h))
             L1.append(lhs)
             R1.append(lam_up * (term1 + term2 + alpha * (term3 + term4)))
 
@@ -278,13 +269,9 @@ def check_rs_estimates(
             phi1 = K_prof[: i_t + 1] * (tt - grid.nodes[: i_t + 1]) ** (mu - alpha)
             p1 = left_singular_integral(phi1, h, alpha)
             gf = np.abs(row) + abs_increment_row_integrals(row, h, alpha + 1.0)
-            p2_right = singular_weighted_integral(
-                GridFunction(_subgrid(tt, i_t), gf), 2.0 * alpha, i_t
-            )[0]
+            p2_right = _right_singular(gf, tt, 2.0 * alpha)
             p2_left = left_singular_integral(gf, h, alpha)
-            triple = singular_weighted_integral(
-                GridFunction(_subgrid(tt, i_t), _w_path(row, vals, i_t, h, alpha)), alpha + 1.0, i_t
-            )[0]
+            triple = _right_singular(_w_path(row, vals, i_t, h, alpha), tt, alpha + 1.0)
             L2.append(lhs)
             R2.append(lam_up * (c3 * p1 + c4 * (p2_right + p2_left) + alpha * triple))
         consts.setdefault("C3", c3)
@@ -357,10 +344,11 @@ def check_rs_estimates(
     ]
 
 
-def _subgrid(t: float, i: int) -> TimeGrid:
-    """Grid with i cells on [0, t] (t > 0, i >= 2) for windowed
-    quadrature; falls back to 2 cells for i < 2."""
-    return TimeGrid(n=max(i, 2), T=t)
+def _right_singular(values: np.ndarray, t: float, theta: float) -> float:
+    """int_0^t (t - s)**-theta phi(s) ds for phi sampled at the i + 1
+    nodes of the i-cell grid on [0, t], i >= 2."""
+    i = len(values) - 1
+    return float(singular_weighted_integral(GridFunction(TimeGrid(n=i, T=t), values), theta, i)[0])
 
 
 # ---------------------------------------------------------------- Lemmas
@@ -462,8 +450,7 @@ def check_aux_inequalities(
         for lam in lambda_grid:
             for i_t in (n // 4, n // 2, n):
                 t = nodes[i_t]
-                phi = GridFunction(_subgrid(t, i_t), np.exp(-lam * (t - nodes[: i_t + 1])))
-                lhs_k.append(float(singular_weighted_integral(phi, alpha, i_t)[0]))
+                lhs_k.append(_right_singular(np.exp(-lam * (t - nodes[: i_t + 1])), t, alpha))
                 rhs_k.append(lam ** (alpha - 1.0) * _gamma(1.0 - alpha))
     rep_k = make_report("aux-exp-kernel-bound", lhs_k, rhs_k, quad_slack,
                         {"alpha_grid": list(alpha_grid), "n": n},
@@ -477,9 +464,7 @@ def check_aux_inequalities(
             for i_t in (n // 8, n // 2, n):
                 t = nodes[i_t]
                 decay = np.exp(-lam * (t - nodes[: i_t + 1]))
-                part1 = float(
-                    singular_weighted_integral(GridFunction(_subgrid(t, i_t), decay), 2.0 * alpha, i_t)[0]
-                )
+                part1 = _right_singular(decay, t, 2.0 * alpha)
                 part2 = left_singular_integral(decay, h, alpha)
                 worst = max(worst, lam ** (1.0 - 2.0 * alpha) * (part1 + part2))
         lhs_c.append(worst)
@@ -489,60 +474,51 @@ def check_aux_inequalities(
 
     # Beta definition: quadrature of the defining integral vs log-gamma
     lhs_b, rhs_b = [], []
-    pq = [(p, q) for p in (0.3, 0.55, 1.0, 1.6, 2.2) for q in (0.3, 0.55, 1.0, 1.6, 2.2)]
-    xs = np.linspace(0.0, 1.0, n + 1)
-    for p, q in pq:
-        half = n // 2
-        left_vals = xs[: half + 1] ** (p - 1.0 + max(0.0, 1.0 - p)) * (1.0 - xs[: half + 1]) ** (q - 1.0)
-        quad = left_singular_integral(left_vals, 1.0 / n, max(0.0, 1.0 - p))
-        rv = (1.0 - xs[half:]) ** (q - 1.0 + max(0.0, 1.0 - q)) * xs[half:] ** (p - 1.0)
-        quad += left_singular_integral(rv[::-1], 1.0 / n, max(0.0, 1.0 - q))
-        lhs_b.append(quad)
-        rhs_b.append(beta_fn(p, q))
-    ratios = np.abs(np.array(lhs_b) / np.array(rhs_b) - 1.0)
-    rep_b = EstimateReport(
-        name="aux-beta-definition",
-        cases=len(pq),
-        max_ratio=float(1.0 + np.max(ratios)),
-        slack_allowed=0.01,
-        passed=bool(np.max(ratios) <= 0.01),
-        constants_used={"n": n},
-        lhs_samples=tuple(lhs_b[:32]),
-        rhs_samples=tuple(rhs_b[:32]),
-        notes="two-sided identity: |quadrature/closed-form - 1| <= slack",
-    )
+    for p in (0.3, 0.55, 1.0, 1.6, 2.2):
+        for q in (0.3, 0.55, 1.0, 1.6, 2.2):
+            lhs_b.append(_beta_quadrature(p - 1.0, q - 1.0, 1.0, n))
+            rhs_b.append(beta_fn(p, q))
 
     # Beta moment identity: int_0^t (t-u)^q u^p du = B(p+1, q+1) t^{p+q+1}
     lhs_m, rhs_m = [], []
-    pq2 = [(p, q) for p in (-0.4, -0.1, 0.5, 1.4) for q in (-0.4, -0.1, 0.5, 1.4)]
-    for p, q in pq2:
-        for t in (0.5 * T, T):
-            i_t = n // 2
-            sub = np.linspace(0.0, t, i_t + 1)
-            hh = t / i_t
-            halfi = i_t // 2
-            th1 = max(0.0, -p)
-            lv = sub[: halfi + 1] ** (p + th1) * (t - sub[: halfi + 1]) ** q
-            val = left_singular_integral(lv, hh, th1)
-            th2 = max(0.0, -q)
-            rv = (t - sub[halfi:]) ** (q + th2) * sub[halfi:] ** p
-            val += left_singular_integral(rv[::-1], hh, th2)
-            lhs_m.append(val)
-            rhs_m.append(beta_fn(p + 1.0, q + 1.0) * t ** (p + q + 1.0))
-    ratios = np.abs(np.array(lhs_m) / np.array(rhs_m) - 1.0)
-    rep_m = EstimateReport(
-        name="aux-beta-moment-identity",
-        cases=len(lhs_m),
+    for p in (-0.4, -0.1, 0.5, 1.4):
+        for q in (-0.4, -0.1, 0.5, 1.4):
+            for t in (0.5 * T, T):
+                lhs_m.append(_beta_quadrature(p, q, t, n // 2))
+                rhs_m.append(beta_fn(p + 1.0, q + 1.0) * t ** (p + q + 1.0))
+
+    return [rep_w, rep_k, rep_c, _identity_report("aux-beta-definition", lhs_b, rhs_b, n),
+            _identity_report("aux-beta-moment-identity", lhs_m, rhs_m, n)]
+
+
+def _beta_quadrature(p: float, q: float, t: float, cells: int) -> float:
+    """int_0^t u^p (t-u)^q du for p, q > -1 on the uniform grid of
+    `cells` cells: each half against its own endpoint's singular power,
+    the right half mirrored."""
+    u = np.linspace(0.0, t, cells + 1)
+    h = t / cells
+    half = cells // 2
+    th1, th2 = max(0.0, -p), max(0.0, -q)
+    left = u[: half + 1] ** (p + th1) * (t - u[: half + 1]) ** q
+    right = (t - u[half:]) ** (q + th2) * u[half:] ** p
+    return left_singular_integral(left, h, th1) + left_singular_integral(right[::-1], h, th2)
+
+
+def _identity_report(name: str, lhs: list, rhs: list, n: int) -> EstimateReport:
+    """Two-sided check of a quadrature against its closed form: passes
+    iff every |lhs/rhs - 1| <= 0.01."""
+    ratios = np.abs(np.array(lhs) / np.array(rhs) - 1.0)
+    return EstimateReport(
+        name=name,
+        cases=len(lhs),
         max_ratio=float(1.0 + np.max(ratios)),
         slack_allowed=0.01,
         passed=bool(np.max(ratios) <= 0.01),
         constants_used={"n": n},
-        lhs_samples=tuple(lhs_m[:32]),
-        rhs_samples=tuple(rhs_m[:32]),
+        lhs_samples=tuple(lhs[:32]),
+        rhs_samples=tuple(rhs[:32]),
         notes="two-sided identity: |quadrature/closed-form - 1| <= slack",
     )
-
-    return [rep_w, rep_k, rep_c, rep_b, rep_m]
 
 
 # ----------------------------------------------------------------- Suite
@@ -552,18 +528,22 @@ def check_aux_inequalities(
 class SuiteConfig:
     """Which families to run and how hard."""
 
-    families: tuple = ("lebesgue", "stieltjes", "lemmas", "aux", "hypotheses")
+    families: tuple = FAMILIES
     estimate_cases: int = 1000
     lemma_tuples: int = 100000
     hypothesis_samples: int = 100000
     seed: int = 20260301
     grid_n: int = 64
-    coefficient_names: tuple = ("constant-sigma", "linear-drift", "smooth-volterra", "bounded-growth")
+    coefficient_names: tuple = catalog_names()
     constant_scale: dict = field(default_factory=dict)
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> dict[str, list[EstimateReport]]:
-    """Run the selected families; returns {family: [reports]}."""
+    """Run the selected families; returns {family: [reports]}.  An
+    unknown family raises CatalogError before any family runs."""
+    for fam in config.families:
+        if fam not in FAMILIES:
+            raise CatalogError(f"unknown verification family {fam!r}")
     out: dict[str, list[EstimateReport]] = {}
     for fam in config.families:
         if fam == "lebesgue":
@@ -585,13 +565,11 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict[str, list[EstimateRep
             out[fam] = reps
         elif fam == "aux":
             out[fam] = check_aux_inequalities()
-        elif fam == "hypotheses":
+        else:  # hypotheses
             reps = []
             for name in config.coefficient_names:
                 cs = builtin_coefficients(name)
                 for N in (1.0, 10.0):
                     reps.append(verify_hypotheses(cs, config.hypothesis_samples, N, config.seed + 3))
             out[fam] = reps
-        else:
-            raise VolterraError(f"unknown verification family {fam!r}")
     return out

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from volterra_fbm import cli, fbm
+from volterra_fbm import cli, fbm, verify
 from volterra_fbm.cli import ExperimentConfig, emit_report, main, run_experiment
 
 
@@ -163,6 +163,26 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     cfg.write_text("n = abc\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.strip() == "error: config key 'n': invalid value 'abc'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--paths", "0"], "error: --paths must be positive, got 0"),
+    (["verify", "--cases", "0"], "error: --cases must be positive, got 0"),
+    (["sample", "--paths", "0"], "error: --paths must be positive, got 0"),
+    (["sample", "--m", "0"], "error: --m must be positive, got 0"),
+    (["verify", "--families", "lemmas,bogus"], "error: unknown verification family 'bogus'"),
+], ids=["moments-paths-0", "verify-cases-0", "sample-paths-0", "sample-m-0", "verify-unknown-family"])
+def test_bad_count_or_family_is_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a driver was sampled or a check ran")
+
+    monkeypatch.setattr(cli, "_sample_drivers", no_work)
+    monkeypatch.setattr(verify, "check_sigma_lemmas", no_work)
+    assert main(argv + ["--n", "16", "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
 
 
 def test_infeasible_solve_names_constraint(tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_beta_rejects_nonpositive():
 def test_frac_params_range():
     with pytest.raises(ValueError):
         FracParams(alpha=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # no horizon field: the operators never read one
         FracParams(alpha=0.2, T=-1.0)
 
 

@@ -62,3 +62,21 @@ def test_selected_lambda_and_factor_match_golden(key):
     g = sample_davies_harte(build_grid(1.0, int(n)), 0.75, cs.m, Seed(DRIVER_SEED), 0)
     rec = picard_solve(cs, np.full(cs.d, 1.0), g, HolderParams(H=0.75, alpha=0.3, T=1.0))
     assert (float.hex(rec.lambda_selected), float.hex(rec.theoretical_factor)) == _LAMBDA_AND_FACTOR[key]
+
+
+# Records of picard_solve cut at max_iter, which the converged goldens
+# above never reach: the pilot application alone (0), one measured gap
+# (1), and a loop whose last iterate's gap is never measured (3).
+# Recorded before the pilot step and the loop step became one function
+# (numpy 2.4, x86-64).
+MAX_ITER_GOLDEN = json.loads((Path(__file__).parent / "golden" / "picard_max_iter.json").read_text())
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 3])
+def test_record_cut_at_max_iter_matches_golden(max_iter):
+    from test_batch import fingerprint
+
+    cs = builtin_coefficients("smooth-volterra")
+    g = sample_davies_harte(build_grid(1.0, 64), 0.75, cs.m, Seed(DRIVER_SEED), 0)
+    rec = picard_solve(cs, np.full(cs.d, 1.0), g, HolderParams(H=0.75, alpha=0.3, T=1.0), max_iter=max_iter)
+    assert fingerprint(rec) == MAX_ITER_GOLDEN[f"max_iter={max_iter}"]

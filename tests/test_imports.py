@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -34,3 +36,17 @@ def test_scripts_import():
     out = subprocess.run([sys.executable, "-c", probe, *scripts], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+def test_perfbench_layers_resolve():
+    # every (module, function) the benchmark's tracer wraps resolves in
+    # the package, so a fold or a rename cannot silently turn a traced
+    # layer into trace.absent_functions
+    root = Path(volterra_fbm.__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYER_FUNCTIONS
+    missing = [f"{mod}.{fn}" for mod, fn in tracer.LAYER_FUNCTIONS
+               if not callable(getattr(importlib.import_module(f"volterra_fbm.{mod}"), fn, None))]
+    assert missing == []

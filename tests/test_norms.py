@@ -34,7 +34,7 @@ def test_holder_params_validation():
     HolderParams(H=0.75, alpha=0.3, T=1.0)
     with pytest.raises(ValueError):
         HolderParams(H=0.75, alpha=0.25, T=1.0)  # boundary is excluded
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # no weight field: the solver selects it
         HolderParams(H=0.75, alpha=0.3, T=1.0, lam=0.5)
     with pytest.raises(ValueError):
         HolderParams(H=0.4, alpha=0.3, T=1.0)
