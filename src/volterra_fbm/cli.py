@@ -208,7 +208,8 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
     cs = _coefficients(cfg)
-    norms = np.array([w_alpha_infty_norm(r.x, cfg.alpha).value for r in _solve_all(cfg, cs)])
+    records = _solve_all(cfg, cs)
+    norms = np.array([w_alpha_infty_norm(r.x, cfg.alpha).value for r in records])
     # dedicated bootstrap stream, disjoint from the path streams
     boot_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xB007,)))
     rows = []
@@ -226,7 +227,10 @@ def _cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
                      "ci_hi": float(hi), "paths": len(vals)})
         print(f"moments p={p_ord}: {est:.6g} [{lo:.6g}, {hi:.6g}]")
     emit_report(rows, "csv", out / "moments.csv")
-    return 0
+    unconverged = sum(not r.converged for r in records)
+    if unconverged:
+        print(f"moments: {unconverged} of {len(records)} paths did not converge")
+    return 1 if unconverged else 0
 
 
 def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:

@@ -32,7 +32,7 @@ Frobenius, vector magnitudes Euclidean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -81,7 +81,6 @@ class CoefficientSet:
     K_0: float
     sigma_is_zero: bool = False
     b_is_zero: bool = False
-    params: dict = field(default_factory=dict)
 
     def sigma_at_origin(self) -> np.ndarray:
         return np.asarray(self.sigma(0.0, 0.0, np.zeros(self.d)), dtype=float)
@@ -129,7 +128,6 @@ def _constant_sigma(sigma0=None, d: int = 1, m: int = 1) -> CoefficientSet:
         gamma=0.0,
         K_0=float(np.linalg.norm(s0)),
         b_is_zero=True,
-        params={"sigma0": s0.tolist()},
     )
 
 
@@ -160,7 +158,6 @@ def _linear_drift(kappa: float = 1.0, d: int = 1, m: int = 1) -> CoefficientSet:
         gamma=0.0,
         K_0=1.0,
         sigma_is_zero=True,
-        params={"kappa": kappa},
     )
 
 
@@ -210,7 +207,6 @@ def _smooth_volterra(a: float = 1.0, c: float = 1.0) -> CoefficientSet:
         B_0_alpha=lambda alpha: 0.0,
         gamma=0.0,
         K_0=a,
-        params={"a": a, "c": c},
     )
 
 
@@ -259,7 +255,6 @@ def _bounded_growth(a: float = 0.5, a2: float = 0.5, gamma: float = 0.5) -> Coef
         gamma=gamma,
         K_0=a + a2,
         b_is_zero=True,
-        params={"a": a, "a2": a2, "gamma": gamma},
     )
 
 
@@ -299,17 +294,16 @@ def verify_hypotheses(
     sample_count: int,
     N: float,
     rng_seed: int,
-    T: float = 1.0,
 ) -> EstimateReport:
     """Audit every declared hypothesis inequality on random tuples drawn
-    from the physical domain s <= t, |x|, |y| <= N.
+    from the physical domain s <= t in [0, 1], |x|, |y| <= N.
 
     Violations are report content (ratio > 1), never exceptions.
     """
     rng = np.random.default_rng(rng_seed)
     k = int(sample_count)
-    # time tuples: three U(0,T) draws sorted so every (t, s) use keeps s <= t
-    u = np.sort(rng.uniform(0.0, T, size=(k, 3)), axis=1)
+    # time tuples: three U(0,1) draws sorted so every (t, s) use keeps s <= t
+    u = np.sort(rng.uniform(0.0, 1.0, size=(k, 3)), axis=1)
     s_lo, t_mid, t_hi = u[:, 0], u[:, 1], u[:, 2]
     x = _random_states(rng, k, cs.d, N)
     y = _random_states(rng, k, cs.d, N)
@@ -379,7 +373,7 @@ def verify_hypotheses(
     constants = {
         "K": cs.K, "K_N": cs.K_N(N), "beta": cs.beta, "mu": cs.mu, "delta": cs.delta,
         "L": cs.L, "L_0": cs.L_0, "L_N": cs.L_N(N), "gamma": cs.gamma, "K_0": cs.K_0,
-        "N": N, "T": T,
+        "N": N, "T": 1.0,
     }
     constants.update(ratios)
     return EstimateReport(
@@ -396,18 +390,15 @@ def partials_fd_check(
     cs: CoefficientSet,
     sample_count: int,
     rng_seed: int,
-    T: float = 1.0,
-    step: float = 1e-4,
-    tol: float = None,
 ) -> EstimateReport:
     """Central finite differences of sigma against the declared partials
-    at random interior points of the domain."""
-    if tol is None:
-        tol = max(1e-6, 10.0 * step ** 2)
+    at random interior points of [0, 1], step 1e-4, tolerance 1e-6
+    relative to |sigma| + 1."""
+    step, tol = 1e-4, 1e-6
     rng = np.random.default_rng(rng_seed)
     k = int(sample_count)
-    s = rng.uniform(0.0, T - 4 * step, size=k)
-    t = rng.uniform(s + 2 * step, T - step)
+    s = rng.uniform(0.0, 1.0 - 4 * step, size=k)
+    t = rng.uniform(s + 2 * step, 1.0 - step)
     x = _random_states(rng, k, cs.d, 2.0)
 
     errs = []

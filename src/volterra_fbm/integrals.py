@@ -39,15 +39,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Map t_i -> integral value as a grid function, tagged with the
-    quadrature route that produced it."""
+    """Map t_i -> integral value as a grid function."""
 
     values: GridFunction
-    method: str
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.values.grid
 
 
 def _as_matrix_kernel(v: np.ndarray, lead: int = 0) -> np.ndarray:
@@ -131,7 +125,7 @@ def lebesgue_volterra(f: BivariateKernelValues) -> IntegralResult:
     first = v[:, 0]
     vals = h * (row_sum - 0.5 * (first + diag))
     vals[0] = 0.0
-    return IntegralResult(GridFunction(f.grid, vals), "lebesgue-product-rule")
+    return IntegralResult(GridFunction(f.grid, vals))
 
 
 def drift_term(b, x, grid: TimeGrid | None = None, errors: list | None = None):
@@ -150,7 +144,7 @@ def drift_term(b, x, grid: TimeGrid | None = None, errors: list | None = None):
     error goes to errors[p] (where it is None) and the others carry on.
     """
     if isinstance(x, GridFunction):
-        return IntegralResult(GridFunction(x.grid, _drift_rows(b, x.grid, x.values, None)), "lebesgue-product-rule")
+        return IntegralResult(GridFunction(x.grid, _drift_rows(b, x.grid, x.values, None)))
     return _drift_rows(b, grid, x, errors)
 
 
@@ -186,7 +180,7 @@ def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
     w[idx, idx, :, :] = 0.0
     w[0] = 0.0
     vals = np.einsum("ijdm,jm->id", w, dg)
-    return IntegralResult(GridFunction(f.grid, vals), "riemann-stieltjes-sum")
+    return IntegralResult(GridFunction(f.grid, vals))
 
 
 def _doubly_singular_quadrature(w_left: float, w_interior: np.ndarray, t: float, alpha: float) -> float:
@@ -262,7 +256,7 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
                 # s -> 0 limit: u(s) s^alpha -> f(t, 0) / Gamma(1-alpha)
                 w_left = v[i, 0, k, c] / g1a * v0 * t ** (1.0 - alpha)
                 vals[i, k] -= _doubly_singular_quadrature(w_left, w_interior, t, alpha)
-    return IntegralResult(GridFunction(grid, vals), "fractional-representation")
+    return IntegralResult(GridFunction(grid, vals))
 
 
 def diffusion_term(sigma, x, g, grid: TimeGrid | None = None, errors: list | None = None):
@@ -280,7 +274,7 @@ def diffusion_term(sigma, x, g, grid: TimeGrid | None = None, errors: list | Non
     """
     if isinstance(x, GridFunction):
         vals = _diffusion_rows(sigma, x.grid, x.values, g.values, None)
-        return IntegralResult(GridFunction(x.grid, vals), "riemann-stieltjes-sum")
+        return IntegralResult(GridFunction(x.grid, vals))
     return _diffusion_rows(sigma, grid, x, g, errors)
 
 

@@ -18,7 +18,7 @@ class EstimateReport:
     """Outcome of checking one inequality family over sampled cases.
 
     max_ratio is the worst lhs/rhs over all cases; the report passes iff
-    max_ratio <= 1 + slack_allowed.  constants_used records every
+    some case was checked and max_ratio <= 1 + slack_allowed.  constants_used records every
     constant entering the bound so reports can be diffed externally.
     lhs/rhs samples keep at most the first few dozen pairs.
     """
@@ -79,20 +79,23 @@ def make_report(
     slack: float,
     constants: dict | None = None,
     notes: str = "",
-    keep: int = 32,
 ) -> EstimateReport:
+    """Report of the sample pairs (lhs, rhs); an empty sample certifies
+    nothing, so it fails, with a note saying so."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     ratios = ratio_of(lhs, rhs)
     max_ratio = float(np.max(ratios)) if ratios.size else 0.0
+    if not ratios.size:
+        notes = f"{notes}; no cases were checked" if notes else "no cases were checked"
     return EstimateReport(
         name=name,
         cases=int(lhs.size),
         max_ratio=max_ratio,
         slack_allowed=float(slack),
-        passed=bool(max_ratio <= 1.0 + slack),
+        passed=bool(ratios.size and max_ratio <= 1.0 + slack),
         constants_used=dict(constants or {}),
-        lhs_samples=tuple(float(x) for x in lhs[:keep]),
-        rhs_samples=tuple(float(x) for x in rhs[:keep]),
+        lhs_samples=tuple(float(x) for x in lhs[:32]),
+        rhs_samples=tuple(float(x) for x in rhs[:32]),
         notes=notes,
     )

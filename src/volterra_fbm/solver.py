@@ -11,7 +11,7 @@ and the a priori growth-bound audit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class SolutionRecord:
     """
 
     x: GridFunction
-    x0: np.ndarray
     iterations: int
     distances: tuple
     lambda_used: float
@@ -263,119 +262,115 @@ def picard_solve_batch(
     grid = drivers[0].grid
     if any(g.grid != grid for g in drivers):
         raise ValueError("all drivers of a batch must share one grid")
+    if params.T != grid.T:
+        raise ValueError(f"params.T = {params.T} differs from the drivers' horizon T = {grid.T}")
     alpha = params.alpha
-    n_paths = len(drivers)
-    errors = [None] * n_paths
-    lam_g = [total_lambda_alpha(g, alpha) for g in drivers]
-    g_all = np.stack([g.values for g in drivers])
-    prev = np.tile(x0 + initial_offset, (n_paths, grid.n + 1, 1))
+    start = np.tile(x0 + initial_offset, (grid.n + 1, 1))
     # a priori radii: running maxima over the iterates, the constant
     # starting iterate included (it has no increments: its functional is 0)
-    sup_radius, delta_radius = _sup_norms(prev), [0.0] * n_paths
+    start_sup = _sup_norms(start[None])[0]
+    paths = [_Path(g.values, total_lambda_alpha(g, alpha), start, start_sup) for g in drivers]
 
-    def step(act, prev, measure_gaps):
-        """Apply the map to the stacked iterates prev of the paths act and
-        raise their radii.  Returns the paths that go on, their iterates
-        and, if measure_gaps, the per-node parts |gap| + increment
-        integral of their gaps to prev, shape (P, n+1): one row pass
-        serves the new iterates' delta functionals and the gaps."""
-        cur, errs = _apply_map(cs, x0, grid, prev, g_all[act])
-        act, keep = _leave_on_error(act, errs, errors)
-        prev, cur = prev[keep], cur[keep]
+    def step(active, measure_gaps):
+        """Apply the map to the stacked iterates of the paths active and
+        raise their radii; if measure_gaps, set their gap parts |gap| +
+        increment integral per node (one row pass serves the new
+        iterates' delta functionals and the gaps).  Returns the paths
+        that go on, those without error."""
+        prev = np.stack([p.x for p in active])
+        cur, errs = _apply_map(cs, x0, grid, prev, np.stack([p.g for p in active]))
+        for p, exc in zip(active, errs):
+            p.error = exc
+        ok = [k for k, exc in enumerate(errs) if exc is None]
+        active, prev, cur = [active[k] for k in ok], prev[ok], cur[ok]
         aggs, deltas = norm_row_passes(cur - prev if measure_gaps else (), cur, grid.h, alpha, cs.delta)
-        for p, sup, delta in zip(act, _sup_norms(cur), deltas):
-            sup_radius[p] = max(sup_radius[p], sup)
-            delta_radius[p] = max(delta_radius[p], delta)
-        return act, cur, np.array([sup + inc for sup, inc in aggs]).reshape(len(aggs), grid.n + 1)
+        for p, x, sup, delta in zip(active, cur, _sup_norms(cur), deltas):
+            p.x = x.copy()  # a path that leaves keeps no view of the stack
+            p.sup_radius = max(p.sup_radius, sup)
+            p.delta_radius = max(p.delta_radius, delta)
+        for p, (sup, inc) in zip(active, aggs):
+            p.parts = sup + inc
+        return active
 
     # the pilot application fixes each path's weight from its radii, with margin
-    act, cur, parts = step(list(range(n_paths)), prev, True)
-    lam, lam_selected = {}, {}
-    errs = [None] * len(act)
-    for k, p in enumerate(act):
+    active = step(paths, True)
+    for p in active:
         try:
-            lam_selected[p] = select_lambda(
-                cs, params, lam_g[p], 2.0 * sup_radius[p] + 1.0, 2.0 * delta_radius[p] + 1.0
+            p.lam_selected = select_lambda(
+                cs, params, p.lam_g, 2.0 * p.sup_radius + 1.0, 2.0 * p.delta_radius + 1.0
             )
-            lam[p] = lambda_override if lambda_override is not None else min(lam_selected[p], LAMBDA_CAP)
-            check_weight(lam[p])
+            p.lam = lambda_override if lambda_override is not None else min(p.lam_selected, LAMBDA_CAP)
+            check_weight(p.lam)
         except (NoContractionError, ValueError) as exc:
-            errs[k] = exc
-    act, keep = _leave_on_error(act, errs, errors)
-    cur, parts = cur[keep], parts[keep]
-    weight = {p: np.exp(-lam[p] * grid.nodes) for p in act}
+            p.error = exc
+        else:
+            p.weight = np.exp(-p.lam * grid.nodes)
+    active = [p for p in active if p.error is None]
 
-    distances = {p: [] for p in act}
-    converged = dict.fromkeys(act, False)
-    last = {}
     for it in range(max_iter):
-        if not act:
-            break
         # one gap measurement serves the weighted distance and the
         # unweighted stopping norm, which dominates the weighted one, so
         # the test is strictly stronger than a weighted-gap tolerance
-        weighted = np.stack([weight[p] for p in act]) * parts
-        for k, (p, dist, top) in enumerate(zip(act, weighted.max(axis=1), parts.max(axis=1))):
-            distances[p].append(float(dist))
-            if top < tol:
-                converged[p] = True
-                last[p] = cur[k].copy()
-        keep = [k for k, p in enumerate(act) if not converged[p]]
-        act, cur = [act[k] for k in keep], cur[keep]
-        if act:
-            # the last iterate's gap is never measured
-            act, cur, parts = step(act, cur, it + 1 < max_iter)
-    for k, p in enumerate(act):
-        last[p] = cur[k].copy()
+        for p in active:
+            p.distances.append(float((p.weight * p.parts).max()))
+            p.converged = bool(p.parts.max() < tol)
+        active = [p for p in active if not p.converged]
+        if not active:
+            break
+        # the last iterate's gap is never measured
+        active = step(active, it + 1 < max_iter)
 
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return [
-        _record(cs, params, grid, x0, last[p], distances[p], lam[p], lam_selected[p], lam_g[p],
-                converged[p], sup_radius[p], delta_radius[p])
-        for p in range(n_paths)
-    ]
+    for p in paths:
+        if p.error is not None:
+            raise p.error
+    return [_record(cs, params, grid, p) for p in paths]
 
 
-def _leave_on_error(act: list[int], errs: list, errors: list):
-    """Move the exceptions errs[k] of the stacked paths act[k] to
-    errors[path]; returns the paths that go on and their stack rows."""
-    keep = []
-    for k, (p, exc) in enumerate(zip(act, errs)):
-        if exc is None:
-            keep.append(k)
-        else:
-            errors[p] = exc
-    return [act[k] for k in keep], keep
+@dataclass
+class _Path:
+    """One driver of a batch solve: its values and capacity, the latest
+    iterate, its a priori radii, weights and gap parts, the distances so
+    far, and how it ended."""
+
+    g: np.ndarray
+    lam_g: float
+    x: np.ndarray
+    sup_radius: float
+    delta_radius: float = 0.0
+    lam_selected: float | None = None
+    lam: float | None = None
+    weight: np.ndarray | None = None
+    parts: np.ndarray | None = None
+    distances: list = field(default_factory=list)
+    converged: bool = False
+    error: Exception | None = None
 
 
-def _record(cs, params, grid, x0, x, distances, lam, lam_selected, lam_g, converged, sup_radius, delta_radius):
+def _record(cs, params, grid, p: _Path) -> SolutionRecord:
     """One path's SolutionRecord, with the a posteriori contraction
     modulus over the realized ball (the re-derived Lipschitz constants
     at the realized radii)."""
-    radius = max(sup_radius, 1e-12)
+    radius = max(p.sup_radius, 1e-12)
     factor = max(
         _contraction_factor(
             _contraction_terms(cs, params.alpha, params.T, radius, literal=literal),
-            params.alpha, lam, lam_g, delta_radius,
+            params.alpha, p.lam, p.lam_g, p.delta_radius,
         )
         for literal in (False, True)
     )
-    x = GridFunction(grid, x)
+    x = GridFunction(grid, p.x)
     return SolutionRecord(
         x=x,
-        x0=x0,
-        iterations=len(distances),
-        distances=tuple(distances),
-        lambda_used=float(lam),
-        lambda_selected=float(lam_selected),
-        lambda_alpha_g=lam_g,
+        iterations=len(p.distances),
+        distances=tuple(p.distances),
+        lambda_used=float(p.lam),
+        lambda_selected=float(p.lam_selected),
+        lambda_alpha_g=p.lam_g,
         holder_estimate=holder_exponent_estimate(x) if grid.n >= 64 else float("nan"),
-        converged=converged,
+        converged=p.converged,
         theoretical_factor=factor,
-        sup_radius=float(sup_radius),
-        delta_radius=float(delta_radius),
+        sup_radius=float(p.sup_radius),
+        delta_radius=float(p.delta_radius),
     )
 
 
@@ -436,7 +431,6 @@ class GrowthBoundCalibration:
     C5: float
     C6: float
     phi: float
-    pilot_paths: int
     coefficient_name: str
 
 
@@ -475,8 +469,7 @@ def calibrate_growth_bound(
     margin = max(1.0, 3.0 * float(np.std(resid)))
     c5 = float(np.exp(np.max(resid) + margin))
     return GrowthBoundCalibration(
-        C5=c5, C6=float(c6), phi=float(phi), pilot_paths=len(records),
-        coefficient_name=cs.name,
+        C5=c5, C6=float(c6), phi=float(phi), coefficient_name=cs.name,
     )
 
 

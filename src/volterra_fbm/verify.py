@@ -47,15 +47,44 @@ __all__ = [
     "run_suite",
 ]
 
-FAMILIES = ("lebesgue", "stieltjes", "lemmas", "aux", "hypotheses")
 _LAMBDA_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0)
 _HURST_GRID = (0.6, 0.75, 0.9)
 
 
-def _prop_slack(n: int, c: float = 0.4) -> float:
-    """Discretization slack for estimate checks: max(5%, c n^{-1/2});
-    c = 0.4 keeps the floor binding from n = 64 up."""
-    return max(0.05, c / np.sqrt(n))
+def _prop_slack(n: int) -> float:
+    """Discretization slack for estimate checks: max(5%, 0.4 n^{-1/2});
+    the 0.4 keeps the floor binding from n = 64 up."""
+    return max(0.05, 0.4 / np.sqrt(n))
+
+
+class _Checks:
+    """The lhs/rhs samples of a family's checks, in report order, and the
+    constants of its first case."""
+
+    def __init__(self, names: tuple, constant_scale: dict | None):
+        self.samples = {name: ([], []) for name in names}
+        self.scale = constant_scale or {}
+        self.constants: dict = {}
+
+    def const(self, name: str, value: float, key: str | None = None) -> float:
+        """value times constant_scale[key] (a constant without a key, such
+        as a literal display, is not scaled), recorded under name if no
+        earlier case recorded it."""
+        if key is not None:
+            value *= self.scale.get(key, 1.0)
+        self.constants.setdefault(name, value)
+        return value
+
+    def add(self, check: str, lhs, rhs) -> None:
+        """One or more lhs/rhs sample pairs of check."""
+        lhs_samples, rhs_samples = self.samples[check]
+        lhs_samples.extend(np.ravel(lhs))
+        rhs_samples.extend(np.ravel(rhs))
+
+    def reports(self, slack: float, notes: dict) -> list[EstimateReport]:
+        """One report per check, with notes[check] if any."""
+        return [make_report(name, lhs, rhs, slack, self.constants, notes.get(name, ""))
+                for name, (lhs, rhs) in self.samples.items()]
 
 
 def _case(seed: int, case: int, n: int):
@@ -107,13 +136,10 @@ def check_lebesgue_estimates(
     constant_scale: dict | None = None,
 ) -> list[EstimateReport]:
     """Volterra-Lebesgue bound plus the three drift-map estimates."""
-    scale = constant_scale or {}
-    slack = _prop_slack(n)
-    lhs_f1, rhs_f1 = [], []
-    lhs_n1, rhs_n1 = [], []
-    lhs_n2, rhs_n2 = [], []
-    lhs_ct, rhs_ct = [], []
-    consts: dict = {}
+    checks = _Checks(
+        ("lebesgue-volterra-bound", "drift-holder-bound", "drift-weighted-bound", "drift-contraction"),
+        constant_scale,
+    )
     for case in range(cases):
         rng, T, alpha, grid = _case(rng_seed, case, n)
         mu, h = 1.0, grid.h
@@ -123,22 +149,18 @@ def check_lebesgue_estimates(
         kernel = BivariateKernelValues(grid, vals)
         F = lebesgue_volterra(kernel).values.values[:, 0]
         lhs = np.abs(F) + abs_increment_row_integrals(F, h, alpha + 1.0)
-        c1 = bounds.lebesgue_c1(alpha, T) * scale.get("C1", 1.0)
-        c2 = bounds.lebesgue_c2(alpha, L, mu) * scale.get("C2", 1.0)
+        c1 = checks.const("C1", bounds.lebesgue_c1(alpha, T), "C1")
+        c2 = checks.const("C2", bounds.lebesgue_c2(alpha, L, mu), "C2")
         inner = row_singular_integrals(np.abs(kernel.values), h, alpha)
         rhs = c1 * inner + c2 * grid.nodes ** (1.0 + mu - alpha)
         sel = np.arange(1, n + 1, 7)
-        lhs_f1.extend(lhs[sel])
-        rhs_f1.extend(rhs[sel])
-        consts.setdefault("C1", c1)
-        consts.setdefault("C2", c2)
+        checks.add("lebesgue-volterra-bound", lhs[sel], rhs[sel])
 
         # --- drift-map estimates on a catalog b
-        name = "linear-drift" if case % 2 == 0 else "smooth-volterra"
-        if name == "linear-drift":
-            cs = builtin_coefficients(name, kappa=float(rng.uniform(0.5, 2.0)))
+        if case % 2 == 0:
+            cs = builtin_coefficients("linear-drift", kappa=float(rng.uniform(0.5, 2.0)))
         else:
-            cs = builtin_coefficients(name, c=float(rng.uniform(0.5, 2.0)))
+            cs = builtin_coefficients("smooth-volterra", c=float(rng.uniform(0.5, 2.0)))
         f = GridFunction(grid, _rough_path(rng, grid))
         hh = GridFunction(grid, _rough_path(rng, grid))
         Ff = drift_term(cs.b, f).values
@@ -146,37 +168,22 @@ def check_lebesgue_estimates(
         b0a = cs.B_0_alpha(alpha)
         lam = _LAMBDA_LADDER[case % len(_LAMBDA_LADDER)]
 
-        d1 = bounds.drift_d1(alpha, T, cs.L, cs.L_0, cs.mu, b0a) * scale.get("d1", 1.0)
-        lhs_n1.append(holder_norm(Ff, 1.0 - alpha))
-        rhs_n1.append(d1 * (1.0 + f.sup_norm()))
+        d1 = checks.const("d1", bounds.drift_d1(alpha, T, cs.L, cs.L_0, cs.mu, b0a), "d1")
+        checks.add("drift-holder-bound", holder_norm(Ff, 1.0 - alpha), d1 * (1.0 + f.sup_norm()))
 
         (agg_ff, agg_f, agg_gap, agg_diff), _ = norm_row_passes(
             (Ff.values, f.values, Ff.values - Fh.values, f.values - hh.values), (), h, alpha, 1.0
         )
-        d2 = bounds.drift_d2(alpha, T, cs.L, cs.L_0, cs.mu, b0a) * scale.get("d2", 1.0)
-        lhs_n2.append(fractional_norm(grid.nodes, agg_ff, lam).value)
-        rhs_n2.append(
-            d2 / lam ** (1.0 - 2.0 * alpha) * (1.0 + fractional_norm(grid.nodes, agg_f, lam).value)
-        )
+        d2 = checks.const("d2", bounds.drift_d2(alpha, T, cs.L, cs.L_0, cs.mu, b0a), "d2")
+        checks.add("drift-weighted-bound", fractional_norm(grid.nodes, agg_ff, lam).value,
+                   d2 / lam ** (1.0 - 2.0 * alpha) * (1.0 + fractional_norm(grid.nodes, agg_f, lam).value))
 
         radius = max(f.sup_norm(), hh.sup_norm())
-        d_n = bounds.drift_contraction_d_N(alpha, T, cs.L_N(radius)) * scale.get("d_N", 1.0)
-        lhs_ct.append(fractional_norm(grid.nodes, agg_gap, lam).value)
-        rhs_ct.append(
-            d_n
-            / lam ** (1.0 - alpha)
-            * fractional_norm(grid.nodes, agg_diff, lam).value
-        )
-        consts.setdefault("d1", d1)
-        consts.setdefault("d2", d2)
-        consts.setdefault("d_N", d_n)
+        d_n = checks.const("d_N", bounds.drift_contraction_d_N(alpha, T, cs.L_N(radius)), "d_N")
+        checks.add("drift-contraction", fractional_norm(grid.nodes, agg_gap, lam).value,
+                   d_n / lam ** (1.0 - alpha) * fractional_norm(grid.nodes, agg_diff, lam).value)
 
-    return [
-        make_report("lebesgue-volterra-bound", lhs_f1, rhs_f1, slack, consts, notes=f"n={n}"),
-        make_report("drift-holder-bound", lhs_n1, rhs_n1, slack, consts),
-        make_report("drift-weighted-bound", lhs_n2, rhs_n2, slack, consts),
-        make_report("drift-contraction", lhs_ct, rhs_ct, slack, consts),
-    ]
+    return checks.reports(_prop_slack(n), {"lebesgue-volterra-bound": f"n={n}"})
 
 
 # ------------------------------------------------------------ Stieltjes
@@ -224,11 +231,12 @@ def check_rs_estimates(
     """Stieltjes increment/weighted bounds and the three sigma-map
     estimates, with the driver capacity taken at its norm-based upper
     bracket (the discrete sup underestimates)."""
-    scale = constant_scale or {}
+    checks = _Checks(
+        ("stieltjes-increment-bound", "stieltjes-weighted-aggregate", "sigma-map-holder-bound",
+         "sigma-map-weighted-bound", "sigma-map-contraction"),
+        constant_scale,
+    )
     slack = _prop_slack(n)
-    L1, R1, L2, R2 = [], [], [], []
-    L3, R3, L4, R4, L5, R5 = [], [], [], [], [], []
-    consts: dict = {}
     lit_flags = 0
     for case in range(cases):
         rng, T, alpha, grid = _case(rng_seed, case, n)
@@ -242,13 +250,12 @@ def check_rs_estimates(
         kernel = BivariateKernelValues(grid, vals)
         G = young_rs(kernel, g).values.values[:, 0]
         k_over_u = prefix_singular_integrals(K_prof, h, alpha)
-        c3 = bounds.rs_c3(alpha, mu) * scale.get("C3", 1.0)
-        c4 = bounds.rs_c4(alpha, T) * scale.get("C4", 1.0)
+        c3 = checks.const("C3", bounds.rs_c3(alpha, mu), "C3")
+        c4 = checks.const("C4", bounds.rs_c4(alpha, T), "C4")
         for _ in range(3):
             i_s = int(rng.integers(1, n - 1))
             i_t = int(rng.integers(i_s + 1, n + 1))
             tt, ss = grid.nodes[i_t], grid.nodes[i_s]
-            lhs = abs(G[i_t] - G[i_s])
             term1 = (tt - ss) ** mu * k_over_u[i_s]
             term2 = left_singular_integral(np.abs(vals[i_t, i_s : i_t + 1]), h, alpha)
             # double increment masses of vals[i_t] - vals[i_s] up to s and
@@ -256,15 +263,14 @@ def check_rs_estimates(
             term3, term4 = double_increment_masses(
                 [(vals[i_t] - vals[i_s])[: i_s + 1], vals[i_t, i_s : i_t + 1]], h, alpha
             )
-            L1.append(lhs)
-            R1.append(lam_up * (term1 + term2 + alpha * (term3 + term4)))
+            checks.add("stieltjes-increment-bound", abs(G[i_t] - G[i_s]),
+                       lam_up * (term1 + term2 + alpha * (term3 + term4)))
 
         # ---- weighted aggregate bound at sampled nodes
         g_inc = abs_increment_row_integrals(G, h, alpha + 1.0)
         t_samples = {n, int(rng.integers(2, n)), int(rng.integers(2, n))}
         for i_t in t_samples:
             tt = grid.nodes[i_t]
-            lhs = abs(G[i_t]) + g_inc[i_t]
             row = vals[i_t, : i_t + 1]
             phi1 = K_prof[: i_t + 1] * (tt - grid.nodes[: i_t + 1]) ** (mu - alpha)
             p1 = left_singular_integral(phi1, h, alpha)
@@ -272,10 +278,8 @@ def check_rs_estimates(
             p2_right = _right_singular(gf, tt, 2.0 * alpha)
             p2_left = left_singular_integral(gf, h, alpha)
             triple = _right_singular(_w_path(row, vals, i_t, h, alpha), tt, alpha + 1.0)
-            L2.append(lhs)
-            R2.append(lam_up * (c3 * p1 + c4 * (p2_right + p2_left) + alpha * triple))
-        consts.setdefault("C3", c3)
-        consts.setdefault("C4", c4)
+            checks.add("stieltjes-weighted-aggregate", abs(G[i_t]) + g_inc[i_t],
+                       lam_up * (c3 * p1 + c4 * (p2_right + p2_left) + alpha * triple))
 
         # ---- sigma-map estimates (Holder, weighted, contraction)
         names = ("smooth-volterra", "bounded-growth", "constant-sigma")
@@ -293,55 +297,34 @@ def check_rs_estimates(
             (f.values, Gf.values, Gf.values - Gh.values, f.values - hh.values),
             (f.values, hh.values), h, alpha, cs.delta,
         )
+        sigma_consts = (alpha, cs.beta, cs.mu, T, cs.K, s00)
 
-        d3 = bounds.stieltjes_d3(alpha, cs.beta, cs.mu, T, cs.K, s00, recomputed=True)
-        d3 *= scale.get("d3", 1.0)
-        d3_lit = bounds.stieltjes_d3(alpha, cs.beta, cs.mu, T, cs.K, s00, recomputed=False)
+        d3 = checks.const("d3_recomputed", bounds.stieltjes_d3(*sigma_consts, recomputed=True), "d3")
+        d3_lit = checks.const("d3_literal", bounds.stieltjes_d3(*sigma_consts, recomputed=False))
         na_f = fractional_norm(grid.nodes, agg_f, 0.0).value
         lhs3 = holder_norm(Gf, 1.0 - alpha)
-        L3.append(lhs3)
-        R3.append(lam_up * d3 * (1.0 + na_f))
+        checks.add("sigma-map-holder-bound", lhs3, lam_up * d3 * (1.0 + na_f))
         if lhs3 > lam_up * d3_lit * (1.0 + na_f) * (1.0 + slack):
             lit_flags += 1
 
-        d4 = bounds.stieltjes_d4(alpha, cs.beta, cs.mu, T, cs.K, s00, recomputed=True)
-        d4 *= scale.get("d4", 1.0)
-        L4.append(fractional_norm(grid.nodes, agg_gf, lam).value)
-        R4.append(
-            lam_up * d4 / lam ** (1.0 - 2.0 * alpha)
-            * (1.0 + fractional_norm(grid.nodes, agg_f, lam).value)
-        )
+        d4 = checks.const("d4_recomputed", bounds.stieltjes_d4(*sigma_consts, recomputed=True), "d4")
+        checks.const("d4_literal", bounds.stieltjes_d4(*sigma_consts, recomputed=False))
+        checks.add("sigma-map-weighted-bound", fractional_norm(grid.nodes, agg_gf, lam).value,
+                   lam_up * d4 / lam ** (1.0 - 2.0 * alpha)
+                   * (1.0 + fractional_norm(grid.nodes, agg_f, lam).value))
 
-        dpn = bounds.stieltjes_dprime_N(
-            alpha, cs.beta, cs.mu, T, cs.K, cs.K_N(radius), recomputed=True
-        ) * scale.get("dprime_N", 1.0)
-        L5.append(fractional_norm(grid.nodes, agg_gap, lam).value)
-        R5.append(
-            lam_up * dpn * (1.0 + df + dh) / lam ** (1.0 - 2.0 * alpha)
-            * fractional_norm(grid.nodes, agg_diff, lam).value
-        )
-        consts.setdefault("d3_recomputed", d3)
-        consts.setdefault("d3_literal", d3_lit)
-        consts.setdefault("d4_recomputed", d4)
-        consts.setdefault(
-            "d4_literal", bounds.stieltjes_d4(alpha, cs.beta, cs.mu, T, cs.K, s00, recomputed=False)
-        )
-        consts.setdefault("dprime_N_recomputed", dpn)
-        consts.setdefault(
-            "dprime_N_literal",
-            bounds.stieltjes_dprime_N(alpha, cs.beta, cs.mu, T, cs.K, cs.K_N(radius), recomputed=False),
-        )
+        ball_consts = (alpha, cs.beta, cs.mu, T, cs.K, cs.K_N(radius))
+        dpn = checks.const("dprime_N_recomputed",
+                           bounds.stieltjes_dprime_N(*ball_consts, recomputed=True), "dprime_N")
+        checks.const("dprime_N_literal", bounds.stieltjes_dprime_N(*ball_consts, recomputed=False))
+        checks.add("sigma-map-contraction", fractional_norm(grid.nodes, agg_gap, lam).value,
+                   lam_up * dpn * (1.0 + df + dh) / lam ** (1.0 - 2.0 * alpha)
+                   * fractional_norm(grid.nodes, agg_diff, lam).value)
 
     notes = f"n={n}"
     if lit_flags:
         notes += f"; literal d3 display violated in {lit_flags} cases (flagged, not failed)"
-    return [
-        make_report("stieltjes-increment-bound", L1, R1, slack, consts, notes=notes),
-        make_report("stieltjes-weighted-aggregate", L2, R2, slack, consts),
-        make_report("sigma-map-holder-bound", L3, R3, slack, consts, notes=notes),
-        make_report("sigma-map-weighted-bound", L4, R4, slack, consts),
-        make_report("sigma-map-contraction", L5, R5, slack, consts),
-    ]
+    return checks.reports(slack, {"stieltjes-increment-bound": notes, "sigma-map-holder-bound": notes})
 
 
 def _right_singular(values: np.ndarray, t: float, theta: float) -> float:
@@ -359,13 +342,12 @@ def check_sigma_lemmas(
     cases: int,
     N: float,
     rng_seed: int,
-    T: float = 1.0,
 ) -> list[EstimateReport]:
-    """Four-point and eight-point mean-value inequalities for sigma,
-    zero slack (pointwise algebra, no quadrature)."""
+    """Four-point and eight-point mean-value inequalities for sigma on
+    [0, 1], zero slack (pointwise algebra, no quadrature)."""
     rng = np.random.default_rng(rng_seed)
     k = int(cases)
-    u = np.sort(rng.uniform(0.0, T, size=(k, 4)), axis=1)
+    u = np.sort(rng.uniform(0.0, 1.0, size=(k, 4)), axis=1)
     s1, s2, t2, t1 = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
     xs = [
         rng.uniform(-N, N, size=(k, cs.d)) for _ in range(4)
@@ -418,21 +400,18 @@ def check_sigma_lemmas(
 # ------------------------------------------------------------- Auxiliary
 
 
-def check_aux_inequalities(
-    alpha_grid=(0.1, 0.2, 0.25, 0.3, 0.4, 0.45),
-    lambda_grid=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-    mu_grid=(0.25, 0.5, 0.75, 1.0),
-    T: float = 1.0,
-    n: int = 4096,
-) -> list[EstimateReport]:
+def check_aux_inequalities(n: int = 4096) -> list[EstimateReport]:
     """Exponential-weight suprema, the singular exponential kernels, the
-    combined-kernel constant, and the Beta identities."""
-    grid = build_grid(T, n)
+    combined-kernel constant, and the Beta identities, on [0, 1]."""
+    alpha_grid = (0.1, 0.2, 0.25, 0.3, 0.4, 0.45)
+    lambda_grid = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    mu_grid = (0.25, 0.5, 0.75, 1.0)
+    grid = build_grid(1.0, n)
     nodes = grid.nodes
     h = grid.h
 
     # sup_t t^mu e^{-lam t} <= (mu/lam)^mu e^{-mu}, scanned densely
-    tt = np.linspace(0.0, max(T, 4.0), 200001)
+    tt = np.linspace(0.0, 4.0, 200001)
     lhs_w, rhs_w = [], []
     for mu in mu_grid:
         for lam in lambda_grid:
@@ -483,7 +462,7 @@ def check_aux_inequalities(
     lhs_m, rhs_m = [], []
     for p in (-0.4, -0.1, 0.5, 1.4):
         for q in (-0.4, -0.1, 0.5, 1.4):
-            for t in (0.5 * T, T):
+            for t in (0.5, 1.0):
                 lhs_m.append(_beta_quadrature(p, q, t, n // 2))
                 rhs_m.append(beta_fn(p + 1.0, q + 1.0) * t ** (p + q + 1.0))
 
@@ -523,6 +502,27 @@ def _identity_report(name: str, lhs: list, rhs: list, n: int) -> EstimateReport:
 
 # ----------------------------------------------------------------- Suite
 
+# family -> runner of a SuiteConfig; the lemma and hypothesis families
+# run each catalog entry at each radius N, in that order
+_RUNNERS = {
+    "lebesgue": lambda c: check_lebesgue_estimates(
+        c.estimate_cases, c.seed, n=c.grid_n, constant_scale=c.constant_scale
+    ),
+    "stieltjes": lambda c: check_rs_estimates(
+        c.estimate_cases, c.seed + 1, n=c.grid_n, constant_scale=c.constant_scale
+    ),
+    "lemmas": lambda c: [
+        rep for name in c.coefficient_names for N in (1.0, 5.0)
+        for rep in check_sigma_lemmas(builtin_coefficients(name), c.lemma_tuples, N, c.seed + 2)
+    ],
+    "aux": lambda c: check_aux_inequalities(),
+    "hypotheses": lambda c: [
+        verify_hypotheses(builtin_coefficients(name), c.hypothesis_samples, N, c.seed + 3)
+        for name in c.coefficient_names for N in (1.0, 10.0)
+    ],
+}
+FAMILIES = tuple(_RUNNERS)
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -544,32 +544,4 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict[str, list[EstimateRep
     for fam in config.families:
         if fam not in FAMILIES:
             raise CatalogError(f"unknown verification family {fam!r}")
-    out: dict[str, list[EstimateReport]] = {}
-    for fam in config.families:
-        if fam == "lebesgue":
-            out[fam] = check_lebesgue_estimates(
-                config.estimate_cases, config.seed, n=config.grid_n,
-                constant_scale=config.constant_scale,
-            )
-        elif fam == "stieltjes":
-            out[fam] = check_rs_estimates(
-                config.estimate_cases, config.seed + 1, n=config.grid_n,
-                constant_scale=config.constant_scale,
-            )
-        elif fam == "lemmas":
-            reps = []
-            for name in config.coefficient_names:
-                cs = builtin_coefficients(name)
-                for N in (1.0, 5.0):
-                    reps.extend(check_sigma_lemmas(cs, config.lemma_tuples, N, config.seed + 2))
-            out[fam] = reps
-        elif fam == "aux":
-            out[fam] = check_aux_inequalities()
-        else:  # hypotheses
-            reps = []
-            for name in config.coefficient_names:
-                cs = builtin_coefficients(name)
-                for N in (1.0, 10.0):
-                    reps.append(verify_hypotheses(cs, config.hypothesis_samples, N, config.seed + 3))
-            out[fam] = reps
-    return out
+    return {fam: _RUNNERS[fam](config) for fam in config.families}

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from volterra_fbm.coeffs import builtin_coefficients
-from volterra_fbm.errors import DivergenceError, EvaluationError
+from volterra_fbm.errors import DivergenceError, EvaluationError, NoContractionError
 from volterra_fbm.fbm import Seed, deterministic_driver, sample_davies_harte
 from volterra_fbm.grid import GridFunction, build_grid
 from volterra_fbm.integrals import diffusion_term, drift_term
@@ -204,3 +204,34 @@ def test_drivers_on_different_grids_are_refused():
         h = sample_davies_harte(other, 0.75, 1, Seed(1), 1)
         with pytest.raises(ValueError, match="one grid"):
             picard_solve_batch(cs, 1.0, [g, h], PARAMS)
+
+
+def test_params_horizon_must_match_the_grid():
+    # params.T sets the contraction constants, so it must be the drivers' T
+    cs = builtin_coefficients("smooth-volterra")
+    g = sample_davies_harte(build_grid(2.0, 128), 0.75, 1, Seed(1), 0)
+    for T in (1.0, 0.01):
+        with pytest.raises(ValueError, match="horizon"):
+            picard_solve_batch(cs, 1.0, [g], replace(PARAMS, T=T))
+    assert picard_solve_batch(cs, 1.0, [g], replace(PARAMS, T=2.0))[0].converged
+
+
+def test_pilot_rejects_a_weight_below_one():
+    cs = builtin_coefficients("smooth-volterra")
+    grid = build_grid(1.0, 32)
+    drivers = [sample_davies_harte(grid, 0.75, 1, Seed(3), p) for p in range(2)]
+    with pytest.raises(ValueError, match="weight lambda must be >= 1, got 0.5"):
+        picard_solve_batch(cs, 1.0, drivers, PARAMS, lambda_override=0.5)
+
+
+def test_pilot_without_contraction_fails_the_batch():
+    # Lipschitz constants of 1e100 leave no weight on the ladder for a
+    # rough driver; the zero driver has no capacity, so it contracts
+    cs = replace(builtin_coefficients("smooth-volterra"), K=1e100, K_N=lambda N: 1e100)
+    grid = build_grid(1.0, 32)
+    zero = deterministic_driver(grid, lambda t: 0.0)
+    rough = sample_davies_harte(grid, 0.75, 1, Seed(3), 0)
+    for batch in ([zero, rough], [rough, zero]):
+        with pytest.raises(NoContractionError):
+            picard_solve_batch(cs, 1.0, batch, PARAMS)
+    assert picard_solve_batch(cs, 1.0, [zero], PARAMS)[0].converged

@@ -321,3 +321,13 @@ def test_pool_takes_one_task_per_batch(tmp_path, monkeypatch):
     assert main(["moments", "--coeffs", "bounded-growth", "--n", "32", "--paths", "130",
                  "--workers", "2", "--seed", "5", "--out", str(tmp_path / "m")]) == 0
     assert sorted(tasks, key=lambda r: r.start) == [range(0, 60), range(60, 120), range(120, 130)]
+
+
+def test_unconverged_moments_exit_1_after_writing(tmp_path, capsys):
+    # one iteration leaves both paths unconverged; solve exits 1 on that
+    args = ["--max-iter", "1", "--paths", "2", "--n", "16"]
+    assert main(["solve", *args, "--out", str(tmp_path / "s")]) == 1
+    capsys.readouterr()
+    assert main(["moments", *args, "--out", str(tmp_path / "m")]) == 1
+    assert len((tmp_path / "m" / "moments.csv").read_text().splitlines()) == 4
+    assert "moments: 2 of 2 paths did not converge" in capsys.readouterr().out

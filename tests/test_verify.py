@@ -155,3 +155,42 @@ def test_w_path_is_the_per_node_rule(n, i_ts):
             want[j] = _double_increment_mass(row, vals[j, : i_t + 1], h, alpha, j)
         want[i_t] = 0.0
         assert np.array_equal(_w_path(row, vals, i_t, h, alpha), want)
+
+
+def test_make_report_empty_sample_fails():
+    rep = make_report("x", [], [], slack=0.05)
+    assert not rep.passed and rep.cases == 0
+    assert rep.notes == "no cases were checked"
+    assert make_report("x", [], [], 0.05, notes="n=64").notes == "n=64; no cases were checked"
+
+
+def test_estimate_families_at_zero_cases_fail():
+    names = [r.name for r in check_lebesgue_estimates(2, 1)] + [r.name for r in check_rs_estimates(2, 1)]
+    reports = check_lebesgue_estimates(0, 1) + check_rs_estimates(0, 1)
+    assert [r.name for r in reports] == names
+    for r in reports:
+        assert not r.passed and r.cases == 0 and "no cases were checked" in r.notes
+    out = run_suite(SuiteConfig(families=("lebesgue", "stieltjes"), estimate_cases=0))
+    assert [r.name for fam in ("lebesgue", "stieltjes") for r in out[fam]] == names
+    assert not any(r.passed for fam in out for r in out[fam])
+
+
+# constant_scale key -> the name its constant is recorded under
+SCALED = {
+    "C1": "C1", "C2": "C2", "d1": "d1", "d2": "d2", "d_N": "d_N",
+    "C3": "C3", "C4": "C4", "d3": "d3_recomputed", "d4": "d4_recomputed",
+    "dprime_N": "dprime_N_recomputed",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SCALED))
+def test_constant_scale_doubles_its_constant(key):
+    check = check_lebesgue_estimates if key in ("C1", "C2", "d1", "d2", "d_N") else check_rs_estimates
+    base = check(3, 2)[0].constants_used
+    scaled = check(3, 2, constant_scale={key: 2.0})[0].constants_used
+    assert scaled[SCALED[key]] == 2.0 * base[SCALED[key]]
+    # every other constant, the literal displays included, stays put
+    assert {k: v for k, v in scaled.items() if k != SCALED[key]} == {
+        k: v for k, v in base.items() if k != SCALED[key]
+    }
+    assert any(k.endswith("_literal") for k in base) == (check is check_rs_estimates)
