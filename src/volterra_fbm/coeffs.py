@@ -298,7 +298,8 @@ def verify_hypotheses(
     """Audit every declared hypothesis inequality on random tuples drawn
     from the physical domain s <= t in [0, 1], |x|, |y| <= N.
 
-    Violations are report content (ratio > 1), never exceptions.
+    Violations are report content (ratio > 1), never exceptions.  An
+    empty sample certifies nothing, so it fails.
     """
     rng = np.random.default_rng(rng_seed)
     k = int(sample_count)
@@ -314,7 +315,7 @@ def verify_hypotheses(
     ratios: dict[str, float] = {}
 
     def record(item: str, lhs, rhs):
-        ratios[f"ratio_{item}"] = float(np.max(ratio_of(lhs, rhs)))
+        ratios[f"ratio_{item}"] = float(np.max(ratio_of(lhs, rhs), initial=0.0))
 
     # (H1).1 spatial Lipschitz of sigma and dsigma_dt
     lhs = _frob(cs.sigma(t_hi, s_lo, x) - cs.sigma(t_hi, s_lo, y), 2) + _frob(
@@ -381,8 +382,9 @@ def verify_hypotheses(
         cases=k,
         max_ratio=worst,
         slack_allowed=0.0,
-        passed=bool(worst <= 1.0),
+        passed=bool(k > 0 and worst <= 1.0),
         constants_used=constants,
+        notes="" if k > 0 else "no cases were checked",
     )
 
 

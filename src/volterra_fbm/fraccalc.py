@@ -63,7 +63,9 @@ def _gamma(x: float) -> float:
 
 
 def left_frac_derivative_all(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """(D^alpha_{0+} f)(s_i) at every interior node for a scalar sample.
+    """(D^alpha_{0+} f)(s_i) at every interior node for scalar samples:
+    values (n+1,) for one, or (..., n+1) for a stack of rows, all taken
+    by one FFT (the one-row call is the same rule).
 
     Entry 0 is NaN: the derivative needs s > 0.  Formula (real
     convention, cf. Zahle, Probab. Theory Relat. Fields 111, 1998):
@@ -72,16 +74,17 @@ def left_frac_derivative_all(values: np.ndarray, h: float, alpha: float) -> np.n
             + alpha * int_0^s (f(s) - f(y)) / (s - y)^{alpha+1} dy ).
 
     The increment integral of every node is one FFT convolution
-    (grid.increment_row_integrals): O(n log n) for all n nodes, within
-    1e-12 of max|f - f(0)| * sum(weights) of the direct row rule
-    (grid.row_singular_integrals on the table f(s_i) - f(s_j)).
+    (grid.increment_row_integrals): O(n log n) per row, within 1e-12 of
+    max|f - f(0)| * sum(weights) of the direct row rule
+    (grid.row_singular_integrals on the table f(s_i) - f(s_j)).  Node i
+    depends on f at s_0..s_i only, so a row may run past its last node.
     """
     v = np.asarray(values, dtype=float)
-    n = v.shape[0] - 1
+    n = v.shape[-1] - 1
     s = h * np.arange(n + 1)
     inc = increment_row_integrals(v, h, alpha + 1.0)
-    out = np.full(n + 1, np.nan)
-    out[1:] = (v[1:] / s[1:] ** alpha + alpha * inc[1:]) / _gamma(1.0 - alpha)
+    out = np.full(v.shape, np.nan)
+    out[..., 1:] = (v[..., 1:] / s[1:] ** alpha + alpha * inc[..., 1:]) / _gamma(1.0 - alpha)
     return out
 
 
@@ -93,12 +96,7 @@ def left_frac_derivative(f: GridFunction, params: FracParams, s_index: int) -> n
         raise ValueError("left fractional derivative needs s > 0")
     if i > f.grid.n:
         raise ValueError(f"node index {s_index} outside grid")
-    h = f.grid.h
-    out = np.empty(f.dim)
-    for c in range(f.dim):
-        v = f.values[: i + 1, c]
-        out[c] = left_frac_derivative_all(v, h, params.alpha)[i]
-    return out
+    return left_frac_derivative_all(f.values[: i + 1].T, f.grid.h, params.alpha)[:, i]
 
 
 def right_weyl_derivative(g_values: np.ndarray, h: float, alpha: float, s_index: int, t_index: int) -> float:

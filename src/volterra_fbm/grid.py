@@ -21,9 +21,9 @@ Toeplitz matrix of gap weights.  Three routes share it:
   sample without building the table; bit-identical to
   ``row_singular_integrals`` on each table.  ``abs_increment_row_integrals``
   is its one-sample case.
-- ``increment_row_integrals``: the signed integrands v_i - v_j of a
-  scalar sample, one FFT convolution, O(n log n); equal to the direct
-  rule up to round-off.
+- ``increment_row_integrals``: the signed integrands v_i - v_j of
+  scalar samples stacked as rows, one FFT convolution for all rows,
+  O(n log n) per row; equal to the direct rule up to round-off.
 
 The first two are one kernel, ``_blocked_row_rule``: rows in blocks of
 256, each block cut at its last row's column (the weights beyond are
@@ -477,8 +477,9 @@ def _blocked_row_rule(h: float, theta: float, diagonal_vanishes: bool, lengths, 
 
 
 def increment_row_integrals(values: np.ndarray, h: float, theta: float) -> np.ndarray:
-    """out[i] = integral_0^{t_i} (t_i - s)**-theta * (v(t_i) - v(s)) ds
-    for every i, for a scalar sample v.
+    """out[..., i] = integral_0^{t_i} (t_i - s)**-theta * (v(t_i) - v(s)) ds
+    for every i, for scalar samples v stacked along the leading axes:
+    values (..., n+1), one sample per row.
 
     Same rule as row_singular_integrals on the signed increment rows
     rows[i, j] = v[i] - v[j], without building them.  The weights depend
@@ -487,20 +488,22 @@ def increment_row_integrals(values: np.ndarray, h: float, theta: float) -> np.nd
 
         out[i] = w[i] * (sum_{1<=g<=i} c[g] - b[i]) - sum_{j<i} c[i-j] w[j].
 
-    The last sum is a causal convolution, computed with a real FFT
-    zero-padded to a power of two >= 2n + 1, so the cost is O(n log n)
-    instead of O(n^2).  The summation order differs from the direct
-    rule; the two agree to 1e-12 of the row scale max|w| * sum(c).
+    The last sum is a causal convolution, computed for all rows by one
+    real FFT along the last axis, zero-padded to a power of two >= 2n + 1,
+    so the cost is O(n log n) per row instead of O(n^2).  The summation
+    order differs from the direct rule; the two agree to 1e-12 of the
+    row scale max|w| * sum(c).  Entry i of a row sees its entries j <= i
+    only, up to that round-off.
     """
     v = np.asarray(values, dtype=float)
-    n = v.shape[0] - 1
+    n = v.shape[-1] - 1
     c, b = gap_weights(n, h, theta, diagonal_vanishes=True)
-    w = v - v[0]
+    w = v - v[..., :1]
     size = 1 << (2 * n).bit_length()
     conv = np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(w, size), size)
-    out = np.zeros(n + 1)
+    out = np.zeros_like(w)
     # index 0 is skipped: there b[0] = +inf would multiply w[0] = 0
-    out[1:] = w[1:] * (np.cumsum(c)[1:] - b[1:]) - conv[1 : n + 1]
+    out[..., 1:] = w[..., 1:] * (np.cumsum(c)[1:] - b[1:]) - conv[..., 1 : n + 1]
     return out
 
 

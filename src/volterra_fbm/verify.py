@@ -357,7 +357,9 @@ def check_sigma_lemmas(
     K_N = cs.K_N(N)
 
     def mag(a):
-        return np.linalg.norm(np.asarray(a).reshape(k, -1), axis=1)
+        a = np.asarray(a)
+        # the width spelled out: reshape(0, -1) is ambiguous
+        return np.linalg.norm(a.reshape(k, np.prod(a.shape[1:], dtype=int)), axis=1)
 
     def nrm(a):
         return np.linalg.norm(a, axis=1)

@@ -101,17 +101,18 @@ def test_criterion_2_young_route_agreement():
     assert rel_closed < 0.02
 
     dis = {}
-    for n in (512, 1024):
+    for n in (512, 1024, 2048):
         rs, fr, _ = route_pair(n)
         dis[n] = np.max(np.abs(rs - fr)) / np.max(np.abs(rs))
     assert dis[512] < 0.02
     assert dis[1024] / dis[512] <= 0.75
+    assert dis[2048] / dis[1024] <= 0.75
     elapsed = time.time() - t0
     assert elapsed < 60.0
     report(
         "2 young-route-agreement",
         f"rs-vs-closed {rel_closed:.4f}, frac-vs-rs@512 {dis[512]:.4f}, "
-        f"doubling ratio {dis[1024] / dis[512]:.2f}; {elapsed:.0f}s",
+        f"doubling ratios {dis[1024] / dis[512]:.2f}, {dis[2048] / dis[1024]:.2f}; {elapsed:.0f}s",
     )
 
 

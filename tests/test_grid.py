@@ -166,6 +166,12 @@ def test_increment_convolution_matches_direct_rows(n, alpha):
     row_scale = np.max(np.abs(v - v[0])) * np.sum(c)
     assert got[0] == 0.0
     np.testing.assert_allclose(got, direct, rtol=0.0, atol=1e-12 * row_scale)
+    # stacked rows, one FFT: each row is its own sample, and entry i sees
+    # the row's entries j <= i only (the second row is zero past n // 2)
+    cut = np.where(np.arange(n + 1) <= n // 2, v, 0.0)
+    both = increment_row_integrals(np.stack([v, cut]), h, theta)
+    np.testing.assert_allclose(both[0], direct, rtol=0.0, atol=1e-12 * row_scale)
+    np.testing.assert_allclose(both[1, : n // 2 + 1], direct[: n // 2 + 1], rtol=0.0, atol=1e-12 * row_scale)
 
 
 @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 1000])

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import betainc, gamma
 
 from volterra_fbm.coeffs import builtin_coefficients
 from volterra_fbm.errors import EvaluationError
 from volterra_fbm.fbm import DriverPath, Seed, deterministic_driver, sample_davies_harte
+from volterra_fbm.fraccalc import _gamma, beta_fn, check_alpha, left_frac_derivative_all, weyl_bracket_matrix
 from volterra_fbm.grid import BivariateKernelValues, GridFunction, build_grid
 from volterra_fbm.integrals import (
+    _as_matrix_kernel,
+    _check_driver_dimension,
+    _doubly_singular_weights,
     diffusion_term,
     drift_term,
     lebesgue_volterra,
@@ -178,6 +182,160 @@ def test_young_frac_multicomponent_driver():
     rs = young_rs(k, drv).values.values[:, 0]
     fr = young_frac(k, drv, 0.25).values.values[:, 0]
     assert np.max(np.abs(rs - fr)) / np.max(np.abs(rs)) < 0.01
+
+
+# --- young_frac's row blocks against the per-row rule ------------------
+
+def _doubly_singular_quadrature(w_left: float, w_interior: np.ndarray, t: float, alpha: float) -> float:
+    """integral_0^t m(s) W(s) ds for the kernel
+    m(s) = s^{-alpha} (t-s)^{alpha-1}, with W sampled at the i-1 interior
+    nodes of a uniform i-cell grid on [0, t].
+
+    w_left is the s -> 0 limit of W; the s -> t limit is 0 for Holder
+    drivers (both limits are exact, see young_frac).  Cells are
+    integrated against the exact kernel moments, which are incomplete
+    Beta differences, so the rule is exact for piecewise-linear W.
+    """
+    i = w_interior.shape[0] + 1
+    wfull = np.empty(i + 1)
+    wfull[1:-1] = w_interior
+    wfull[0] = w_left
+    wfull[-1] = 0.0
+    x = np.linspace(0.0, 1.0, i + 1)
+    b0 = beta_fn(1.0 - alpha, alpha)
+    b1 = beta_fn(2.0 - alpha, alpha)
+    i0 = b0 * betainc(1.0 - alpha, alpha, x)
+    i1 = b1 * betainc(2.0 - alpha, alpha, x)
+    m0 = np.diff(i0)
+    m1 = t * np.diff(i1)
+    s = x * t
+    h = t / i
+    slope = (wfull[1:] - wfull[:-1]) / h
+    cell = wfull[:-1] * m0 + slope * (m1 - s[:-1] * m0)
+    return float(cell.sum())
+
+
+def young_frac_per_row(f: BivariateKernelValues, g: DriverPath, alpha: float) -> np.ndarray:
+    """The oracle: young_frac as it was before its row blocks, one left
+    derivative and two betainc tables per row and component."""
+    check_alpha(alpha)
+    v = _as_matrix_kernel(f.values)
+    _check_driver_dimension(v.shape[3], g.m)
+    grid = f.grid
+    n, h = grid.n, grid.h
+    d = v.shape[2]
+    vals = np.zeros((n + 1, d))
+    brackets = [weyl_bracket_matrix(g.component(c), h, alpha) for c in range(g.m)]
+    nodes = grid.nodes
+    g1a = _gamma(1.0 - alpha)
+    for i in range(1, n + 1):
+        t = nodes[i]
+        if i == 1:
+            # no interior node: degenerate single cell, left-point rule
+            vals[1] = np.einsum("dm,m->d", v[1, 0], g.values[1] - g.values[0])
+            continue
+        for c in range(g.m):
+            w_col = brackets[c][1:i, i]  # Weyl bracket at interior s
+            v0 = brackets[c][0, i]
+            for k in range(d):
+                u_all = left_frac_derivative_all(v[i, : i + 1, k, c], h, alpha)
+                u_int = u_all[1:i]
+                s_int = nodes[1:i]
+                w_interior = u_int * w_col * s_int ** alpha * (t - s_int) ** (1.0 - alpha)
+                # s -> 0 limit: u(s) s^alpha -> f(t, 0) / Gamma(1-alpha)
+                w_left = v[i, 0, k, c] / g1a * v0 * t ** (1.0 - alpha)
+                vals[i, k] -= _doubly_singular_quadrature(w_left, w_interior, t, alpha)
+    return vals
+
+
+def assert_matches_per_row(k: BivariateKernelValues, drv: DriverPath, alpha: float):
+    want = young_frac_per_row(k, drv, alpha)
+    got = young_frac(k, drv, alpha).values.values
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 257, 1024])
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.45])
+def test_young_frac_matches_per_row_rule(n, alpha):
+    g = build_grid(1.0, n)
+    drv = sample_davies_harte(g, 0.75, 1, Seed(n))
+    k = BivariateKernelValues(g, np.broadcast_to(drv.values[None, :, 0], (n + 1, n + 1)).copy())
+    assert_matches_per_row(k, drv, alpha)
+
+
+def test_young_frac_matches_per_row_rule_time_varying_kernel():
+    g = build_grid(2.0, 257)
+    drv = sample_davies_harte(g, 0.75, 1, Seed(3))
+    k = kernel_of(g, lambda t, s: np.cos(3.0 * t) * np.exp(-(t - s)) + np.sin(5.0 * s) * t)
+    for alpha in (0.05, 0.2, 0.45):
+        assert_matches_per_row(k, drv, alpha)
+
+
+@pytest.mark.parametrize("n", [17, 64])
+def test_young_frac_matches_per_row_rule_matrix_kernel(n):
+    # d = 2, m = 2: each block contracts both components of both rows
+    g = build_grid(1.0, n)
+    drv = sample_davies_harte(g, 0.75, 2, Seed(7))
+    t = g.nodes[:, None]
+    s = g.nodes[None, :]
+    vals = np.empty((n + 1, n + 1, 2, 2))
+    vals[..., 0, 0] = np.cos(t - s)
+    vals[..., 0, 1] = s * t
+    vals[..., 1, 0] = np.exp(-s) + 0 * t
+    vals[..., 1, 1] = np.sin(2.0 * t + s)
+    k = BivariateKernelValues(g, vals)
+    for alpha in (0.05, 0.2, 0.45):
+        assert_matches_per_row(k, drv, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.45])
+def test_doubly_singular_rule_exact_for_linear_w(alpha):
+    # W(s) = t - s: int_0^t s^{-alpha} (t-s)^alpha ds = t B(1-alpha, 1+alpha),
+    # for the block rule (all rows in one ragged table) and the per-row rule
+    t = 0.7
+    exact = t * beta_fn(1.0 - alpha, 1.0 + alpha)
+    cells = np.array([2, 3, 64, 1024])
+    weights = _doubly_singular_weights(cells, 1025, alpha)
+    for r, i in enumerate(cells):
+        s = t * np.arange(1025) / i
+        assert np.all(weights[r, i + 1 :] == 0.0)
+        got = weights[r, : i + 1] @ (t - s[: i + 1])
+        assert abs(got / exact - 1.0) <= 1e-13, (i, got, exact)
+        oracle = _doubly_singular_quadrature(t, t - s[1:i], t, alpha)
+        assert abs(oracle / exact - 1.0) <= 1e-13, (i, oracle, exact)
+
+
+# a kernel on 32 cells against a driver on 64
+MISMATCH = "kernel grid TimeGrid\\(n=32, T=1.0\\) differs from the driver grid TimeGrid\\(n=64, T=1.0\\)"
+
+
+def kernel_and_finer_driver():
+    drv64 = sample_davies_harte(build_grid(1.0, 64), 0.75, 1, Seed(1))
+    return BivariateKernelValues(build_grid(1.0, 32), np.ones((33, 33))), drv64
+
+
+def test_young_frac_refuses_mismatched_grids():
+    k32, drv64 = kernel_and_finer_driver()
+    with pytest.raises(ValueError, match=MISMATCH):
+        young_frac(k32, drv64, 0.2)
+
+
+def test_young_rs_refuses_mismatched_grids():
+    k32, drv64 = kernel_and_finer_driver()
+    with pytest.raises(ValueError, match=MISMATCH):
+        young_rs(k32, drv64)
+
+
+def test_diffusion_term_refuses_mismatched_grids():
+    sigma = builtin_coefficients("smooth-volterra").sigma
+    g64 = build_grid(1.0, 64)
+    drv64 = sample_davies_harte(g64, 0.75, 1, Seed(1))
+    x32 = GridFunction(build_grid(1.0, 32), np.zeros(33))
+    with pytest.raises(ValueError, match="state grid TimeGrid\\(n=32, T=1.0\\) differs from the driver grid"):
+        diffusion_term(sigma, x32, drv64)
+    x_t2 = GridFunction(build_grid(2.0, 64), np.zeros(65))
+    with pytest.raises(ValueError, match="TimeGrid\\(n=64, T=2.0\\) differs from .* TimeGrid\\(n=64, T=1.0\\)"):
+        diffusion_term(sigma, x_t2, drv64)
 
 
 def test_stieltjes_capacity_bound():

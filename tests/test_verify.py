@@ -175,6 +175,20 @@ def test_estimate_families_at_zero_cases_fail():
     assert not any(r.passed for fam in out for r in out[fam])
 
 
+
+@pytest.mark.parametrize("family, sizes", [
+    ("lemmas", {"lemma_tuples": 0}),
+    ("hypotheses", {"hypothesis_samples": 0}),
+])
+def test_pointwise_families_at_zero_samples_fail(family, sizes):
+    # the same report names as a nonempty run, each failed and saying why
+    names = [r.name for r in run_suite(SuiteConfig(families=(family,), lemma_tuples=3,
+                                                   hypothesis_samples=3))[family]]
+    reports = run_suite(SuiteConfig(families=(family,), **sizes))[family]
+    assert [r.name for r in reports] == names
+    for r in reports:
+        assert not r.passed and r.cases == 0 and r.notes == "no cases were checked"
+
 # constant_scale key -> the name its constant is recorded under
 SCALED = {
     "C1": "C1", "C2": "C2", "d1": "d1", "d2": "d2", "d_N": "d_N",
