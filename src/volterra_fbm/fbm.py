@@ -24,7 +24,6 @@ __all__ = [
     "fbm_covariance",
     "sample_cholesky",
     "sample_davies_harte",
-    "deterministic_driver",
 ]
 
 # relative diagonal jitter allowed before declaring the covariance
@@ -80,11 +79,6 @@ class DriverPath(GridFunction):
             w.writerow(["t"] + [f"g{j + 1}" for j in range(self.m)])
             for i, t in enumerate(self.grid.nodes):
                 w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in self.values[i]])
-
-
-def deterministic_driver(grid: TimeGrid, fn) -> DriverPath:
-    """Driver from a deterministic function t -> scalar or m-vector."""
-    return DriverPath.from_callable(grid, fn)
 
 
 def _check_hurst(H: float):

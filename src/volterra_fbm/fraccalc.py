@@ -16,18 +16,14 @@ the truth is bracketed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln
 
-from .grid import GridFunction, _gap_powers, _pair_blocks, increment_row_integrals
+from .grid import _gap_powers, _pair_blocks, increment_row_integrals
 
 __all__ = [
-    "FracParams",
     "check_alpha",
     "beta_fn",
-    "left_frac_derivative",
     "left_frac_derivative_all",
     "right_weyl_derivative",
     "weyl_bracket_matrix",
@@ -39,16 +35,6 @@ def check_alpha(alpha: float):
     """The fractional operators and norms take orders 0 < alpha < 1/2."""
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-
-
-@dataclass(frozen=True)
-class FracParams:
-    """Order parameter for the fractional operators, 0 < alpha < 1/2."""
-
-    alpha: float
-
-    def __post_init__(self):
-        check_alpha(self.alpha)
 
 
 def beta_fn(p: float, q: float) -> float:
@@ -86,17 +72,6 @@ def left_frac_derivative_all(values: np.ndarray, h: float, alpha: float) -> np.n
     out = np.full(v.shape, np.nan)
     out[..., 1:] = (v[..., 1:] / s[1:] ** alpha + alpha * inc[..., 1:]) / _gamma(1.0 - alpha)
     return out
-
-
-def left_frac_derivative(f: GridFunction, params: FracParams, s_index: int) -> np.ndarray:
-    """Left fractional derivative of a d-dimensional grid function at a
-    single node, componentwise."""
-    i = int(s_index)
-    if i <= 0:
-        raise ValueError("left fractional derivative needs s > 0")
-    if i > f.grid.n:
-        raise ValueError(f"node index {s_index} outside grid")
-    return left_frac_derivative_all(f.values[: i + 1].T, f.grid.h, params.alpha)[:, i]
 
 
 def right_weyl_derivative(g_values: np.ndarray, h: float, alpha: float, s_index: int, t_index: int) -> float:

@@ -6,13 +6,17 @@ Riemann-Stieltjes sum against a driver (the pathwise Young integral),
 and the fractional-derivative representation of the same integral used
 as the accuracy arbiter for rough drivers.
 
-The coefficient maps drift_term and diffusion_term never build the
-(n+1)^2 table: they evaluate the coefficient on the causal triangle in
-blocks of rows and apply the table rules (lebesgue_volterra, young_rs)
-block by block, bit-identically.  The table rules remain for general
-tables and as the maps' test oracles.  Both maps also take a stack of P
-paths at once, the path axis leading the state; each path's rows are
-bit for bit its one-path map.
+Each discrete rule is written once and reads its kernel values in
+blocks (lo, hi, v): v holds rows lo <= i < hi against columns j < hi,
+shaped ([P,] rows, cols, d, m).  The trapezoid rule (_trapezoid_rows)
+serves lebesgue_volterra and drift_term, the left-point rule
+(_left_point_rows) young_rs and diffusion_term.  Blocks come from one
+of two sources: slices of a tabulated kernel (_table_blocks), or
+evaluations of a coefficient on the causal triangle (_triangle_blocks),
+so the coefficient maps never build the (n+1)^2 table.  Both need
+O(256 (n+1) d m) working memory per block beyond the input table.  The
+maps also take a stack of P paths at once, the path axis leading the
+state; each path's rows are bit for bit its one-path map.
 
 young_frac takes its rows t_i in blocks: one FFT gives the left
 fractional derivatives of a whole block, one betainc table its outer
@@ -84,12 +88,22 @@ def _check_driver_dimension(m: int, g_m: int) -> None:
         raise ValueError(f"kernel driver dimension {m} != driver m={g_m}")
 
 
+def _table_blocks(f: BivariateKernelValues):
+    """Blocks (lo, hi, v[lo:hi, :hi]) of a tabulated kernel, in
+    _ROW_CHUNK rows, as views of shape (hi - lo, hi, d, m)."""
+    v = _as_matrix_kernel(f.values)
+    n1 = f.grid.n + 1
+    for lo in range(0, n1, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, n1)
+        yield lo, hi, v[lo:hi, :hi]
+
+
 def _triangle_blocks(fn, grid: TimeGrid, states: np.ndarray, rank: int, which: str, errors):
     """Evaluate fn(t_i, t_j, x(t_j)) on the causal triangle j <= i, in
     blocks of _ROW_CHUNK rows, for one path (states of shape (n+1, d))
     or a stack of paths (P, n+1, d).
 
-    Yields (lo, hi, vals) with vals of shape ([P,] hi - lo, hi, ...):
+    Yields (lo, hi, vals) with vals of shape ([P,] hi - lo, hi, d, m):
     rows lo <= i < hi against columns j < hi, which covers those rows'
     triangle.  s is clipped to t, so the entries j > i are evaluations
     at s = t_i that no rule reads.  The state goes in un-broadcast, as
@@ -109,7 +123,7 @@ def _triangle_blocks(fn, grid: TimeGrid, states: np.ndarray, rank: int, which: s
         vals = np.broadcast_to(vals, lead + (hi - lo, hi) + vals.shape[max(vals.ndim - rank, 0) :])
         if not np.all(np.isfinite(vals)):
             _check_triangle_finite(which, vals, grid, lo, len(lead), errors)
-        yield lo, hi, vals
+        yield lo, hi, _as_matrix_kernel(vals, len(lead))
 
 
 def _check_triangle_finite(which: str, vals: np.ndarray, grid: TimeGrid, lo: int, lead: int, errors) -> None:
@@ -133,19 +147,44 @@ def _check_triangle_finite(which: str, vals: np.ndarray, grid: TimeGrid, lo: int
         errors[p] = exc
 
 
+def _trapezoid_rows(h: float, blocks) -> np.ndarray:
+    """Trapezoid rule int_0^{t_i} f(t_i, s) ds of every row, from blocks
+    ([P,] rows, cols, d, 1); rows ([P,] n+1, d).  Each row is one
+    sequential cumsum, so its bits do not depend on the block cut."""
+    rows = []
+    for lo, hi, v in blocks:
+        if v.shape[-1] != 1:
+            raise ValueError(f"the Lebesgue integral takes scalar or (d,) kernel values, got m = {v.shape[-1]} columns")
+        v = v[..., 0]
+        csum = np.cumsum(v, axis=-2)
+        k = np.arange(hi - lo)
+        rows.append(h * (csum[..., k, lo + k, :] - 0.5 * (v[..., :, 0, :] + v[..., k, lo + k, :])))
+    vals = np.concatenate(rows, axis=-2)
+    vals[..., 0, :] = 0.0
+    return vals
+
+
+def _left_point_rows(blocks, drivers: np.ndarray) -> np.ndarray:
+    """Left-point sums sum_{j<i} f(t_i, t_j) (g(t_{j+1}) - g(t_j)) of
+    every row, from blocks ([P,] rows, cols, d, m) and driver values
+    ([P,] n+1, m); rows ([P,] n+1, d)."""
+    dg = np.diff(drivers, axis=-2)  # ([P,] n, m)
+    n = dg.shape[-2]
+    rows = []
+    for lo, hi, v in blocks:
+        _check_driver_dimension(v.shape[-1], dg.shape[-1])
+        cols = min(hi, n)
+        # left-point rule: only j < i enters row i
+        strict = np.arange(cols)[None, :] < np.arange(lo, hi)[:, None]
+        w = np.where(strict[:, :, None, None], v[..., :cols, :, :], 0.0)
+        rows.append(np.einsum("...ijdm,...jm->...id", w, dg[..., :cols, :]))
+    return np.concatenate(rows, axis=-2)
+
+
 def lebesgue_volterra(f: BivariateKernelValues) -> IntegralResult:
-    """F_t(f) = int_0^t f(t, s) ds, trapezoidal in s per row."""
-    v = _as_matrix_kernel(f.values)[:, :, :, 0]
-    n = f.grid.n
-    h = f.grid.h
-    csum = np.cumsum(v, axis=1)
-    idx = np.arange(n + 1)
-    row_sum = csum[idx, idx]  # sum_{j<=i} f(t_i, t_j)
-    diag = v[idx, idx]
-    first = v[:, 0]
-    vals = h * (row_sum - 0.5 * (first + diag))
-    vals[0] = 0.0
-    return IntegralResult(GridFunction(f.grid, vals))
+    """F_t(f) = int_0^t f(t, s) ds, trapezoidal in s per row.  f takes
+    scalar or (d,) values; a (d, m) kernel with m > 1 raises ValueError."""
+    return IntegralResult(GridFunction(f.grid, _trapezoid_rows(f.grid.h, _table_blocks(f))))
 
 
 def drift_term(b, x, grid: TimeGrid | None = None, errors: list | None = None):
@@ -153,8 +192,8 @@ def drift_term(b, x, grid: TimeGrid | None = None, errors: list | None = None):
 
     b follows the coefficient evaluator contract: broadcastable arrays
     (t, s) plus states of shape (..., d), returning (..., d).  The rule
-    is lebesgue_volterra's, row block by row block: the same sequential
-    row sums, so the result is bit-identical to it on the full table.
+    is lebesgue_volterra's, on triangle blocks in place of table
+    slices, so the result is bit-identical to it on the full table.
 
     x is one path, a GridFunction, for which an IntegralResult is
     returned; or the node values (P, n+1, d) of a stack of paths on
@@ -164,22 +203,9 @@ def drift_term(b, x, grid: TimeGrid | None = None, errors: list | None = None):
     error goes to errors[p] (where it is None) and the others carry on.
     """
     if isinstance(x, GridFunction):
-        return IntegralResult(GridFunction(x.grid, _drift_rows(b, x.grid, x.values, None)))
-    return _drift_rows(b, grid, x, errors)
-
-
-def _drift_rows(b, grid: TimeGrid, states: np.ndarray, errors) -> np.ndarray:
-    h = grid.h
-    lead = states.ndim - 2
-    rows = []
-    for lo, hi, vals in _triangle_blocks(b, grid, states, 1, "drift", errors):
-        v = _as_matrix_kernel(vals, lead)[..., 0]
-        csum = np.cumsum(v, axis=-2)
-        k = np.arange(hi - lo)
-        rows.append(h * (csum[..., k, lo + k, :] - 0.5 * (v[..., :, 0, :] + v[..., k, lo + k, :])))
-    vals = np.concatenate(rows, axis=-2)
-    vals[..., 0, :] = 0.0
-    return vals
+        vals = _trapezoid_rows(x.grid.h, _triangle_blocks(b, x.grid, x.values, 1, "drift", None))
+        return IntegralResult(GridFunction(x.grid, vals))
+    return _trapezoid_rows(grid.h, _triangle_blocks(b, grid, x, 1, "drift", errors))
 
 
 def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
@@ -190,18 +216,7 @@ def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
     contracting the m-dimension of dg against matrix-valued kernels.
     """
     _check_same_grid("kernel", f.grid, g.grid)
-    v = _as_matrix_kernel(f.values)
-    _check_driver_dimension(v.shape[3], g.m)
-    dg = np.diff(g.values, axis=0)  # (n, m)
-    n = f.grid.n
-    # strictly-lower-triangular contraction; upper triangle already zero,
-    # the diagonal must not participate (left-point rule)
-    w = v[:, :-1, :, :].copy()
-    idx = np.arange(n)
-    w[idx, idx, :, :] = 0.0
-    w[0] = 0.0
-    vals = np.einsum("ijdm,jm->id", w, dg)
-    return IntegralResult(GridFunction(f.grid, vals))
+    return IntegralResult(GridFunction(f.grid, _left_point_rows(_table_blocks(f), g.values)))
 
 
 def _doubly_singular_weights(cells: np.ndarray, width: int, alpha: float) -> np.ndarray:
@@ -291,8 +306,8 @@ def diffusion_term(sigma, x, g, grid: TimeGrid | None = None, errors: list | Non
     Riemann-Stieltjes sums.
 
     sigma follows the evaluator contract: (t, s, state) -> (..., d, m).
-    The rule is young_rs's, row block by row block, and bit-identical to
-    it on the full table.
+    The rule is young_rs's, on triangle blocks in place of table
+    slices, and bit-identical to it on the full table.
 
     x and g are one path, a GridFunction and a DriverPath, for which an
     IntegralResult is returned; or the node values (P, n+1, d) and
@@ -301,21 +316,6 @@ def diffusion_term(sigma, x, g, grid: TimeGrid | None = None, errors: list | Non
     """
     if isinstance(x, GridFunction):
         _check_same_grid("state", x.grid, g.grid)
-        vals = _diffusion_rows(sigma, x.grid, x.values, g.values, None)
+        vals = _left_point_rows(_triangle_blocks(sigma, x.grid, x.values, 2, "diffusion", None), g.values)
         return IntegralResult(GridFunction(x.grid, vals))
-    return _diffusion_rows(sigma, grid, x, g, errors)
-
-
-def _diffusion_rows(sigma, grid: TimeGrid, states: np.ndarray, drivers: np.ndarray, errors) -> np.ndarray:
-    n = grid.n
-    dg = np.diff(drivers, axis=-2)  # ([P,] n, m)
-    rows = []
-    for lo, hi, vals in _triangle_blocks(sigma, grid, states, 2, "diffusion", errors):
-        v = _as_matrix_kernel(vals, states.ndim - 2)
-        _check_driver_dimension(v.shape[-1], dg.shape[-1])
-        cols = min(hi, n)
-        # left-point rule: only j < i enters row i
-        strict = np.arange(cols)[None, :] < np.arange(lo, hi)[:, None]
-        w = np.where(strict[:, :, None, None], v[..., :cols, :, :], 0.0)
-        rows.append(np.einsum("...ijdm,...jm->...id", w, dg[..., :cols, :]))
-    return np.concatenate(rows, axis=-2)
+    return _left_point_rows(_triangle_blocks(sigma, grid, x, 2, "diffusion", errors), g)

@@ -131,9 +131,7 @@ def test_criterion_4_solver_exponential():
     errs = {}
     for n in (256, 512, 1024):
         g = build_grid(1.0, n)
-        from volterra_fbm.fbm import deterministic_driver
-
-        rec = picard_solve(cs, 1.0, deterministic_driver(g, lambda t: 0.0), params,
+        rec = picard_solve(cs, 1.0, DriverPath.from_callable(g, lambda t: 0.0), params,
                            tol=1e-10, max_iter=80)
         assert rec.converged
         errs[n] = float(np.max(np.abs(rec.x.values[:, 0] - np.exp(g.nodes))))

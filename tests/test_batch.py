@@ -15,7 +15,7 @@ import pytest
 
 from volterra_fbm.coeffs import builtin_coefficients
 from volterra_fbm.errors import DivergenceError, EvaluationError, NoContractionError
-from volterra_fbm.fbm import Seed, deterministic_driver, sample_davies_harte
+from volterra_fbm.fbm import DriverPath, Seed, sample_davies_harte
 from volterra_fbm.grid import GridFunction, build_grid
 from volterra_fbm.integrals import diffusion_term, drift_term
 from volterra_fbm.norms import HolderParams
@@ -118,7 +118,7 @@ def test_lowest_failing_path_raises_its_own_error():
     # differ, and the others stay at x0 = 1
     cs = replace(builtin_coefficients("bounded-growth"), sigma=nan_above(1.5))
     grid = build_grid(1.0, 64)
-    drivers = [deterministic_driver(grid, lambda t, a=a: a * t) for a in (0.0, 8.0, 0.0, 5.0, 0.0)]
+    drivers = [DriverPath.from_callable(grid, lambda t, a=a: a * t) for a in (0.0, 8.0, 0.0, 5.0, 0.0)]
     msg1, msg3 = solve_error(cs, drivers[1]), solve_error(cs, drivers[3])
     assert msg1 != msg3
     for batch, want in ((drivers, msg1), (drivers[2:], msg3), (drivers[3:0:-2], msg3)):
@@ -134,7 +134,7 @@ def test_divergent_path_raises_divergence():
     # a drift of 1e308 x overflows the iterate of the one path with x0 > 0
     cs = replace(builtin_coefficients("linear-drift"), b=lambda t, s, x: 1e308 * x)
     grid = build_grid(1.0, 16)
-    g = deterministic_driver(grid, lambda t: 0.0)
+    g = DriverPath.from_callable(grid, lambda t: 0.0)
     with pytest.raises(DivergenceError):
         picard_solve_batch(cs, 1.0, [g, g], PARAMS)
 
@@ -229,7 +229,7 @@ def test_pilot_without_contraction_fails_the_batch():
     # rough driver; the zero driver has no capacity, so it contracts
     cs = replace(builtin_coefficients("smooth-volterra"), K=1e100, K_N=lambda N: 1e100)
     grid = build_grid(1.0, 32)
-    zero = deterministic_driver(grid, lambda t: 0.0)
+    zero = DriverPath.from_callable(grid, lambda t: 0.0)
     rough = sample_davies_harte(grid, 0.75, 1, Seed(3), 0)
     for batch in ([zero, rough], [rough, zero]):
         with pytest.raises(NoContractionError):

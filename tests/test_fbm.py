@@ -9,7 +9,6 @@ from volterra_fbm.fbm import (
     DriverPath,
     Seed,
     _covariance_matrix,
-    deterministic_driver,
     fbm_covariance,
     sample_cholesky,
     sample_davies_harte,
@@ -141,8 +140,8 @@ def test_csv_export_roundtrip(tmp_path):
 
 def test_deterministic_driver_tags():
     g = build_grid(1.0, 4)
-    d = deterministic_driver(g, lambda t: 2 * t)
-    assert d.hurst is None
+    d = DriverPath.from_callable(g, lambda t: 2 * t)
+    assert isinstance(d, DriverPath) and d.hurst is None
     np.testing.assert_allclose(d.values[:, 0], 2 * g.nodes)
 
 

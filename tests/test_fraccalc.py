@@ -5,10 +5,10 @@ from scipy.special import gamma
 
 from volterra_fbm.fbm import Seed, sample_davies_harte
 from volterra_fbm.fraccalc import (
-    FracParams,
     beta_fn,
+    check_alpha,
     lambda_alpha,
-    left_frac_derivative,
+    left_frac_derivative_all,
     right_weyl_derivative,
     weyl_bracket_matrix,
 )
@@ -31,17 +31,16 @@ def test_beta_rejects_nonpositive():
 
 
 def test_frac_params_range():
-    with pytest.raises(ValueError):
-        FracParams(alpha=0.5)
-    with pytest.raises(TypeError):  # no horizon field: the operators never read one
-        FracParams(alpha=0.2, T=-1.0)
+    for alpha in (0.0, 0.5, -0.1):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            check_alpha(alpha)
+    check_alpha(0.25)
 
 
 def test_left_derivative_of_constant():
     g = build_grid(1.0, 512)
     f = GridFunction(g, np.full(g.n + 1, 3.0))
-    p = FracParams(0.25)
-    got = left_frac_derivative(f, p, 256)[0]
+    got = left_frac_derivative_all(f.values[:, 0], g.h, 0.25)[256]
     s = g.nodes[256]
     assert got == pytest.approx(3.0 * s ** -0.25 / gamma(0.75), rel=1e-12)
 
@@ -50,16 +49,16 @@ def test_left_derivative_of_identity():
     # classical power rule: D^a t = t^{1-a} / Gamma(2-a)
     g = build_grid(1.0, 2048)
     f = GridFunction(g, g.nodes.copy())
-    got = left_frac_derivative(f, FracParams(0.25), g.n)[0]
+    got = left_frac_derivative_all(f.values[:, 0], g.h, 0.25)[g.n]
     assert got == pytest.approx(1.0 / gamma(1.75), rel=1e-10)
 
 
 def test_left_derivative_of_zero_and_origin_error():
     g = build_grid(1.0, 64)
     f = GridFunction(g, np.zeros(g.n + 1))
-    assert left_frac_derivative(f, FracParams(0.3), 10)[0] == 0.0
-    with pytest.raises(ValueError):
-        left_frac_derivative(f, FracParams(0.3), 0)
+    got = left_frac_derivative_all(f.values[:, 0], g.h, 0.3)
+    assert got[10] == 0.0
+    assert np.isnan(got[0])  # the derivative needs s > 0
 
 
 def test_weyl_of_constant_is_zero():

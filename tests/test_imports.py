@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,4 +50,14 @@ def test_perfbench_layers_resolve():
     assert tracer.LAYER_FUNCTIONS
     missing = [f"{mod}.{fn}" for mod, fn in tracer.LAYER_FUNCTIONS
                if not callable(getattr(importlib.import_module(f"volterra_fbm.{mod}"), fn, None))]
+    assert missing == []
+
+
+def test_module_exports_resolve():
+    # every name in each module's __all__ exists, so a deleted function
+    # cannot linger as an export
+    missing = []
+    for info in pkgutil.iter_modules(volterra_fbm.__path__):
+        mod = importlib.import_module(f"volterra_fbm.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []

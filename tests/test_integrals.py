@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import betainc, gamma
 
 from volterra_fbm.coeffs import builtin_coefficients
 from volterra_fbm.errors import EvaluationError
-from volterra_fbm.fbm import DriverPath, Seed, deterministic_driver, sample_davies_harte
+from volterra_fbm.fbm import DriverPath, Seed, sample_davies_harte
 from volterra_fbm.fraccalc import _gamma, beta_fn, check_alpha, left_frac_derivative_all, weyl_bracket_matrix
 from volterra_fbm.grid import BivariateKernelValues, GridFunction, build_grid
 from volterra_fbm.integrals import (
@@ -36,6 +38,18 @@ def test_lebesgue_constant_and_polynomial():
     assert r.values.values[0, 0] == 0.0
     r2 = lebesgue_volterra(kernel_of(g, lambda t, s: t - s))
     np.testing.assert_allclose(r2.values.values[:, 0], g.nodes ** 2 / 2, atol=1e-14)
+
+
+def test_lebesgue_refuses_matrix_kernel():
+    # a (d, m) kernel with m > 1 has no Lebesgue integral: refused, not
+    # cut to its first column; a (d, 1) kernel is a (d,) one
+    g = build_grid(1.0, 8)
+    vals = np.ones((9, 9, 2, 3))
+    vals[..., 1:] = 5.0
+    with pytest.raises(ValueError, match="got m = 3 columns"):
+        lebesgue_volterra(BivariateKernelValues(g, vals))
+    r = lebesgue_volterra(BivariateKernelValues(g, vals[..., :1])).values.values
+    np.testing.assert_allclose(r, np.repeat(g.nodes[:, None], 2, axis=1), atol=1e-14)
 
 
 def test_lebesgue_exponential_second_order():
@@ -84,7 +98,7 @@ def test_young_rs_constant_kernel_telescopes():
 
 def test_young_rs_deterministic_left_point_error():
     g = build_grid(1.0, 512)
-    lin = deterministic_driver(g, lambda t: t)
+    lin = DriverPath.from_callable(g, lambda t: t)
     r = young_rs(kernel_of(g, lambda t, s: s + 0 * t), lin)
     err = np.max(np.abs(r.values.values[:, 0] - g.nodes ** 2 / 2))
     assert err == pytest.approx(g.h / 2, rel=1e-10)
@@ -135,7 +149,7 @@ def test_young_rs_matrix_contraction():
 
 def test_young_frac_constant_kernel_exact():
     g = build_grid(1.0, 256)
-    lin = deterministic_driver(g, lambda t: t)
+    lin = DriverPath.from_callable(g, lambda t: t)
     k = kernel_of(g, lambda t, s: np.full_like(t * s, 1.0))
     r = young_frac(k, lin, 0.25).values.values[:, 0]
     np.testing.assert_allclose(r[1:], g.nodes[1:], rtol=1e-12)
@@ -143,7 +157,7 @@ def test_young_frac_constant_kernel_exact():
 
 def test_young_frac_identity_kernel():
     g = build_grid(1.0, 512)
-    lin = deterministic_driver(g, lambda t: t)
+    lin = DriverPath.from_callable(g, lambda t: t)
     k = kernel_of(g, lambda t, s: s + 0 * t)
     r = young_frac(k, lin, 0.25).values.values[:, 0]
     exact = g.nodes ** 2 / 2
@@ -372,7 +386,7 @@ def test_diffusion_term_cases():
     np.testing.assert_allclose(diffusion_term(sigma_zero, x, drv).values.values, 0.0)
 
     # deterministic driver: sigma = cos(x) e^{-(t-s)}, x = 0 -> 1 - e^{-t}
-    lin = deterministic_driver(g, lambda t: t)
+    lin = DriverPath.from_callable(g, lambda t: t)
 
     def sigma_exp(t, s, xv):
         e = np.exp(-(np.asarray(t) - np.asarray(s)))
@@ -383,7 +397,56 @@ def test_diffusion_term_cases():
     np.testing.assert_allclose(r3, 1 - np.exp(-g.nodes), atol=g.h / 2 * 1.05)
 
 
-# --- the row-blocked triangle maps against the table rules -------------
+# --- the row-blocked rules against the whole-table rules ----------------
+
+def lebesgue_volterra_full_table(f: BivariateKernelValues) -> np.ndarray:
+    """The trapezoid oracle: lebesgue_volterra as it was before its row
+    blocks, one cumsum over the whole table."""
+    v = _as_matrix_kernel(f.values)[:, :, :, 0]
+    n = f.grid.n
+    h = f.grid.h
+    csum = np.cumsum(v, axis=1)
+    idx = np.arange(n + 1)
+    row_sum = csum[idx, idx]  # sum_{j<=i} f(t_i, t_j)
+    diag = v[idx, idx]
+    first = v[:, 0]
+    vals = h * (row_sum - 0.5 * (first + diag))
+    vals[0] = 0.0
+    return vals
+
+
+def young_rs_full_table(f: BivariateKernelValues, g: DriverPath) -> np.ndarray:
+    """The left-point oracle: young_rs as it was before its row blocks,
+    one einsum over a masked copy of the whole table."""
+    v = _as_matrix_kernel(f.values)
+    _check_driver_dimension(v.shape[3], g.m)
+    dg = np.diff(g.values, axis=0)  # (n, m)
+    n = f.grid.n
+    # strictly-lower-triangular contraction; upper triangle already zero,
+    # the diagonal must not participate (left-point rule)
+    w = v[:, :-1, :, :].copy()
+    idx = np.arange(n)
+    w[idx, idx, :, :] = 0.0
+    w[0] = 0.0
+    return np.einsum("ijdm,jm->id", w, dg)
+
+
+def test_table_rules_copy_no_table():
+    # the table rules read their table in row blocks: a call's traced
+    # peak stays a fraction of the table, which one whole copy would fill
+    n = 2048
+    g = build_grid(1.0, n)
+    drv = sample_davies_harte(g, 0.75, 1, Seed(4))
+    k = BivariateKernelValues(g, np.broadcast_to(drv.values[None, :, 0], (n + 1, n + 1)))
+    for rule in (lambda: young_rs(k, drv), lambda: lebesgue_volterra(k)):
+        tracemalloc.start()
+        try:
+            rule()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * k.values.nbytes, (peak, k.values.nbytes)
+
 
 def square_kernel(fn, x: GridFunction) -> BivariateKernelValues:
     """fn on the whole (n+1)^2 square with the state broadcast over t:
@@ -438,13 +501,14 @@ def test_blocked_maps_match_table_rules_catalog(n, name):
     rng = np.random.default_rng(n)
     x = GridFunction(g, 1.0 + 0.1 * np.cumsum(rng.normal(size=n + 1)))
     drv = sample_davies_harte(g, 0.75, 1, Seed(n))
-    assert np.array_equal(
-        drift_term(cs.b, x).values.values, lebesgue_volterra(square_kernel(cs.b, x)).values.values
-    )
-    assert np.array_equal(
-        diffusion_term(cs.sigma, x, drv).values.values,
-        young_rs(square_kernel(cs.sigma, x), drv).values.values,
-    )
+    b_table = square_kernel(cs.b, x)
+    drift = drift_term(cs.b, x).values.values
+    assert np.array_equal(drift, lebesgue_volterra(b_table).values.values)
+    assert np.array_equal(drift, lebesgue_volterra_full_table(b_table))
+    sigma_table = square_kernel(cs.sigma, x)
+    diffusion = diffusion_term(cs.sigma, x, drv).values.values
+    assert np.array_equal(diffusion, young_rs(sigma_table, drv).values.values)
+    assert np.array_equal(diffusion, young_rs_full_table(sigma_table, drv))
 
 
 @pytest.mark.parametrize("n", ORACLE_NS)
@@ -455,16 +519,24 @@ def test_blocked_maps_match_table_rules_vector(n):
     drv1 = sample_davies_harte(g, 0.7, 1, Seed(n))
     drv3 = sample_davies_harte(g, 0.7, 3, Seed(n))
     for b in (causal_b, state_only_b):
-        assert np.array_equal(
-            drift_term(unbroadcast(b), x).values.values, lebesgue_volterra(square_kernel(b, x)).values.values
-        )
-    assert np.array_equal(
-        diffusion_term(unbroadcast(causal_sigma), x, drv1).values.values,
-        young_rs(square_kernel(causal_sigma, x), drv1).values.values,
-    )
+        table = square_kernel(b, x)
+        drift = drift_term(unbroadcast(b), x).values.values
+        assert np.array_equal(drift, lebesgue_volterra(table).values.values)
+        assert np.array_equal(drift, lebesgue_volterra_full_table(table))
+    table = square_kernel(causal_sigma, x)
+    diffusion = diffusion_term(unbroadcast(causal_sigma), x, drv1).values.values
+    assert np.array_equal(diffusion, young_rs(table, drv1).values.values)
+    assert np.array_equal(diffusion, young_rs_full_table(table, drv1))
+    table = square_kernel(matrix_sigma, x)
     r = diffusion_term(unbroadcast(matrix_sigma), x, drv3).values.values
     assert r.shape == (n + 1, 2)
-    assert np.array_equal(r, young_rs(square_kernel(matrix_sigma, x), drv3).values.values)
+    assert np.array_equal(r, young_rs(table, drv3).values.values)
+    assert np.array_equal(r, young_rs_full_table(table, drv3))
+    # random tables, made by no evaluator: (d,) = (2,) and (d, m) = (2, 3)
+    vec = BivariateKernelValues(g, rng.normal(size=(n + 1, n + 1, 2)))
+    assert np.array_equal(lebesgue_volterra(vec).values.values, lebesgue_volterra_full_table(vec))
+    mat = BivariateKernelValues(g, rng.normal(size=(n + 1, n + 1, 2, 3)))
+    assert np.array_equal(young_rs(mat, drv3).values.values, young_rs_full_table(mat, drv3))
 
 
 def test_diffusion_term_dimension_mismatch():

@@ -6,7 +6,7 @@ from scipy.special import gamma
 
 from volterra_fbm.coeffs import builtin_coefficients
 from volterra_fbm.errors import AdmissibilityError
-from volterra_fbm.fbm import DriverPath, Seed, deterministic_driver, sample_davies_harte
+from volterra_fbm.fbm import DriverPath, Seed, sample_davies_harte
 from volterra_fbm.grid import build_grid
 from volterra_fbm.norms import HolderParams, w_alpha_infty_norm
 from volterra_fbm.solver import (
@@ -61,7 +61,7 @@ def test_picard_exponential_ode():
     errs = {}
     for n in (256, 512):
         g = build_grid(1.0, n)
-        rec = picard_solve(cs, 1.0, deterministic_driver(g, lambda t: 0.0), params, tol=1e-10, max_iter=80)
+        rec = picard_solve(cs, 1.0, DriverPath.from_callable(g, lambda t: 0.0), params, tol=1e-10, max_iter=80)
         assert rec.converged
         errs[n] = float(np.max(np.abs(rec.x.values[:, 0] - np.exp(g.nodes))))
     assert errs[512] < 1e-4
@@ -132,7 +132,7 @@ def test_euler_telescoping_and_first_order():
     errs = {}
     for n in (256, 512):
         gn = build_grid(1.0, n)
-        e = euler_solve(cs, 1.0, deterministic_driver(gn, lambda t: 0.0))
+        e = euler_solve(cs, 1.0, DriverPath.from_callable(gn, lambda t: 0.0))
         errs[n] = float(np.max(np.abs(e.values[:, 0] - np.exp(gn.nodes))))
     assert errs[256] / errs[512] == pytest.approx(2.0, rel=0.1)
 
@@ -195,7 +195,7 @@ def test_picard_vector_linear_drift():
     cs = builtin_coefficients("linear-drift", kappa=0.8, d=2)
     params = HolderParams(H=0.8, alpha=0.25, T=1.0)
     g = build_grid(1.0, 256)
-    drv = deterministic_driver(g, lambda t: 0.0)
+    drv = DriverPath.from_callable(g, lambda t: 0.0)
     x0 = np.array([1.0, -2.0])
     rec = picard_solve(cs, x0, drv, params, tol=1e-10, max_iter=80)
     exact = x0[None, :] * np.exp(0.8 * g.nodes)[:, None]
@@ -207,7 +207,7 @@ def test_picard_rejects_wrong_x0_dimension():
     params = HolderParams(H=0.8, alpha=0.25, T=1.0)
     g = build_grid(1.0, 64)
     with pytest.raises(ValueError, match="dimension"):
-        picard_solve(cs, np.array([1.0]), deterministic_driver(g, lambda t: 0.0), params)
+        picard_solve(cs, np.array([1.0]), DriverPath.from_callable(g, lambda t: 0.0), params)
 
 
 def test_phi_exponent_branches():
