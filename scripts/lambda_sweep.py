@@ -31,7 +31,7 @@ def main() -> int:
         worst = max(d[i + 1] / d[i] for i in range(len(d) - 1)) if len(d) > 1 else 0.0
         rows.append({"lambda": lam, "worst_ratio": worst, "iterations": rec.iterations})
         print(f"lambda={lam:5g}  worst ratio {worst:.4f}  iterations {rec.iterations}")
-    emit_report(rows, "csv", Path("out/lambda_sweep.csv"))
+    emit_report(rows, Path("out/lambda_sweep.csv"))
     return 0
 
 

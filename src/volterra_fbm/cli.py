@@ -61,22 +61,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def emit_report(records: list[dict], fmt: str, out_path: Path) -> None:
-    """Write records with stable field order and full precision."""
+def emit_report(records: list[dict], out_path: Path) -> None:
+    """Write records as CSV with stable field order and full precision."""
     if not records:
         raise ValueError("no records to emit")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        out_path.write_text(json.dumps(records, sort_keys=True, indent=1) + "\n")
-        return
-    if fmt == "csv":
-        keys = list(records[0].keys())
-        lines = [",".join(keys)]
-        for r in records:
-            lines.append(",".join(_fmt(r[k]) if isinstance(r[k], float) else str(r[k]) for k in keys))
-        out_path.write_text("\n".join(lines) + "\n")
-        return
-    raise ValueError(f"unknown format {fmt!r}")
+    keys = list(records[0].keys())
+    lines = [",".join(keys)]
+    for r in records:
+        lines.append(",".join(_fmt(r[k]) if isinstance(r[k], float) else str(r[k]) for k in keys))
+    out_path.write_text("\n".join(lines) + "\n")
 
 
 # entries of the (n+1)^2 two-time tables in one batch of solves: 6 paths
@@ -106,7 +100,7 @@ def _cmd_sample(cfg: ExperimentConfig, out: Path) -> int:
                 sums += np.outer(v, v)
             if p < cfg.emit_paths:
                 out.mkdir(parents=True, exist_ok=True)
-                DriverPath(grid, values, hurst=cfg.H).to_csv(out / f"path_{p:05d}.csv")
+                DriverPath(grid, values).to_csv(out / f"path_{p:05d}.csv")
     count = cfg.paths * cfg.m
     emp = sums / count
     ana = _covariance_matrix(grid.nodes[1:], cfg.H)
@@ -142,7 +136,7 @@ def _solve_all(cfg: ExperimentConfig, cs: CoefficientSet) -> list:
     params = HolderParams(H=cfg.H, alpha=cfg.alpha, T=cfg.T)
 
     def solve(paths):
-        drivers = [DriverPath(grid, v, hurst=cfg.H) for v in _sample_drivers(cfg, grid, paths)]
+        drivers = [DriverPath(grid, v) for v in _sample_drivers(cfg, grid, paths)]
         return picard_solve_batch(
             cs, np.full(cs.d, cfg.x0), drivers, params, tol=cfg.tol, max_iter=cfg.max_iter,
             lambda_override=cfg.lam,
@@ -161,7 +155,7 @@ def _write_solution(rec, grid, out: Path, p: int) -> None:
         for k in range(rec.x.values.shape[1]):
             row[f"x{k + 1}"] = float(rec.x.values[i, k])
         rows.append(row)
-    emit_report(rows, "csv", out / f"solution_{p:05d}.csv")
+    emit_report(rows, out / f"solution_{p:05d}.csv")
     (out / f"solution_{p:05d}.json").write_text(rec.metadata_json() + "\n")
 
 
@@ -185,8 +179,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     suite = SuiteConfig(
         families=families,
         estimate_cases=cfg.cases,
-        lemma_tuples=max(cfg.cases * 100, 10000),
-        hypothesis_samples=max(cfg.cases * 100, 10000),
+        samples=max(cfg.cases * 100, 10000),
         seed=cfg.seed,
     )
     results = run_suite(suite)
@@ -226,7 +219,7 @@ def _cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
         rows.append({"p": p_ord, "estimate": est, "ci_lo": float(lo),
                      "ci_hi": float(hi), "paths": len(vals)})
         print(f"moments p={p_ord}: {est:.6g} [{lo:.6g}, {hi:.6g}]")
-    emit_report(rows, "csv", out / "moments.csv")
+    emit_report(rows, out / "moments.csv")
     unconverged = sum(not r.converged for r in records)
     if unconverged:
         print(f"moments: {unconverged} of {len(records)} paths did not converge")
@@ -239,12 +232,12 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
     grid_fine = build_grid(cfg.T, cfg.n)
     cs = _coefficients(cfg)
     params = HolderParams(H=cfg.H, alpha=cfg.alpha, T=cfg.T)
-    fine = DriverPath(grid_fine, _sample_drivers(cfg, grid_fine, range(1))[0], hurst=cfg.H)
+    fine = DriverPath(grid_fine, _sample_drivers(cfg, grid_fine, range(1))[0])
     rows = []
     prev = None
     for n_sub in (cfg.n // 4, cfg.n // 2, cfg.n):
         step = cfg.n // n_sub
-        g_sub = DriverPath(build_grid(cfg.T, n_sub), fine.values[::step].copy(), hurst=cfg.H)
+        g_sub = DriverPath(build_grid(cfg.T, n_sub), fine.values[::step].copy())
         x0 = np.full(cs.d, cfg.x0)
         rec = picard_solve(cs, x0, g_sub, params, tol=cfg.tol, max_iter=cfg.max_iter,
                            lambda_override=cfg.lam)
@@ -255,7 +248,7 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
                      "iterations": rec.iterations})
         print(f"convergence n={n_sub}: sup gap {gap:.3e} order {order:.2f}")
         prev = gap
-    emit_report(rows, "csv", out / "convergence.csv")
+    emit_report(rows, out / "convergence.csv")
     return 0
 
 

@@ -103,9 +103,9 @@ def _const(c: float) -> Callable[[float], float]:
     return lambda N: c
 
 
-def _constant_sigma(sigma0=None, d: int = 1, m: int = 1) -> CoefficientSet:
-    """sigma identically a fixed matrix, b identically zero."""
-    s0 = np.atleast_2d(np.asarray(sigma0 if sigma0 is not None else np.ones((d, m)), dtype=float))
+def _constant_sigma(sigma0=((1.0,),)) -> CoefficientSet:
+    """sigma identically a fixed d x m matrix, b identically zero."""
+    s0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
     d, m = s0.shape
     return CoefficientSet(
         name="constant-sigma",
@@ -131,8 +131,9 @@ def _constant_sigma(sigma0=None, d: int = 1, m: int = 1) -> CoefficientSet:
     )
 
 
-def _linear_drift(kappa: float = 1.0, d: int = 1, m: int = 1) -> CoefficientSet:
-    """b(t, s, x) = kappa * x, sigma identically zero."""
+def _linear_drift(kappa: float = 1.0, d: int = 1) -> CoefficientSet:
+    """b(t, s, x) = kappa * x in d dimensions, sigma identically zero, one
+    driver component."""
 
     def b(t, s, x):
         return kappa * np.broadcast_to(x, _lead_shape(t, s, x) + (d,))
@@ -140,11 +141,11 @@ def _linear_drift(kappa: float = 1.0, d: int = 1, m: int = 1) -> CoefficientSet:
     return CoefficientSet(
         name="linear-drift",
         d=d,
-        m=m,
-        sigma=_constant(np.zeros((d, m))),
-        dsigma_dx=_constant(np.zeros((d, m, d))),
-        dsigma_dt=_constant(np.zeros((d, m))),
-        d2sigma_dxdt=_constant(np.zeros((d, m, d))),
+        m=1,
+        sigma=_constant(np.zeros((d, 1))),
+        dsigma_dx=_constant(np.zeros((d, 1, d))),
+        dsigma_dt=_constant(np.zeros((d, 1))),
+        d2sigma_dxdt=_constant(np.zeros((d, 1, d))),
         b=b,
         K=0.0,
         K_N=_const(0.0),

@@ -58,12 +58,7 @@ class Seed:
 @dataclass(frozen=True)
 class DriverPath(GridFunction):
     """m-dimensional driver sampled at the grid nodes, values of shape
-    (n+1, m).
-
-    hurst is None for deterministic test drivers ("deterministic" tag).
-    """
-
-    hurst: float | None = None
+    (n+1, m)."""
 
     @property
     def m(self) -> int:
@@ -124,7 +119,7 @@ def sample_cholesky(grid: TimeGrid, H: float, m: int, seed: Seed, path_index: in
     for moderate n and as the distributional oracle for the FFT sampler.
     The one-path case of the Cholesky path stack.
     """
-    return DriverPath(grid, _cholesky_paths(grid, H, m, seed, [path_index])[0], hurst=H)
+    return DriverPath(grid, _cholesky_paths(grid, H, m, seed, [path_index])[0])
 
 
 def _cholesky_paths(grid: TimeGrid, H: float, m: int, seed: Seed, path_indices) -> np.ndarray:
@@ -186,7 +181,7 @@ def sample_davies_harte(grid: TimeGrid, H: float, m: int, seed: Seed, path_index
     """O(n log n) circulant-embedding sample, distributionally identical
     to :func:`sample_cholesky`.  The one-path case of the Davies-Harte
     path stack."""
-    return DriverPath(grid, _davies_harte_paths(grid, H, m, seed, [path_index])[0], hurst=H)
+    return DriverPath(grid, _davies_harte_paths(grid, H, m, seed, [path_index])[0])
 
 
 def _draw_block_rows(n: int) -> int:

@@ -9,6 +9,11 @@ capacity functional, and in the integral representation of
 single leading minus sign, which that routine applies.  For increasing
 drivers the real bracket is therefore negative.
 
+The bracket is written once, in ``_bracket_blocks``, over the node-pair
+blocks of ``grid._pair_blocks``: ``right_weyl_derivative`` reads one
+pair from it, ``weyl_bracket_matrix`` the whole table and
+``lambda_alpha`` the sup.
+
 All suprema are discrete sups over grid nodes: lower estimates of the
 continuum value, paired where needed with the norm-based upper bound so
 the truth is bracketed.
@@ -83,10 +88,9 @@ def right_weyl_derivative(g_values: np.ndarray, h: float, alpha: float, s_index:
     a, i = int(s_index), int(t_index)
     if not 0 <= a < i <= g_values.shape[0] - 1:
         raise ValueError(f"need 0 <= s < t inside the grid, got ({s_index}, {t_index})")
-    v = np.asarray(g_values, dtype=float)
-    _, _, tail = next(_pair_blocks(v[: i + 1], h, a, a + 1, theta=2.0 - alpha))
-    bracket = (v[a] - v[i]) / _gap_powers(i - a, h, 1.0 - alpha)[-1] + (1.0 - alpha) * tail[0, -1]
-    return bracket / _gamma(alpha)
+    # the first row of the bracket block from s on the grid cut at t
+    _, bracket = next(_bracket_blocks(np.asarray(g_values, dtype=float)[: i + 1], h, alpha, a))
+    return float(bracket[0, -1]) / _gamma(alpha)
 
 
 def _bracket_blocks(v: np.ndarray, h: float, alpha: float, lo: int):

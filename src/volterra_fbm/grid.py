@@ -10,6 +10,11 @@ exact for piecewise-linear data and keeps its order on kernels with
 ``theta`` up to 2 provided the integrand vanishes at the singular
 endpoint (increment-type integrands).
 
+One integral over k cells takes ``right_singular_integral`` (singular
+at the right end) or its mirror ``left_singular_integral``;
+``prefix_singular_integrals`` gives every prefix of one left-singular
+integral.
+
 On a uniform grid the node weights depend only on the gap i - j
 between the node and the singular endpoint, so a whole row rule is one
 Toeplitz matrix of gap weights.  Three routes share it:
@@ -55,7 +60,6 @@ __all__ = [
     "GridFunction",
     "BivariateKernelValues",
     "build_grid",
-    "singular_weighted_integral",
     "power_cell_weights",
     "gap_weights",
     "row_singular_integrals",
@@ -64,6 +68,7 @@ __all__ = [
     "increment_row_integrals",
     "prefix_singular_integrals",
     "left_singular_integral",
+    "right_singular_integral",
 ]
 
 # |phi(endpoint)| above this (relative to the integrand scale) with
@@ -109,8 +114,8 @@ class TimeGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"horizon must be positive and finite, got T={self.T}")
         if self.n < 2:
             raise ValueError(f"need at least 2 cells, got n={self.n}")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.T, self.n + 1))
@@ -144,10 +149,6 @@ class GridFunction:
         if not np.all(np.isfinite(v)):
             raise ValueError("grid function values must be finite")
         object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
     @classmethod
     def from_callable(cls, grid: TimeGrid, fn) -> "GridFunction":
@@ -256,31 +257,31 @@ def _check_increment_endpoint(endpoint_vals: np.ndarray, phi: np.ndarray, theta:
         )
 
 
-def singular_weighted_integral(f: GridFunction, theta: float, t_index: int) -> np.ndarray:
-    """integral_0^{t_i} (t_i - s)**-theta * f(s) ds by product quadrature.
+def right_singular_integral(values: np.ndarray, h: float, theta: float):
+    """integral over [t - k*h, t] of (t - s)**-theta * phi(s) ds for phi
+    sampled at the k+1 nodes, shape (k+1,) or (k+1, d); singularity at
+    the right endpoint.  Returns a scalar, or shape (d,).
 
-    Exact for piecewise-linear f.  For theta >= 1 the integrand must
-    vanish at s = t_i (increment-type contract), otherwise a
-    SingularityError is raised.
+    The mirror of left_singular_integral: exact for piecewise-linear
+    phi.  For theta >= 1 requires values[-1] == 0 (SingularityError
+    otherwise).  A single node (k = 0) is an empty integral.
     """
-    i = int(t_index)
-    if not 0 <= i <= f.grid.n:
-        raise ValueError(f"node index {t_index} outside grid")
-    if i == 0:
-        return np.zeros(f.dim)
-    h = f.grid.h
-    phi = f.values[: i + 1]
-    a, b = power_cell_weights(i, h, theta)
+    phi = np.asarray(values, dtype=float)
+    k = phi.shape[0] - 1
+    if k < 1:
+        return np.zeros(phi.shape[1:])[()]
+    a, b = power_cell_weights(k, h, theta)
     _check_increment_endpoint(phi[-1], phi, theta)
-    # cell k at gap g = i-k-1: far node phi[k], near node phi[k+1]
+    a, b = (w.reshape(w.shape + (1,) * (phi.ndim - 1)) for w in (a, b))
+    # cell m at gap g = k-m-1: far node phi[m], near node phi[m+1]
     far = phi[:-1][::-1]
     near = phi[1:][::-1]
     if theta >= 1.0:
         # b[0] = inf multiplies the (zero) endpoint value
-        contrib = a[:, None] * far
-        contrib[1:] += b[1:i, None] * near[1:]
+        contrib = a * far
+        contrib[1:] += b[1:k] * near[1:]
     else:
-        contrib = a[:, None] * far + b[:i, None] * near
+        contrib = a * far + b[:k] * near
     return contrib.sum(axis=0)
 
 
@@ -288,8 +289,8 @@ def left_singular_integral(values: np.ndarray, h: float, theta: float) -> float:
     """integral over [a, a + k*h] of (s - a)**-theta * phi(s) ds for phi
     sampled at the k+1 nodes; singularity at the left endpoint.
 
-    Same product rule as the right-sided case by symmetry of cell
-    distances.  For theta >= 1 requires values[0] == 0.
+    The product rule of right_singular_integral, mirrored: cell
+    distances are symmetric.  For theta >= 1 requires values[0] == 0.
     """
     phi = np.asarray(values, dtype=float)
     k = phi.shape[0] - 1

@@ -69,8 +69,8 @@ class HolderParams:
             raise ValueError(
                 f"need alpha in (1-H, 1/2) = ({1 - self.H:g}, 0.5), got {self.alpha}"
             )
-        if self.T <= 0:
-            raise ValueError("horizon must be positive")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"horizon must be positive and finite, got T={self.T}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,9 @@ def fractional_norm(nodes: np.ndarray, aggregate: tuple[np.ndarray, np.ndarray],
 
 
 def check_weight(lam: float):
-    """The weighted norm is defined for lam >= 1 only."""
+    """The weighted norm is defined for finite lam >= 1 only."""
+    if not np.isfinite(lam):
+        raise ValueError(f"weight lambda must be finite, got {lam}")
     if lam < 1.0:
         raise ValueError(f"weight lambda must be >= 1, got {lam}")
 

@@ -251,12 +251,16 @@ def picard_solve_batch(
     the others are done, the lowest-index failing path's exception is
     raised.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     _check_admissible(cs, params)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (cs.d,):
         raise ValueError(f"initial state must have dimension {cs.d}, got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"initial state must be finite, got {x0}")
     if not drivers:
         return []
     grid = drivers[0].grid
@@ -437,11 +441,7 @@ class GrowthBoundCalibration:
 @dataclass(frozen=True)
 class GrowthBoundReport:
     norm_alpha_infty: float
-    lambda_alpha_g: float
-    phi: float
     bound: float
-    C5: float
-    C6: float
     satisfied: bool
 
 
@@ -485,14 +485,5 @@ def growth_bound_check(
     if not sol.converged:
         raise ValueError("growth bound is only meaningful for converged solutions")
     norm = w_alpha_infty_norm(sol.x, params.alpha).value
-    lam_g = sol.lambda_alpha_g
-    bound = calibration.C5 * float(np.exp(calibration.C6 * lam_g ** calibration.phi))
-    return GrowthBoundReport(
-        norm_alpha_infty=float(norm),
-        lambda_alpha_g=float(lam_g),
-        phi=calibration.phi,
-        bound=float(bound),
-        C5=calibration.C5,
-        C6=calibration.C6,
-        satisfied=bool(norm <= bound),
-    )
+    bound = calibration.C5 * float(np.exp(calibration.C6 * sol.lambda_alpha_g ** calibration.phi))
+    return GrowthBoundReport(norm_alpha_infty=float(norm), bound=float(bound), satisfied=bool(norm <= bound))

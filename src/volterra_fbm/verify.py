@@ -31,8 +31,8 @@ from .grid import (
     build_grid,
     left_singular_integral,
     prefix_singular_integrals,
+    right_singular_integral,
     row_singular_integrals,
-    singular_weighted_integral,
 )
 from .integrals import diffusion_term, drift_term, lebesgue_volterra, young_rs
 from .norms import double_increment_masses, fractional_norm, holder_norm, norm_row_passes, w_1malpha_norm
@@ -242,7 +242,7 @@ def check_rs_estimates(
         rng, T, alpha, grid = _case(rng_seed, case, n)
         mu, h = 1.0, grid.h
         g_vals, _ = _driver_case(rng, grid, case)
-        g = DriverPath(grid, g_vals, hurst=None)
+        g = DriverPath(grid, g_vals)
         lam_up = w_1malpha_norm(g_vals, h, alpha) / (_gamma(1.0 - alpha) * _gamma(alpha))
 
         # ---- pathwise increment bound at sampled node pairs
@@ -275,9 +275,9 @@ def check_rs_estimates(
             phi1 = K_prof[: i_t + 1] * (tt - grid.nodes[: i_t + 1]) ** (mu - alpha)
             p1 = left_singular_integral(phi1, h, alpha)
             gf = np.abs(row) + abs_increment_row_integrals(row, h, alpha + 1.0)
-            p2_right = _right_singular(gf, tt, 2.0 * alpha)
+            p2_right = right_singular_integral(gf, h, 2.0 * alpha)
             p2_left = left_singular_integral(gf, h, alpha)
-            triple = _right_singular(_w_path(row, vals, i_t, h, alpha), tt, alpha + 1.0)
+            triple = right_singular_integral(_w_path(row, vals, i_t, h, alpha), h, alpha + 1.0)
             checks.add("stieltjes-weighted-aggregate", abs(G[i_t]) + g_inc[i_t],
                        lam_up * (c3 * p1 + c4 * (p2_right + p2_left) + alpha * triple))
 
@@ -325,13 +325,6 @@ def check_rs_estimates(
     if lit_flags:
         notes += f"; literal d3 display violated in {lit_flags} cases (flagged, not failed)"
     return checks.reports(slack, {"stieltjes-increment-bound": notes, "sigma-map-holder-bound": notes})
-
-
-def _right_singular(values: np.ndarray, t: float, theta: float) -> float:
-    """int_0^t (t - s)**-theta phi(s) ds for phi sampled at the i + 1
-    nodes of the i-cell grid on [0, t], i >= 2."""
-    i = len(values) - 1
-    return float(singular_weighted_integral(GridFunction(TimeGrid(n=i, T=t), values), theta, i)[0])
 
 
 # ---------------------------------------------------------------- Lemmas
@@ -431,7 +424,7 @@ def check_aux_inequalities(n: int = 4096) -> list[EstimateReport]:
         for lam in lambda_grid:
             for i_t in (n // 4, n // 2, n):
                 t = nodes[i_t]
-                lhs_k.append(_right_singular(np.exp(-lam * (t - nodes[: i_t + 1])), t, alpha))
+                lhs_k.append(right_singular_integral(np.exp(-lam * (t - nodes[: i_t + 1])), h, alpha))
                 rhs_k.append(lam ** (alpha - 1.0) * _gamma(1.0 - alpha))
     rep_k = make_report("aux-exp-kernel-bound", lhs_k, rhs_k, quad_slack,
                         {"alpha_grid": list(alpha_grid), "n": n},
@@ -445,7 +438,7 @@ def check_aux_inequalities(n: int = 4096) -> list[EstimateReport]:
             for i_t in (n // 8, n // 2, n):
                 t = nodes[i_t]
                 decay = np.exp(-lam * (t - nodes[: i_t + 1]))
-                part1 = _right_singular(decay, t, 2.0 * alpha)
+                part1 = right_singular_integral(decay, h, 2.0 * alpha)
                 part2 = left_singular_integral(decay, h, alpha)
                 worst = max(worst, lam ** (1.0 - 2.0 * alpha) * (part1 + part2))
         lhs_c.append(worst)
@@ -515,11 +508,11 @@ _RUNNERS = {
     ),
     "lemmas": lambda c: [
         rep for name in c.coefficient_names for N in (1.0, 5.0)
-        for rep in check_sigma_lemmas(builtin_coefficients(name), c.lemma_tuples, N, c.seed + 2)
+        for rep in check_sigma_lemmas(builtin_coefficients(name), c.samples, N, c.seed + 2)
     ],
     "aux": lambda c: check_aux_inequalities(),
     "hypotheses": lambda c: [
-        verify_hypotheses(builtin_coefficients(name), c.hypothesis_samples, N, c.seed + 3)
+        verify_hypotheses(builtin_coefficients(name), c.samples, N, c.seed + 3)
         for name in c.coefficient_names for N in (1.0, 10.0)
     ],
 }
@@ -532,8 +525,9 @@ class SuiteConfig:
 
     families: tuple = FAMILIES
     estimate_cases: int = 1000
-    lemma_tuples: int = 100000
-    hypothesis_samples: int = 100000
+    # random points per catalog entry and radius: the lemmas' tuples and
+    # the hypothesis audits' samples
+    samples: int = 100000
     seed: int = 20260301
     grid_n: int = 64
     coefficient_names: tuple = catalog_names()

@@ -83,7 +83,7 @@ def test_criterion_2_young_route_agreement():
 
     def route_pair(n, alpha=0.2):
         step = n_fine // n
-        drv = DriverPath(build_grid(1.0, n), fine.values[::step].copy(), hurst=0.75)
+        drv = DriverPath(build_grid(1.0, n), fine.values[::step].copy())
         k = BivariateKernelValues(
             drv.grid, np.broadcast_to(drv.values[None, :, 0], (n + 1, n + 1)).copy()
         )

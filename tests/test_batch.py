@@ -224,6 +224,24 @@ def test_pilot_rejects_a_weight_below_one():
         picard_solve_batch(cs, 1.0, drivers, PARAMS, lambda_override=0.5)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"tol": np.nan}, "tolerance must be positive"),
+    ({"max_iter": -1}, "max_iter must be non-negative"),
+    ({"x0": np.nan}, "initial state must be finite"),
+    ({"x0": np.inf}, "initial state must be finite"),
+    ({"lambda_override": np.nan}, "weight lambda must be finite"),
+], ids=["tol-nan", "max-iter-negative", "x0-nan", "x0-inf", "lambda-nan"])
+def test_batch_refuses_nan_and_negative_settings(setting, message):
+    # NaN is neither <= 0 nor > 0, so a check that NaN does not fail lets
+    # a NaN tol run to max_iter and a NaN weight "converge" on NaN
+    # distances; a negative max_iter would run the pilot step alone
+    cs = builtin_coefficients("smooth-volterra")
+    drivers = [sample_davies_harte(build_grid(1.0, 16), 0.75, 1, Seed(3), 0)]
+    kwargs = {"x0": 1.0, **setting}
+    with pytest.raises(ValueError, match=message):
+        picard_solve_batch(cs, kwargs.pop("x0"), drivers, PARAMS, **kwargs)
+
+
 def test_pilot_without_contraction_fails_the_batch():
     # Lipschitz constants of 1e100 leave no weight on the ladder for a
     # rough driver; the zero driver has no capacity, so it contracts

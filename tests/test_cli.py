@@ -13,11 +13,9 @@ def read_bytes_tree(root: Path) -> dict:
 
 def test_emit_report_validations(tmp_path):
     with pytest.raises(ValueError):
-        emit_report([], "csv", tmp_path / "x.csv")
-    emit_report([{"a": 1.5, "b": "x"}], "csv", tmp_path / "y.csv")
+        emit_report([], tmp_path / "x.csv")
+    emit_report([{"a": 1.5, "b": "x"}], tmp_path / "y.csv")
     assert (tmp_path / "y.csv").read_text() == "a,b\n1.5,x\n"
-    with pytest.raises(ValueError):
-        emit_report([{"a": 1}], "yaml", tmp_path / "z")
 
 
 def test_solve_outputs_and_worker_determinism(tmp_path):
@@ -179,6 +177,27 @@ def test_bad_count_or_family_is_usage_error(tmp_path, capsys, monkeypatch, argv,
     monkeypatch.setattr(cli, "_sample_drivers", no_work)
     monkeypatch.setattr(verify, "check_sigma_lemmas", no_work)
     assert main(argv + ["--n", "16", "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--lambda", "nan"], "error: weight lambda must be finite, got nan"),
+    (["solve", "--x0", "nan"], "error: initial state must be finite, got [nan]"),
+    (["solve", "--tol", "nan"], "error: tolerance must be positive, got nan"),
+    (["solve", "--max-iter", "-1"], "error: max_iter must be non-negative, got -1"),
+    (["solve", "--T", "inf"], "error: horizon must be positive and finite, got T=inf"),
+    (["sample", "--T", "nan"], "error: horizon must be positive and finite, got T=nan"),
+], ids=["solve-lambda-nan", "solve-x0-nan", "solve-tol-nan", "solve-max-iter-negative",
+        "solve-T-inf", "sample-T-nan"])
+def test_nan_and_negative_settings_are_usage_errors(tmp_path, capsys, argv, message):
+    # a usage error before any output; accepted, a NaN weight gives a
+    # "converged" record of NaN distances and a NaN horizon a NaN
+    # covariance audit
+    assert main(argv + ["--n", "16", "--paths", "1", "--emit-paths", "0",
+                        "--out", str(tmp_path / "x")]) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert captured.out == ""

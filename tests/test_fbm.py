@@ -141,7 +141,7 @@ def test_csv_export_roundtrip(tmp_path):
 def test_deterministic_driver_tags():
     g = build_grid(1.0, 4)
     d = DriverPath.from_callable(g, lambda t: 2 * t)
-    assert isinstance(d, DriverPath) and d.hurst is None
+    assert isinstance(d, DriverPath)
     np.testing.assert_allclose(d.values[:, 0], 2 * g.nodes)
 
 

@@ -14,7 +14,6 @@ from volterra_fbm.errors import SingularityError
 from volterra_fbm.grid import (
     BivariateKernelValues,
     GridFunction,
-    TimeGrid,
     abs_increment_row_integrals,
     build_grid,
     gap_weights,
@@ -22,8 +21,8 @@ from volterra_fbm.grid import (
     left_singular_integral,
     power_cell_weights,
     prefix_singular_integrals,
+    right_singular_integral,
     row_singular_integrals,
-    singular_weighted_integral,
 )
 
 
@@ -41,6 +40,13 @@ def test_build_grid_rejects_bad_arguments():
         build_grid(-1.0, 8)
     with pytest.raises(ValueError):
         build_grid(0.0, 8)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+def test_build_grid_rejects_a_non_finite_horizon(T):
+    # NaN is neither <= 0 nor > 0: only T > 0 with T finite is a horizon
+    with pytest.raises(ValueError, match="horizon"):
+        build_grid(T, 8)
 
 
 def test_grid_function_shape_checks():
@@ -62,13 +68,13 @@ def test_constant_integrand_power_kernel():
     # int_0^1 (1-s)^{-1/2} ds = 2
     g = build_grid(1.0, 256)
     f = GridFunction(g, np.ones(g.n + 1))
-    np.testing.assert_allclose(singular_weighted_integral(f, 0.5, g.n), [2.0], rtol=1e-12)
+    np.testing.assert_allclose(right_singular_integral(f.values, g.h, 0.5), [2.0], rtol=1e-12)
 
 
 def test_identity_integrand_no_kernel():
     g = build_grid(2.0, 128)
     f = GridFunction(g, g.nodes.copy())
-    np.testing.assert_allclose(singular_weighted_integral(f, 0.0, g.n), [2.0], rtol=1e-12)
+    np.testing.assert_allclose(right_singular_integral(f.values, g.h, 0.0), [2.0], rtol=1e-12)
 
 
 def test_identity_integrand_beta_moment():
@@ -76,7 +82,7 @@ def test_identity_integrand_beta_moment():
     g = build_grid(1.0, 512)
     f = GridFunction(g, g.nodes.copy())
     oracle, _ = quad(lambda s: (1 - s) ** -0.25 * s, 0, 1, points=[1], limit=200)
-    got = singular_weighted_integral(f, 0.25, g.n)[0]
+    got = right_singular_integral(f.values, g.h, 0.25)[0]
     np.testing.assert_allclose(got, oracle, rtol=1e-10)
     np.testing.assert_allclose(got, 16.0 / 21.0, rtol=1e-10)
 
@@ -85,14 +91,14 @@ def test_exact_for_piecewise_linear_even_coarse():
     g = build_grid(1.0, 8)
     f = GridFunction(g, 2.0 - 1.5 * g.nodes)
     oracle, _ = quad(lambda s: (1 - s) ** -0.5 * (2 - 1.5 * s), 0, 1, points=[1], limit=200)
-    np.testing.assert_allclose(singular_weighted_integral(f, 0.5, g.n)[0], oracle, rtol=1e-10)
+    np.testing.assert_allclose(right_singular_integral(f.values, g.h, 0.5)[0], oracle, rtol=1e-10)
 
 
 def test_increment_type_integrable_past_one():
     # phi vanishing linearly at the endpoint keeps theta in [1, 2) integrable
     g = build_grid(1.0, 1024)
     f = GridFunction(g, 1.0 - g.nodes)
-    got = singular_weighted_integral(f, 1.25, g.n)[0]
+    got = right_singular_integral(f.values, g.h, 1.25)[0]
     np.testing.assert_allclose(got, 1.0 / 0.75, rtol=1e-12)
 
 
@@ -100,7 +106,7 @@ def test_nonintegrable_singularity_raises():
     g = build_grid(1.0, 64)
     f = GridFunction(g, np.ones(g.n + 1))
     with pytest.raises(SingularityError):
-        singular_weighted_integral(f, 1.25, g.n)
+        right_singular_integral(f.values, g.h, 1.25)
     with pytest.raises(SingularityError):
         row_singular_integrals(np.ones((g.n + 1, g.n + 1)), g.h, 1.25)
 
@@ -113,7 +119,7 @@ def test_richardson_order_smooth_integrand():
     for n in (64, 128, 256):
         g = build_grid(1.0, n)
         f = GridFunction(g, np.cos(3 * g.nodes))
-        errs.append(abs(singular_weighted_integral(f, theta, n)[0] - exact))
+        errs.append(abs(right_singular_integral(f.values, g.h, theta)[0] - exact))
     assert errs[0] / errs[1] >= 2 ** (1.5 - theta)
     assert errs[1] / errs[2] >= 2 ** (1.5 - theta)
 
@@ -130,10 +136,8 @@ def test_linearity(a, b, theta, seed):
     g = build_grid(1.0, 32)
     u = rng.normal(size=g.n + 1)
     v = rng.normal(size=g.n + 1)
-    lhs = singular_weighted_integral(GridFunction(g, a * u + b * v), theta, g.n)[0]
-    rhs = a * singular_weighted_integral(GridFunction(g, u), theta, g.n)[0] + b * (
-        singular_weighted_integral(GridFunction(g, v), theta, g.n)[0]
-    )
+    lhs = right_singular_integral(a * u + b * v, g.h, theta)
+    rhs = a * right_singular_integral(u, g.h, theta) + b * right_singular_integral(v, g.h, theta)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
 
@@ -144,12 +148,13 @@ def test_row_integrals_match_single_node_calls():
     v = np.cumsum(rng.normal(size=n + 1)) * 0.2
     m = np.abs(v[:, None] - v[None, :])
     rows = row_singular_integrals(m, g.h, 1.3, diagonal_vanishes=True)
-    for i in (1, 7, 23, 48):
-        sub = TimeGrid(n=max(i, 2), T=g.nodes[i]) if i >= 2 else None
-        if i < 2:
-            continue
-        f = GridFunction(sub, np.abs(v[i] - v[: i + 1]))
-        np.testing.assert_allclose(rows[i], singular_weighted_integral(f, 1.3, i)[0], rtol=1e-10)
+    # 1-D and (i+1, 1) values take the same rule; one node (i = 0) is an
+    # empty integral
+    for i in (0, 1, 7, 23, 48):
+        phi = np.abs(v[i] - v[: i + 1])
+        got = right_singular_integral(phi, g.h, 1.3)
+        assert np.shape(got) == () and np.array_equal(right_singular_integral(phi[:, None], g.h, 1.3), [got])
+        np.testing.assert_allclose(rows[i], got, rtol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 1000])

@@ -53,6 +53,26 @@ def test_perfbench_layers_resolve():
     assert missing == []
 
 
+def test_perfbench_workloads_run(tmp_path, monkeypatch):
+    # the benchmark drives the package through its public API
+    # (HolderParams(T=...), .values.values, SuiteConfig().grid_n, the
+    # CLI); one tiny setup, op and check per workload keeps that API
+    # working, and the checks compare against the recorded fingerprints
+    root = Path(volterra_fbm.__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name, workload in workloads.WORKLOADS.items():
+        w = workload(tiny=True)
+        inputs = w.setup(1, tmp_path / name)
+        outcome = w.op(inputs)
+        ok, details = w.check(inputs, [outcome])
+        assert outcome.ok and ok, (name, details)
+
+
 def test_module_exports_resolve():
     # every name in each module's __all__ exists, so a deleted function
     # cannot linger as an export

@@ -28,7 +28,7 @@ def kernel_of(grid, fn):
 
 def subsampled(fine: DriverPath, n: int) -> DriverPath:
     step = fine.grid.n // n
-    return DriverPath(build_grid(fine.grid.T, n), fine.values[::step].copy(), hurst=fine.hurst)
+    return DriverPath(build_grid(fine.grid.T, n), fine.values[::step].copy())
 
 
 def test_lebesgue_constant_and_polynomial():
@@ -192,7 +192,7 @@ def test_young_frac_multicomponent_driver():
     vals[..., 0, 0] = 1.0 + 0 * (t * s)
     vals[..., 0, 1] = s + 0 * t
     k = BivariateKernelValues(g, vals)
-    drv = DriverPath(g, np.stack([g.nodes, np.sin(g.nodes)], axis=1), hurst=None)
+    drv = DriverPath(g, np.stack([g.nodes, np.sin(g.nodes)], axis=1))
     rs = young_rs(k, drv).values.values[:, 0]
     fr = young_frac(k, drv, 0.25).values.values[:, 0]
     assert np.max(np.abs(rs - fr)) / np.max(np.abs(rs)) < 0.01

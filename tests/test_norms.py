@@ -40,6 +40,12 @@ def test_holder_params_validation():
         HolderParams(H=0.4, alpha=0.3, T=1.0)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_holder_params_reject_a_non_finite_horizon(T):
+    with pytest.raises(ValueError, match="horizon"):
+        HolderParams(H=0.75, alpha=0.3, T=T)
+
+
 def test_w_alpha_infty_constant_and_identity():
     g = build_grid(1.0, 1024)
     const = GridFunction(g, np.full(g.n + 1, -2.5))
@@ -75,6 +81,12 @@ def test_w_alpha_lambda_rejects_small_weight():
     f = random_fn(0)
     with pytest.raises(ValueError):
         w_alpha_lambda_norm(f, 0.25, 0.99)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_w_alpha_lambda_rejects_a_non_finite_weight(lam):
+    with pytest.raises(ValueError, match="weight lambda must be finite"):
+        w_alpha_lambda_norm(random_fn(0), 0.25, lam)
 
 
 @settings(max_examples=25, deadline=None)

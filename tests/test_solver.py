@@ -145,7 +145,7 @@ def test_picard_euler_agreement_under_refinement():
     gaps = {}
     for n in (128, 256, 512):
         step = 512 // n
-        sub = DriverPath(build_grid(1.0, n), fine.values[::step].copy(), hurst=0.75)
+        sub = DriverPath(build_grid(1.0, n), fine.values[::step].copy())
         rec = picard_solve(cs, 1.0, sub, params, tol=1e-9)
         eul = euler_solve(cs, 1.0, sub)
         gaps[n] = float(np.max(np.abs(rec.x.values - eul.values)))

@@ -102,7 +102,7 @@ def test_aux_checks_pass():
 def test_run_suite_empty_and_selection():
     assert run_suite(SuiteConfig(families=())) == {}
     out = run_suite(SuiteConfig(
-        families=("lemmas",), lemma_tuples=20000,
+        families=("lemmas",), samples=20000,
         coefficient_names=("smooth-volterra",),
     ))
     assert set(out) == {"lemmas"}
@@ -177,13 +177,12 @@ def test_estimate_families_at_zero_cases_fail():
 
 
 @pytest.mark.parametrize("family, sizes", [
-    ("lemmas", {"lemma_tuples": 0}),
-    ("hypotheses", {"hypothesis_samples": 0}),
+    ("lemmas", {"samples": 0}),
+    ("hypotheses", {"samples": 0}),
 ])
 def test_pointwise_families_at_zero_samples_fail(family, sizes):
     # the same report names as a nonempty run, each failed and saying why
-    names = [r.name for r in run_suite(SuiteConfig(families=(family,), lemma_tuples=3,
-                                                   hypothesis_samples=3))[family]]
+    names = [r.name for r in run_suite(SuiteConfig(families=(family,), samples=3))[family]]
     reports = run_suite(SuiteConfig(families=(family,), **sizes))[family]
     assert [r.name for r in reports] == names
     for r in reports:
