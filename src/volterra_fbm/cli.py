@@ -28,6 +28,7 @@ from .errors import AdmissibilityError, CatalogError, VolterraError
 from .fbm import DriverPath, Seed, _covariance_matrix, _draw_block_rows, _sampler
 from .grid import build_grid
 from .norms import HolderParams, w_alpha_infty_norm
+from .report import write_csv
 from .solver import euler_solve, picard_solve, picard_solve_batch
 from .verify import FAMILIES, SuiteConfig, run_suite
 
@@ -57,20 +58,12 @@ class ExperimentConfig:
     emit_paths: int = 16
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def emit_report(records: list[dict], out_path: Path) -> None:
     """Write records as CSV with stable field order and full precision."""
     if not records:
         raise ValueError("no records to emit")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    keys = list(records[0].keys())
-    lines = [",".join(keys)]
-    for r in records:
-        lines.append(",".join(_fmt(r[k]) if isinstance(r[k], float) else str(r[k]) for k in keys))
-    out_path.write_text("\n".join(lines) + "\n")
+    keys = list(records[0])
+    write_csv(out_path, keys, [[r[k] for r in records] for k in keys])
 
 
 # entries of the (n+1)^2 two-time tables in one batch of solves: 6 paths
@@ -99,22 +92,18 @@ def _cmd_sample(cfg: ExperimentConfig, out: Path) -> int:
                 v = values[1:, c]
                 sums += np.outer(v, v)
             if p < cfg.emit_paths:
-                out.mkdir(parents=True, exist_ok=True)
                 DriverPath(grid, values).to_csv(out / f"path_{p:05d}.csv")
     count = cfg.paths * cfg.m
     emp = sums / count
     ana = _covariance_matrix(grid.nodes[1:], cfg.H)
     se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / count)
-    # lower triangle in row-major order, one line per entry, floats as
-    # emit_report writes them
+    # lower triangle in row-major order, one line per entry
     i, j = np.tril_indices(cfg.n)
-    z = np.abs(emp[i, j] - ana[i, j]) / se[i, j]
+    ana, emp, se = ana[i, j], emp[i, j], se[i, j]
+    z = np.abs(emp - ana) / se
     worst = float(z.max())
-    cols = (i + 1, j + 1, ana[i, j], emp[i, j], se[i, j], z)
-    lines = ["i,j,analytic,empirical,stderr,z"]
-    lines += map("%d,%d,%.17g,%.17g,%.17g,%.17g".__mod__, zip(*(c.tolist() for c in cols)))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "covariance_audit.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "covariance_audit.csv", ["i", "j", "analytic", "empirical", "stderr", "z"],
+              [i + 1, j + 1, ana, emp, se, z])
     print(f"sample: {cfg.paths} paths, covariance max |z| = {worst:.3f}")
     return 0 if worst <= 4.0 else 1
 
@@ -149,13 +138,9 @@ def _solve_all(cfg: ExperimentConfig, cs: CoefficientSet) -> list:
 
 
 def _write_solution(rec, grid, out: Path, p: int) -> None:
-    rows = []
-    for i, t in enumerate(grid.nodes):
-        row = {"t": float(t)}
-        for k in range(rec.x.values.shape[1]):
-            row[f"x{k + 1}"] = float(rec.x.values[i, k])
-        rows.append(row)
-    emit_report(rows, out / f"solution_{p:05d}.csv")
+    x = rec.x.values
+    write_csv(out / f"solution_{p:05d}.csv", ["t"] + [f"x{k + 1}" for k in range(x.shape[1])],
+              [grid.nodes, *x.T])
     (out / f"solution_{p:05d}.json").write_text(rec.metadata_json() + "\n")
 
 

@@ -9,7 +9,6 @@ deterministic functions of a :class:`Seed`.
 
 from __future__ import annotations
 
-import csv
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .errors import EmbeddingError, FactorizationError
 from .grid import GridFunction, TimeGrid, _cached_table
+from .report import write_csv
 
 __all__ = [
     "Seed",
@@ -69,11 +69,7 @@ class DriverPath(GridFunction):
 
     def to_csv(self, path) -> None:
         """Write header `t,g1..gm`, one row per node, full double precision."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"g{j + 1}" for j in range(self.m)])
-            for i, t in enumerate(self.grid.nodes):
-                w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in self.values[i]])
+        write_csv(path, ["t"] + [f"g{j + 1}" for j in range(self.m)], [self.grid.nodes, *self.values.T])
 
 
 def _check_hurst(H: float):

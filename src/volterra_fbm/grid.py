@@ -326,20 +326,20 @@ def prefix_singular_integrals(values: np.ndarray, h: float, theta: float) -> np.
     return out
 
 
-def gap_weights(n_cells: int, h: float, theta: float, diagonal_vanishes: bool = False):
+def gap_weights(n_cells: int, h: float, theta: float):
     """Combined node weights of the right-sided row rule, by gap.
 
     Returns (c, b) with b from power_cell_weights.  c[g] (g = 1..n_cells)
     weighs the node at gap g from the singular node: the far part of
     cell g-1 plus the near part of cell g.  c[0] weighs the singular node
-    itself, b[0], and is 0 when the integrand vanishes there
-    (diagonal_vanishes=True), which keeps b[0] = +inf out of the sums for
-    theta >= 1.  The first node of a row at gap i has no cell beyond it,
+    itself: b[0] for theta < 1, and 0 for theta >= 1, where b[0] = +inf
+    and the integrand must vanish there, which keeps the infinity out of
+    the sums.  The first node of a row at gap i has no cell beyond it,
     so row rules subtract b[i] times its value.
     """
     a, b = power_cell_weights(n_cells, h, theta)
     c = np.empty(n_cells + 1)
-    c[0] = 0.0 if diagonal_vanishes else b[0]
+    c[0] = b[0] if theta < 1.0 else 0.0
     c[1:] = a + b[1:]
     return c, b
 
@@ -353,20 +353,15 @@ def _toeplitz_block(c: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, n1)[n1 - 1 :: -1]
 
 
-def row_singular_integrals(
-    rows: np.ndarray,
-    h: float,
-    theta: float,
-    diagonal_vanishes: bool = False,
-) -> np.ndarray:
+def row_singular_integrals(rows: np.ndarray, h: float, theta: float) -> np.ndarray:
     """Per-row singular integrals against the right-sided kernel.
 
     rows[i, j] samples the integrand of row i at node s_j (j <= i; the
     strict upper triangle is ignored).  Returns out[i] =
     integral_0^{t_i} (t_i - s)**-theta * rows[i](s) ds for every i.
 
-    diagonal_vanishes=True asserts rows[i, i] == 0 (increment-type
-    integrands), which is required when theta >= 1.
+    For theta >= 1 the integrands must vanish on the diagonal, rows[i, i]
+    == 0 (increment-type integrands; SingularityError otherwise).
 
     The rule for general tables, and the oracle of the two increment
     routes.  Cost O(n^2) on top of the caller's table, through the same
@@ -375,13 +370,8 @@ def row_singular_integrals(
     """
     m = np.asarray(rows, dtype=float)
     n = m.shape[0] - 1
-    if theta >= 1.0 and not diagonal_vanishes:
-        raise SingularityError(
-            "theta >= 1 requires increment-type rows (diagonal_vanishes=True)"
-        )
-    if diagonal_vanishes:
-        _check_increment_endpoint(np.diagonal(m), m, max(theta, 1.0))
-    return _blocked_row_rule(h, theta, diagonal_vanishes, [n + 1], lambda k, lo, hi: m[lo:hi, :hi])[0]
+    _check_increment_endpoint(np.diagonal(m), m, theta)
+    return _blocked_row_rule(h, theta, [n + 1], lambda k, lo, hi: m[lo:hi, :hi])[0]
 
 
 def abs_increment_row_integrals(
@@ -436,10 +426,10 @@ def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np
             m **= powers[k]
         return m
 
-    return _blocked_row_rule(h, theta, True, [v.shape[0] for v in vs], increments)
+    return _blocked_row_rule(h, theta, [v.shape[0] for v in vs], increments)
 
 
-def _blocked_row_rule(h: float, theta: float, diagonal_vanishes: bool, lengths, block_of) -> list[np.ndarray]:
+def _blocked_row_rule(h: float, theta: float, lengths, block_of) -> list[np.ndarray]:
     """The row rule of several samples, sample k having lengths[k] nodes:
     out_k[i] = sum_{j<=i} W[i, j] rows_k[i, j] - b[i] rows_k[i, 0] for
     every row i of sample k (row 0 is an empty integral), in blocks of
@@ -458,7 +448,7 @@ def _blocked_row_rule(h: float, theta: float, diagonal_vanishes: bool, lengths, 
     the last row's diagonal term.
     """
     n = max(lengths) - 1
-    c, b = gap_weights(n, h, theta, diagonal_vanishes)
+    c, b = gap_weights(n, h, theta)
     weights = _toeplitz_block(c)
     wbuf = np.empty(min(_ROW_CHUNK, n) * (n + 1))
     outs = [np.zeros(size) for size in lengths]
@@ -498,7 +488,7 @@ def increment_row_integrals(values: np.ndarray, h: float, theta: float) -> np.nd
     """
     v = np.asarray(values, dtype=float)
     n = v.shape[-1] - 1
-    c, b = gap_weights(n, h, theta, diagonal_vanishes=True)
+    c, b = gap_weights(n, h, theta)
     w = v - v[..., :1]
     size = 1 << (2 * n).bit_length()
     conv = np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(w, size), size)

@@ -1,16 +1,36 @@
-"""Estimate reports: the shared result type of every numerical check."""
+"""Outputs: estimate reports, the shared result type of every numerical
+check, and the one CSV writer that every CSV output goes through."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-__all__ = ["EstimateReport", "make_report"]
+__all__ = ["EstimateReport", "make_report", "write_csv"]
 
 # lhs below this absolute size counts as zero when the bound side is zero
 _ZERO_ATOL = 1e-12
+# rows formatted and written at a time: the text of one block is held,
+# never the whole file's
+_CSV_ROWS = 4096
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a CSV file: a header line, then one line per row of the
+    equal-length columns.  Float columns print as %.17g (round-trips any
+    double), all others with str; every line ends in LF.  Creates the
+    parent directory."""
+    cols = [np.asarray(c) for c in columns]
+    rows = len(cols[0]) if cols else 0
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, rows, _CSV_ROWS):
+            fh.write("".join(map(line.__mod__, zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in cols)))))
 
 
 @dataclass(frozen=True)

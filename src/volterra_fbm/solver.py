@@ -246,15 +246,17 @@ def picard_solve_batch(
     when it converges or reaches max_iter.  Its record is bit for bit
     that of a solve of its driver alone, whatever the batch.
 
-    A failing path (EvaluationError, DivergenceError, NoContractionError,
-    an invalid lambda_override) leaves the stack with its exception; once
-    the others are done, the lowest-index failing path's exception is
-    raised.
+    A failing path (EvaluationError, DivergenceError, NoContractionError)
+    leaves the stack with its exception; once the others are done, the
+    lowest-index failing path's exception is raised.  An invalid
+    lambda_override, like tol and max_iter, is refused on entry.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    if lambda_override is not None:
+        check_weight(lambda_override)
     _check_admissible(cs, params)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (cs.d,):
@@ -304,8 +306,7 @@ def picard_solve_batch(
                 cs, params, p.lam_g, 2.0 * p.sup_radius + 1.0, 2.0 * p.delta_radius + 1.0
             )
             p.lam = lambda_override if lambda_override is not None else min(p.lam_selected, LAMBDA_CAP)
-            check_weight(p.lam)
-        except (NoContractionError, ValueError) as exc:
+        except NoContractionError as exc:
             p.error = exc
         else:
             p.weight = np.exp(-p.lam * grid.nodes)

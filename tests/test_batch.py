@@ -19,6 +19,7 @@ from volterra_fbm.fbm import DriverPath, Seed, sample_davies_harte
 from volterra_fbm.grid import GridFunction, build_grid
 from volterra_fbm.integrals import diffusion_term, drift_term
 from volterra_fbm.norms import HolderParams
+from volterra_fbm import solver
 from volterra_fbm.solver import picard_solve, picard_solve_batch
 
 PARAMS = HolderParams(H=0.75, alpha=0.3, T=1.0)
@@ -231,10 +232,15 @@ def test_pilot_rejects_a_weight_below_one():
     ({"x0": np.inf}, "initial state must be finite"),
     ({"lambda_override": np.nan}, "weight lambda must be finite"),
 ], ids=["tol-nan", "max-iter-negative", "x0-nan", "x0-inf", "lambda-nan"])
-def test_batch_refuses_nan_and_negative_settings(setting, message):
+def test_batch_refuses_nan_and_negative_settings(setting, message, monkeypatch):
     # NaN is neither <= 0 nor > 0, so a check that NaN does not fail lets
     # a NaN tol run to max_iter and a NaN weight "converge" on NaN
-    # distances; a negative max_iter would run the pilot step alone
+    # distances; a negative max_iter would run the pilot step alone.
+    # Each is refused on entry, before any capacity is computed.
+    def no_capacity(*args):
+        raise AssertionError("a capacity was computed before the settings were checked")
+
+    monkeypatch.setattr(solver, "total_lambda_alpha", no_capacity)
     cs = builtin_coefficients("smooth-volterra")
     drivers = [sample_davies_harte(build_grid(1.0, 16), 0.75, 1, Seed(3), 0)]
     kwargs = {"x0": 1.0, **setting}

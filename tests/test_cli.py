@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from volterra_fbm import cli, fbm, verify
+from volterra_fbm import cli, fbm, report, verify
 from volterra_fbm.cli import ExperimentConfig, emit_report, main, run_experiment
 
 
@@ -16,6 +18,19 @@ def test_emit_report_validations(tmp_path):
         emit_report([], tmp_path / "x.csv")
     emit_report([{"a": 1.5, "b": "x"}], tmp_path / "y.csv")
     assert (tmp_path / "y.csv").read_text() == "a,b\n1.5,x\n"
+    # around the writer's block size: every row once, in order, each cell
+    # by the per-cell rule (floats %.17g, anything else str)
+    rng = np.random.default_rng(5)
+    for rows in (report._CSV_ROWS - 1, report._CSV_ROWS, report._CSV_ROWS + 1):
+        x = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        x[::7], x[1::11], x[2::13] = np.nan, -0.0, -np.inf
+        records = [{"k": k, "x": float(v), "y": float(k), "tag": f"r{k % 3}"} for k, v in enumerate(x)]
+        emit_report(records, tmp_path / f"z{rows}.csv")
+        want = "".join(
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in r.values()) + "\n"
+            for r in records
+        )
+        assert (tmp_path / f"z{rows}.csv").read_bytes() == ("k,x,y,tag\n" + want).encode()
 
 
 def test_solve_outputs_and_worker_determinism(tmp_path):
@@ -43,6 +58,25 @@ def test_sample_outputs_audit(tmp_path):
     zs = [float(line.split(",")[-1]) for line in audit[1:]]
     assert max(zs) <= 4.0
     assert (tmp_path / "s" / "path_00000.csv").exists()
+    # every line of every file ends in LF alone
+    assert not [p for p, data in read_bytes_tree(tmp_path / "s").items() if b"\r" in data]
+
+
+def test_sample_memory_stays_near_its_tables(tmp_path):
+    # the audit streams its CSV: beyond the n x n sums and covariance
+    # tables and the lower triangle's columns, no per-entry line string
+    # is held (the whole file's lines took 28 tables' worth at n = 512)
+    n = 512
+    args = ["sample", "--n", str(n), "--paths", "4", "--emit-paths", "0", "--seed", "1"]
+    args += ["--out", str(tmp_path)]
+    main(args)  # warm-up: imports and the cached circulant eigenvalues
+    tracemalloc.start()
+    try:
+        main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_sample_repeat_byte_identical(tmp_path):

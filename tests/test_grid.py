@@ -147,7 +147,7 @@ def test_row_integrals_match_single_node_calls():
     g = build_grid(1.0, n)
     v = np.cumsum(rng.normal(size=n + 1)) * 0.2
     m = np.abs(v[:, None] - v[None, :])
-    rows = row_singular_integrals(m, g.h, 1.3, diagonal_vanishes=True)
+    rows = row_singular_integrals(m, g.h, 1.3)
     # 1-D and (i+1, 1) values take the same rule; one node (i = 0) is an
     # empty integral
     for i in (0, 1, 7, 23, 48):
@@ -165,9 +165,9 @@ def test_increment_convolution_matches_direct_rows(n, alpha):
     h = 1.0 / n
     theta = alpha + 1.0
     v = 2.0 + np.cumsum(rng.normal(size=n + 1)) * np.sqrt(h)
-    direct = row_singular_integrals(v[:, None] - v[None, :], h, theta, diagonal_vanishes=True)
+    direct = row_singular_integrals(v[:, None] - v[None, :], h, theta)
     got = increment_row_integrals(v, h, theta)
-    c, _ = gap_weights(n, h, theta, diagonal_vanishes=True)
+    c, _ = gap_weights(n, h, theta)
     row_scale = np.max(np.abs(v - v[0])) * np.sum(c)
     assert got[0] == 0.0
     np.testing.assert_allclose(got, direct, rtol=0.0, atol=1e-12 * row_scale)
@@ -193,7 +193,7 @@ def test_abs_increment_rows_match_table_route(n, d, power, alpha):
     table = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=2)
     if power != 1.0:
         table = table ** power
-    direct = row_singular_integrals(table, h, alpha + 1.0, diagonal_vanishes=True)
+    direct = row_singular_integrals(table, h, alpha + 1.0)
     got = abs_increment_row_integrals(v[:, 0] if d == 1 else v, h, alpha + 1.0, power=power)
     assert np.array_equal(got, direct)
 
@@ -218,8 +218,7 @@ _ROW_RULE_DIGESTS = [
 
 @pytest.mark.parametrize("n, theta, increments, digest", _ROW_RULE_DIGESTS)
 def test_row_rule_output_unchanged(n, theta, increments, digest):
-    out = row_singular_integrals(_oracle_table(n, n, increments), 1.0 / n, theta,
-                                 diagonal_vanishes=increments)
+    out = row_singular_integrals(_oracle_table(n, n, increments), 1.0 / n, theta)
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 

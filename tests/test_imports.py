@@ -81,3 +81,16 @@ def test_module_exports_resolve():
         mod = importlib.import_module(f"volterra_fbm.{info.name}")
         missing += [f"{info.name}.{name}" for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_one_csv_writer():
+    # report.write_csv is the package's only CSV formatter: no other
+    # module formats full-precision floats or imports csv
+    root = Path(volterra_fbm.__file__).resolve().parent
+    found = sorted(
+        f"{path.name}: {needle}"
+        for path in root.glob("*.py")
+        for needle in (".17g", "import csv")
+        if path.name != "report.py" and needle in path.read_text()
+    )
+    assert found == []

@@ -55,7 +55,7 @@ def _kernel_digests(n):
             key = f"n={n},d={d},p={power}"
             out[f"abs,{key}"] = _digest(abs_increment_row_integrals(v, h, THETA, power=power))
             table = _abs_table(v, power)
-            out[f"table,{key}"] = _digest(row_singular_integrals(table, h, THETA, diagonal_vanishes=True))
+            out[f"table,{key}"] = _digest(row_singular_integrals(table, h, THETA))
     # a general table: the diagonal weight is live, theta < 1
     general = np.random.default_rng(n).normal(size=(n + 1, n + 1))
     out[f"general,n={n}"] = _digest(row_singular_integrals(general, h, 0.7))
