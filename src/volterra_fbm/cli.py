@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeffs import CoefficientSet, builtin_coefficients
 from .errors import AdmissibilityError, CatalogError, VolterraError
-from .fbm import DriverPath, Seed, _covariance_matrix, _draw_block_rows, _sampler
+from .fbm import DriverPath, Seed, _draw_block_rows, _sampler, fbm_covariance
 from .grid import build_grid
 from .norms import HolderParams, w_alpha_infty_norm
 from .report import write_csv
@@ -94,12 +94,15 @@ def _cmd_sample(cfg: ExperimentConfig, out: Path) -> int:
             if p < cfg.emit_paths:
                 DriverPath(grid, values).to_csv(out / f"path_{p:05d}.csv")
     count = cfg.paths * cfg.m
-    emp = sums / count
-    ana = _covariance_matrix(grid.nodes[1:], cfg.H)
-    se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / count)
-    # lower triangle in row-major order, one line per entry
+    # lower triangle in row-major order, one line per entry; no n x n
+    # table is formed past sums and the covariance
     i, j = np.tril_indices(cfg.n)
-    ana, emp, se = ana[i, j], emp[i, j], se[i, j]
+    emp = sums[i, j] / count
+    del sums
+    ana = fbm_covariance(grid.nodes[None, 1:], grid.nodes[1:, None], cfg.H)
+    var = ana.diagonal().copy()
+    ana = ana[i, j]
+    se = np.sqrt((var[i] * var[j] + ana ** 2) / count)
     z = np.abs(emp - ana) / se
     worst = float(z.max())
     write_csv(out / "covariance_audit.csv", ["i", "j", "analytic", "empirical", "stderr", "z"],

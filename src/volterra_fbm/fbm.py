@@ -77,23 +77,19 @@ def _check_hurst(H: float):
         raise ValueError(f"Hurst parameter must lie in (0, 1), got {H}")
 
 
-def fbm_covariance(s: float, t: float, H: float) -> float:
-    """R(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2."""
+def fbm_covariance(s, t, H: float):
+    """R(s, t) = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2, broadcast over
+    array times (a float for scalar times).  The covariance table on
+    nodes is fbm_covariance(nodes[None, :], nodes[:, None], H)."""
     _check_hurst(H)
-    if s < 0 or t < 0:
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    if np.any(s < 0) or np.any(t < 0):
         raise ValueError("times must be nonnegative")
-    return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
-
-
-def _covariance_matrix(nodes: np.ndarray, H: float) -> np.ndarray:
-    t = nodes[:, None]
-    s = nodes[None, :]
-    return 0.5 * (t ** (2 * H) + s ** (2 * H) - np.abs(t - s) ** (2 * H))
+    return (0.5 * (t ** (2 * H) + s ** (2 * H) - np.abs(t - s) ** (2 * H)))[()]
 
 
 def _cholesky_factor(grid: TimeGrid, H: float) -> np.ndarray:
-    _check_hurst(H)
-    cov = _covariance_matrix(grid.nodes[1:], H)
+    cov = fbm_covariance(grid.nodes[None, 1:], grid.nodes[1:, None], H)
     jitter = 0.0
     max_diag = float(np.max(np.diag(cov)))
     for _ in range(3):

@@ -8,7 +8,10 @@ throughout replaces the integrand by its piecewise-linear interpolant
 and integrates each cell against the kernel in closed form, so it is
 exact for piecewise-linear data and keeps its order on kernels with
 ``theta`` up to 2 provided the integrand vanishes at the singular
-endpoint (increment-type integrands).
+endpoint (increment-type integrands).  For ``theta >= 1`` every rule
+checks that it does, refusing a non-finite endpoint value too
+(SingularityError), and the singular cell's near node gets weight 0,
+so no rule treats that node apart.
 
 One integral over k cells takes ``right_singular_integral`` (singular
 at the right end) or its mirror ``left_singular_integral``;
@@ -207,10 +210,13 @@ def _power_cell_table(n_cells: int, h: float, theta: float):
             p0 = h ** (1.0 - theta) * ((g + 1.0) ** (1.0 - theta) - g ** (1.0 - theta)) / (1.0 - theta)
         p1 = h ** (2.0 - theta) * ((g + 1.0) ** (2.0 - theta) - g ** (2.0 - theta)) / (2.0 - theta)
         a = (p1 - g * h * p0) / h
-    # g=0 with theta >= 1: p0 = inf and the far weight reduces to the
-    # finite first moment
+    # g=0 with theta >= 1: p0 = inf.  The far weight reduces to the finite
+    # first moment; the near node holds a value every rule requires to
+    # vanish (_check_increment_endpoint), so its weight 0 loses nothing
     a[0] = h ** (1.0 - theta) / (2.0 - theta)
     b = p0 - a
+    if theta >= 1.0:
+        b[0] = 0.0
     a.flags.writeable = False
     b.flags.writeable = False
     return a, b
@@ -224,8 +230,9 @@ def power_cell_weights(n_cells: int, h: float, theta: float):
     A[g] multiplies the integrand value at the cell node farther from
     the singularity and B[g] the nearer one.  A has length n_cells,
     B length n_cells + 1 (B[n_cells] is needed by row corrections).
-    For theta >= 1, B[0] is +inf: the nearer node of the singular cell
-    only ever multiplies a vanishing increment.
+    For theta >= 1, B[0] is 0: the nearer node of the singular cell
+    holds the integrand's value at the singularity, which every rule
+    requires to vanish.  Every weight is finite.
 
     Every weight is a function of (g, h, theta) alone, so the weights
     of a shorter row are a bit-exact prefix of a longer row's.  One
@@ -244,13 +251,16 @@ def power_cell_weights(n_cells: int, h: float, theta: float):
 
 def _check_increment_endpoint(endpoint_vals: np.ndarray, phi: np.ndarray, theta: float):
     """For theta >= 1, the integrand phi must vanish at the singular
-    endpoint up to _ENDPOINT_ATOL of its scale."""
+    endpoint up to _ENDPOINT_ATOL of its scale; a NaN or infinite
+    endpoint value is refused too.  This check is what makes the
+    endpoint's zero weight in power_cell_weights exact.  A NaN elsewhere
+    in phi is not its business: it propagates into the integral."""
     if theta < 1.0:
         return
     scale = float(np.max(np.abs(phi))) if phi.size else 0.0
     tol = _ENDPOINT_ATOL * max(scale, 1.0)
     worst = float(np.max(np.abs(endpoint_vals))) if np.size(endpoint_vals) else 0.0
-    if worst > tol:
+    if not np.isfinite(worst) or worst > tol:
         raise SingularityError(
             f"kernel exponent {theta} >= 1 needs an integrand vanishing at the "
             f"singular endpoint; endpoint magnitude {worst:.3e}"
@@ -276,13 +286,7 @@ def right_singular_integral(values: np.ndarray, h: float, theta: float):
     # cell m at gap g = k-m-1: far node phi[m], near node phi[m+1]
     far = phi[:-1][::-1]
     near = phi[1:][::-1]
-    if theta >= 1.0:
-        # b[0] = inf multiplies the (zero) endpoint value
-        contrib = a * far
-        contrib[1:] += b[1:k] * near[1:]
-    else:
-        contrib = a * far + b[:k] * near
-    return contrib.sum(axis=0)
+    return (a * far + b[:k] * near).sum(axis=0)
 
 
 def left_singular_integral(values: np.ndarray, h: float, theta: float) -> float:
@@ -300,12 +304,7 @@ def left_singular_integral(values: np.ndarray, h: float, theta: float) -> float:
     _check_increment_endpoint(phi[0], phi, theta)
     near = phi[:-1]
     far = phi[1:]
-    total = float(np.dot(a, far))
-    if theta >= 1.0:
-        total += float(np.dot(b[1:k], near[1:]))
-    else:
-        total += float(np.dot(b[:k], near))
-    return total
+    return float(np.dot(a, far)) + float(np.dot(b[:k], near))
 
 
 def prefix_singular_integrals(values: np.ndarray, h: float, theta: float) -> np.ndarray:
@@ -316,11 +315,8 @@ def prefix_singular_integrals(values: np.ndarray, h: float, theta: float) -> np.
     n = phi.shape[0] - 1
     a, b = power_cell_weights(n, h, theta)
     _check_increment_endpoint(phi[0], phi, theta)
-    bb = b[:n].copy()
-    if theta >= 1.0:
-        bb[0] = 0.0
     shape_tail = (1,) * (phi.ndim - 1)
-    contrib = a.reshape((n,) + shape_tail) * phi[1:] + bb.reshape((n,) + shape_tail) * phi[:-1]
+    contrib = a.reshape((n,) + shape_tail) * phi[1:] + b[:n].reshape((n,) + shape_tail) * phi[:-1]
     out = np.zeros_like(phi)
     np.cumsum(contrib, axis=0, out=out[1:])
     return out
@@ -331,15 +327,14 @@ def gap_weights(n_cells: int, h: float, theta: float):
 
     Returns (c, b) with b from power_cell_weights.  c[g] (g = 1..n_cells)
     weighs the node at gap g from the singular node: the far part of
-    cell g-1 plus the near part of cell g.  c[0] weighs the singular node
-    itself: b[0] for theta < 1, and 0 for theta >= 1, where b[0] = +inf
-    and the integrand must vanish there, which keeps the infinity out of
-    the sums.  The first node of a row at gap i has no cell beyond it,
+    cell g-1 plus the near part of cell g.  c[0] = b[0] weighs the
+    singular node itself (0 for theta >= 1, where the integrand must
+    vanish).  The first node of a row at gap i has no cell beyond it,
     so row rules subtract b[i] times its value.
     """
     a, b = power_cell_weights(n_cells, h, theta)
     c = np.empty(n_cells + 1)
-    c[0] = b[0] if theta < 1.0 else 0.0
+    c[0] = b[0]
     c[1:] = a + b[1:]
     return c, b
 
@@ -493,7 +488,7 @@ def increment_row_integrals(values: np.ndarray, h: float, theta: float) -> np.nd
     size = 1 << (2 * n).bit_length()
     conv = np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(w, size), size)
     out = np.zeros_like(w)
-    # index 0 is skipped: there b[0] = +inf would multiply w[0] = 0
+    # index 0 is an empty integral: left at 0, not at the FFT's round-off
     out[..., 1:] = w[..., 1:] * (np.cumsum(c)[1:] - b[1:]) - conv[..., 1 : n + 1]
     return out
 

@@ -20,7 +20,6 @@ from .grid import (
     GridFunction,
     _gap_powers,
     _pair_blocks,
-    abs_increment_row_integrals,
     abs_increment_row_integrals_many,
     left_singular_integral,
 )
@@ -88,9 +87,7 @@ def fractional_aggregate(f: GridFunction, alpha: float) -> tuple[np.ndarray, np.
     at every node: the per-node parts of the fractional norms, one
     O(n^2) pass."""
     check_alpha(alpha)
-    sup_part = f.pointwise_norm()
-    inc = abs_increment_row_integrals(f.values, f.grid.h, alpha + 1.0)
-    return sup_part, inc
+    return norm_row_passes([f.values], (), f.grid.h, alpha, 1.0)[0][0]
 
 
 def fractional_norm(nodes: np.ndarray, aggregate: tuple[np.ndarray, np.ndarray], lam: float) -> NormReport:
@@ -182,9 +179,7 @@ def _check_delta(delta: float):
 
 def delta_functional(f: GridFunction, alpha: float, delta: float) -> float:
     """sup_u int_0^u |f(u)-f(s)|^delta / (u-s)^{alpha+1} ds."""
-    _check_delta(delta)
-    inc = abs_increment_row_integrals(f.values, f.grid.h, alpha + 1.0, power=delta)
-    return float(np.max(inc))
+    return norm_row_passes((), [f.values], f.grid.h, alpha, delta)[1][0]
 
 
 def norm_row_passes(aggregated, delta_of, h: float, alpha: float, delta: float):

@@ -145,11 +145,15 @@ class SolutionRecord:
     lambda_used: float
     lambda_selected: float
     lambda_alpha_g: float
-    holder_estimate: float
     converged: bool
     theoretical_factor: float
     sup_radius: float
     delta_radius: float
+
+    @property
+    def holder_estimate(self) -> float:
+        """holder_exponent_estimate of x, computed when read; NaN below n = 64."""
+        return holder_exponent_estimate(self.x) if self.x.grid.n >= 64 else float("nan")
 
     def metadata(self) -> dict:
         return {
@@ -363,15 +367,13 @@ def _record(cs, params, grid, p: _Path) -> SolutionRecord:
         )
         for literal in (False, True)
     )
-    x = GridFunction(grid, p.x)
     return SolutionRecord(
-        x=x,
+        x=GridFunction(grid, p.x),
         iterations=len(p.distances),
         distances=tuple(p.distances),
         lambda_used=float(p.lam),
         lambda_selected=float(p.lam_selected),
         lambda_alpha_g=p.lam_g,
-        holder_estimate=holder_exponent_estimate(x) if grid.n >= 64 else float("nan"),
         converged=p.converged,
         theoretical_factor=factor,
         sup_radius=float(p.sup_radius),

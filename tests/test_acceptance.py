@@ -17,7 +17,7 @@ from volterra_fbm.coeffs import builtin_coefficients
 from volterra_fbm.fbm import (
     DriverPath,
     Seed,
-    _covariance_matrix,
+    fbm_covariance,
     sample_davies_harte,
     sample_paths,
 )
@@ -62,7 +62,7 @@ def test_criterion_1_fbm_exactness():
     g = build_grid(1.0, 8)
     worst = {}
     for H in (0.6, 0.75, 0.9):
-        ana = _covariance_matrix(g.nodes[1:], H)
+        ana = fbm_covariance(g.nodes[None, 1:], g.nodes[1:, None], H)
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / MC_PATHS)
         for sampler in ("cholesky", "davies-harte"):
             x = sample_paths(g, H, 1, Seed(ACCEPT_SEED), MC_PATHS, sampler)[:, 1:, 0]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volterra_fbm import cli, fbm, report, verify
+from volterra_fbm import cli, fbm, report, solver, verify
 from volterra_fbm.cli import ExperimentConfig, emit_report, main, run_experiment
 
 
@@ -63,9 +63,10 @@ def test_sample_outputs_audit(tmp_path):
 
 
 def test_sample_memory_stays_near_its_tables(tmp_path):
-    # the audit streams its CSV: beyond the n x n sums and covariance
-    # tables and the lower triangle's columns, no per-entry line string
-    # is held (the whole file's lines took 28 tables' worth at n = 512)
+    # the audit streams its CSV and works on the lower triangle: beyond
+    # the n x n sums and covariance tables and the triangle's columns, no
+    # n x n table and no per-entry line string is held (4.8 tables at
+    # n = 512; full-table stderr and z took 6.5, the whole file's lines 28)
     n = 512
     args = ["sample", "--n", str(n), "--paths", "4", "--emit-paths", "0", "--seed", "1"]
     args += ["--out", str(tmp_path)]
@@ -76,7 +77,7 @@ def test_sample_memory_stays_near_its_tables(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 8 * n * n, peak / (8 * n * n)
+    assert peak <= 6 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_sample_repeat_byte_identical(tmp_path):
@@ -269,6 +270,18 @@ def test_moments_schema(tmp_path):
         p, est, lo, hi, paths = line.split(",")
         assert float(lo) <= float(est) <= float(hi)
         assert int(paths) == 12
+
+
+def test_moments_reads_no_holder_estimate(tmp_path, monkeypatch):
+    # the estimate is computed when read, and moments never reads it
+    def refuse(f):
+        raise AssertionError("holder_exponent_estimate called")
+
+    monkeypatch.setattr(solver, "holder_exponent_estimate", refuse)
+    code = main(["moments", "--coeffs", "bounded-growth", "--n", "64", "--paths", "2",
+                 "--seed", "3", "--out", str(tmp_path / "m")])
+    assert code == 0
+    assert (tmp_path / "m" / "moments.csv").is_file()
 
 
 def test_convergence_schema(tmp_path):

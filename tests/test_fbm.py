@@ -8,7 +8,6 @@ from volterra_fbm import grid as grid_mod
 from volterra_fbm.fbm import (
     DriverPath,
     Seed,
-    _covariance_matrix,
     fbm_covariance,
     sample_cholesky,
     sample_davies_harte,
@@ -23,6 +22,11 @@ def test_covariance_values():
     assert fbm_covariance(1, 2, 0.5) == pytest.approx(1.0)  # Brownian: min(s, t)
     assert fbm_covariance(1, 2, 0.75) == pytest.approx(np.sqrt(2.0))
     assert fbm_covariance(0.3, 0.7, 0.6) == pytest.approx(fbm_covariance(0.7, 0.3, 0.6))
+    # array times broadcast: a column of t against a row of s
+    table = fbm_covariance(np.array([[1.0, 2.0]]), np.array([[1.0], [2.0]]), 0.5)
+    np.testing.assert_array_equal(table, [[1.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        fbm_covariance(np.array([0.5, -0.1]), 1.0, 0.75)
 
 
 def test_covariance_rejects_bad_hurst():
@@ -67,7 +71,7 @@ def test_cholesky_covariance_audit():
     g = build_grid(1.0, 8)
     n_paths = 30000
     x = sample_paths(g, 0.75, 1, Seed(7), n_paths, "cholesky")[:, 1:, 0]
-    ana = _covariance_matrix(g.nodes[1:], 0.75)
+    ana = fbm_covariance(g.nodes[None, 1:], g.nodes[1:, None], 0.75)
     se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / n_paths)
     z = np.abs(x.T @ x / n_paths - ana) / se
     assert z.max() < 4.0
@@ -77,7 +81,7 @@ def test_davies_harte_matches_cholesky_distribution():
     g = build_grid(1.0, 8)
     n_paths = 30000
     x = sample_paths(g, 0.6, 1, Seed(21), n_paths, "davies-harte")[:, 1:, 0]
-    ana = _covariance_matrix(g.nodes[1:], 0.6)
+    ana = fbm_covariance(g.nodes[None, 1:], g.nodes[1:, None], 0.6)
     se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / n_paths)
     z = np.abs(x.T @ x / n_paths - ana) / se
     assert z.max() < 4.0

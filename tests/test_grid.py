@@ -111,6 +111,49 @@ def test_nonintegrable_singularity_raises():
         row_singular_integrals(np.ones((g.n + 1, g.n + 1)), g.h, 1.25)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 1.3, 1.75])
+def test_weights_are_finite(theta):
+    a, b = power_cell_weights(64, 1.0 / 64, theta)
+    c, _ = gap_weights(64, 1.0 / 64, theta)
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))
+
+
+def _vanishing_rules(endpoint=0.0, interior=None):
+    """The four product rules at theta = 1.3 on increment-type integrands
+    whose singular endpoint holds `endpoint` and, given `interior`, whose
+    node 3 holds that value."""
+    n, h, theta = 8, 1.0 / 8, 1.3
+    psi = np.sin(3.0 * np.linspace(0.0, 1.0, n + 1)) + 0.2
+    right, left = psi - psi[-1], psi - psi[0]
+    right[-1], left[0] = endpoint, endpoint
+    rows = np.subtract.outer(psi, psi)
+    np.fill_diagonal(rows, endpoint)
+    if interior is not None:
+        right[3] = left[3] = rows[5, 3] = interior
+    return {
+        "right": lambda: right_singular_integral(right, h, theta),
+        "left": lambda: left_singular_integral(left, h, theta),
+        "prefix": lambda: prefix_singular_integrals(left, h, theta),
+        "rows": lambda: row_singular_integrals(rows, h, theta),
+    }
+
+
+@pytest.mark.parametrize("endpoint", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rule", ["right", "left", "prefix", "rows"])
+def test_non_finite_singular_endpoint_raises(rule, endpoint):
+    with pytest.raises(SingularityError):
+        _vanishing_rules(endpoint)[rule]()
+
+
+@pytest.mark.parametrize("rule", ["right", "left", "prefix", "rows"])
+def test_endpoint_within_tolerance_and_interior_nan(rule):
+    # an endpoint inside the tolerance gets the exact zero's bits (its
+    # weight is 0); a NaN elsewhere propagates without a SingularityError
+    exact = np.asarray(_vanishing_rules(0.0)[rule]())
+    assert np.asarray(_vanishing_rules(1e-14)[rule]()).tobytes() == exact.tobytes()
+    assert np.isnan(_vanishing_rules(interior=np.nan)[rule]()).any()
+
+
 def test_richardson_order_smooth_integrand():
     # product rule is O(n^{-(2-theta)}): halving ratio >= 2^{1.5-theta}
     theta = 0.5
