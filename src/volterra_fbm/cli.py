@@ -136,7 +136,7 @@ def _solve_all(cfg: ExperimentConfig, cs: CoefficientSet) -> list:
 
     # one task per batch; the batches never depend on --workers
     batches = _batches(cfg.paths, max(1, _SOLVE_ENTRIES // (cfg.n + 1) ** 2))
-    with ThreadPoolExecutor(max_workers=max(cfg.workers, 1)) as ex:
+    with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
         return [rec for recs in ex.map(solve, batches) for rec in recs]
 
 
@@ -164,6 +164,8 @@ def _cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     families = tuple(f.strip() for f in cfg.families.split(",") if f.strip())
+    if not families:
+        raise CatalogError("--families selects no verification family")
     suite = SuiteConfig(
         families=families,
         estimate_cases=cfg.cases,
@@ -254,7 +256,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         # an unknown sampler or a non-positive count is a usage error
         # before any draw or output
         _sampler(cfg.sampler)
-        for flag in ("paths", "cases", "m"):
+        for flag in ("paths", "cases", "m", "workers"):
             if getattr(cfg, flag) < 1:
                 raise ValueError(f"--{flag} must be positive, got {getattr(cfg, flag)}")
         return _COMMANDS[cfg.subcommand](cfg, Path(cfg.out_dir))

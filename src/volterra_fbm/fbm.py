@@ -9,13 +9,13 @@ deterministic functions of a :class:`Seed`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmbeddingError, FactorizationError
-from .grid import GridFunction, TimeGrid, _cached_table
+from .grid import GridFunction, TimeGrid
 from .report import write_csv
 
 __all__ = [
@@ -32,7 +32,6 @@ _MAX_JITTER = 1e-12
 # circulant eigenvalues of fGn are nonnegative in exact arithmetic; a
 # worse violation signals an implementation bug, not rounding
 _EIGEN_TOL = 1e-9
-_eigenvalue_tables: OrderedDict = OrderedDict()
 # normals per Davies-Harte block: 2**18 keeps each of the block's
 # temporaries at 4 MB (8 MB complex) whatever the path count
 _DRAW_NORMALS = 2 ** 18
@@ -125,13 +124,9 @@ def _cholesky_paths(grid: TimeGrid, H: float, m: int, seed: Seed, path_indices) 
     return out
 
 
-def _fgn_circulant_eigenvalues(n: int, H: float) -> np.ndarray:
-    """Eigenvalues of the fGn circulant embedding of size 2n, one
-    read-only array per (n, H)."""
-    return _cached_table(_eigenvalue_tables, (int(n), float(H)), lambda: _circulant_eigenvalues(n, H))
-
-
 def _circulant_eigenvalues(n: int, H: float) -> np.ndarray:
+    """Eigenvalues of the fGn circulant embedding of size 2n, a
+    read-only array."""
     k = np.arange(n + 1, dtype=float)
     rho = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
     circ = np.concatenate([rho, rho[-2:0:-1]])  # length 2n
@@ -146,6 +141,10 @@ def _circulant_eigenvalues(n: int, H: float) -> np.ndarray:
     return eig
 
 
+# one read-only array per (n, H); a run draws on one or two
+_fgn_circulant_eigenvalues = functools.lru_cache(maxsize=32)(_circulant_eigenvalues)
+
+
 def _davies_harte_increments(n: int, H: float, rngs) -> np.ndarray:
     """Fractional Gaussian noise sequences of length n, unit spacing, one
     row per generator in rngs: shape (len(rngs), n).
@@ -156,7 +155,7 @@ def _davies_harte_increments(n: int, H: float, rngs) -> np.ndarray:
     are independent of each other and of the block size; one FFT along
     axis 1 serves the block.
     """
-    eig = _fgn_circulant_eigenvalues(n, H)
+    eig = _fgn_circulant_eigenvalues(n, float(H))
     two_n = 2 * n
     z = np.empty((len(rngs), two_n))
     for row, rng in zip(z, rngs):

@@ -43,14 +43,14 @@ Sups over node pairs s < t (Weyl bracket, Lambda_alpha, driver and Holder
 norms) take ``_pair_blocks``: increments and left-singular tail integrals
 by (row, gap), in blocks of 64 rows.
 
-``power_cell_weights`` keeps one read-only weight table per (h, theta);
-a shorter row's weights are a bit-exact prefix of a longer row's.
+``power_cell_weights`` keeps one read-only weight table per power-of-two
+size and (h, theta); a shorter row's weights are a bit-exact prefix of a
+longer row's.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,27 +85,6 @@ _ROW_CHUNK = 256
 # rows per block of the pair tables: at n = 2048 a block is 1 MB per
 # array; 256-row blocks cost young_frac 7 MB of peak RSS at n = 1024
 _PAIR_ROWS = 64
-
-# keys kept per table cache (power_cell_weights, the fBm circulant
-# eigenvalues); a run uses a handful, the verify suite's random alphas a
-# new one per case
-_TABLE_KEYS = 32
-_tables_lock = threading.Lock()
-_weight_tables: OrderedDict = OrderedDict()
-
-
-def _cached_table(cache: OrderedDict, key, build, stale=None):
-    """cache[key], made by build() when missing or stale(entry); the
-    least recently used of more than _TABLE_KEYS keys is dropped.  One
-    lock serves every cache."""
-    with _tables_lock:
-        entry = cache.get(key)
-        if entry is None or (stale is not None and stale(entry)):
-            entry = cache[key] = build()
-            if len(cache) > _TABLE_KEYS:
-                cache.popitem(last=False)
-        cache.move_to_end(key)
-    return entry
 
 
 @dataclass(frozen=True)
@@ -222,6 +201,11 @@ def _power_cell_table(n_cells: int, h: float, theta: float):
     return a, b
 
 
+# a run uses a handful of tables, the verify suite's random alphas new
+# ones per case
+_power_cell_tables = functools.lru_cache(maxsize=32)(_power_cell_table)
+
+
 def power_cell_weights(n_cells: int, h: float, theta: float):
     """Node weights for product integration against u**-theta on a
     uniform grid, indexed by cell distance ("gap") from the singularity.
@@ -236,16 +220,12 @@ def power_cell_weights(n_cells: int, h: float, theta: float):
 
     Every weight is a function of (g, h, theta) alone, so the weights
     of a shorter row are a bit-exact prefix of a longer row's.  One
-    table per (h, theta), at the largest n_cells asked for, serves all
-    rows; A and B are read-only views into it.
+    table per (h, theta) and power of two above n_cells serves every
+    shorter row; A and B are read-only views into it.
     """
     if not 0.0 <= theta < 2.0:
         raise ValueError(f"kernel exponent must lie in [0, 2), got {theta}")
-    a, b = _cached_table(
-        _weight_tables, (float(h), float(theta)),
-        lambda: _power_cell_table(n_cells, h, theta),
-        stale=lambda table: table[0].shape[0] <= n_cells,
-    )
+    a, b = _power_cell_tables(1 << int(n_cells).bit_length(), float(h), float(theta))
     return a[:n_cells], b[: n_cells + 1]
 
 

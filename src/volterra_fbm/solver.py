@@ -182,6 +182,16 @@ def _check_admissible(cs: CoefficientSet, params: HolderParams):
         )
 
 
+def _initial_state(cs: CoefficientSet, x0) -> np.ndarray:
+    """x0 as a finite float state of shape (d,), else ValueError."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (cs.d,):
+        raise ValueError(f"initial state must have dimension {cs.d}, got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"initial state must be finite, got {x0}")
+    return x0
+
+
 def _apply_map(cs: CoefficientSet, x0: np.ndarray, grid: TimeGrid, states: np.ndarray, drivers: np.ndarray):
     """x0 + F^{(b)}(x) + G^{(sigma)}(x) for a stack of P paths (P, n+1, d)
     with drivers (P, n+1, m), and each path's error, None if it has none:
@@ -262,11 +272,7 @@ def picard_solve_batch(
     if lambda_override is not None:
         check_weight(lambda_override)
     _check_admissible(cs, params)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (cs.d,):
-        raise ValueError(f"initial state must have dimension {cs.d}, got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError(f"initial state must be finite, got {x0}")
+    x0 = _initial_state(cs, x0)
     if not drivers:
         return []
     grid = drivers[0].grid
@@ -388,7 +394,7 @@ def euler_solve(cs: CoefficientSet, x0, g: DriverPath) -> GridFunction:
         X(t_i) = x0 + sum_{j<i} b(t_i, t_j, X_j) h
                     + sum_{j<i} sigma(t_i, t_j, X_j) (g_{j+1} - g_j).
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _initial_state(cs, x0)
     grid = g.grid
     n, h = grid.n, grid.h
     nodes = grid.nodes

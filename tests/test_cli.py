@@ -219,6 +219,24 @@ def test_bad_count_or_family_is_usage_error(tmp_path, capsys, monkeypatch, argv,
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["moments", "--workers", "0"], "error: --workers must be positive, got 0"),
+    (["solve", "--workers", "-2"], "error: --workers must be positive, got -2"),
+    (["verify", "--families", ","], "error: --families selects no verification family"),
+], ids=["moments-workers-0", "solve-workers-negative", "verify-no-family"])
+def test_no_workers_or_no_family_is_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a driver was sampled or a check ran")
+
+    monkeypatch.setattr(cli, "_sample_drivers", no_work)
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    assert main(argv + ["--n", "16", "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
     (["solve", "--lambda", "nan"], "error: weight lambda must be finite, got nan"),
     (["solve", "--x0", "nan"], "error: initial state must be finite, got [nan]"),
     (["solve", "--tol", "nan"], "error: tolerance must be positive, got nan"),

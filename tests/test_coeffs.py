@@ -95,3 +95,25 @@ def test_declared_constants_are_safe_not_just_sampled():
     cs = builtin_coefficients("bounded-growth")
     rep = verify_hypotheses(cs, 50000, 50.0, rng_seed=11)
     assert rep.passed
+
+
+def test_zero_terms_read_off_the_evaluators():
+    # the catalog's zero terms are recognised from their evaluators
+    zero = {(name, term) for name in catalog_names() for term in ("b", "sigma")
+            if getattr(builtin_coefficients(name), f"{term}_is_zero")}
+    assert zero == {("constant-sigma", "b"), ("linear-drift", "sigma"), ("bounded-growth", "b")}
+    # a replaced evaluator is no longer zero, whatever the entry declared
+    from dataclasses import replace
+
+    cs = replace(builtin_coefficients("bounded-growth"), b=lambda t, s, x: 5.0 * x)
+    assert not cs.b_is_zero
+    cs = replace(builtin_coefficients("linear-drift"), sigma=lambda t, s, x: x[..., None])
+    assert not cs.sigma_is_zero
+    with pytest.raises(TypeError):
+        replace(cs, sigma_is_zero=True)
+
+
+def test_partials_fd_check_at_zero_cases_fails():
+    rep = partials_fd_check(builtin_coefficients("smooth-volterra"), 0, rng_seed=7)
+    assert rep.cases == 0 and not rep.passed
+    assert rep.notes == "no cases were checked"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from volterra_fbm import fbm as fbm_mod
-from volterra_fbm import grid as grid_mod
 from volterra_fbm.fbm import (
     DriverPath,
     Seed,
@@ -193,9 +192,10 @@ def test_circulant_eigenvalues_cached_read_only():
     assert not eig.flags.writeable
     with pytest.raises(ValueError):
         eig[0] = 1.0
-    for n in range(2, 2 + 2 * grid_mod._TABLE_KEYS):
+    cap = fbm_mod._fgn_circulant_eigenvalues.cache_info().maxsize
+    for n in range(2, 2 + 2 * cap):
         fbm_mod._fgn_circulant_eigenvalues(n, 0.7)
-    assert len(fbm_mod._eigenvalue_tables) == grid_mod._TABLE_KEYS
+    assert fbm_mod._fgn_circulant_eigenvalues.cache_info().currsize == cap
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (8, 2), (100, 1)])
@@ -210,3 +210,12 @@ def test_davies_harte_blocks_do_not_change_paths(monkeypatch, n, m):
     assert np.array_equal(out[1], out[7]) and np.array_equal(out[1], out[23])
     for p in (0, 6, 7, 22):
         assert np.array_equal(out[7][p], sample_davies_harte(grid, 0.7, m, Seed(4), p).values)
+
+
+def test_davies_harte_takes_a_numpy_hurst():
+    # the eigenvalue cache is keyed by float(H): a numpy float or 0-d
+    # array H draws the same bits as a float
+    grid = build_grid(1.0, 8)
+    ref = sample_davies_harte(grid, 0.7, 1, Seed(1)).values
+    for H in (np.float64(0.7), np.array(0.7)):
+        assert np.array_equal(sample_davies_harte(grid, H, 1, Seed(1)).values, ref)

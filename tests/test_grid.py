@@ -286,10 +286,11 @@ def test_power_cell_weights_are_read_only():
 
 
 def test_power_cell_weights_under_threads():
-    # more threads than cores, each growing and reading tables of shared
-    # keys; every view must equal a fresh table and the cache stays bounded.
-    # The fBm eigenvalue cache shares the lock: its lookups run alongside,
-    # over more keys than the cap, so entries are evicted under contention
+    # more threads than cores, each reading tables of shared keys at
+    # many sizes; every view must equal a fresh table and the cache stays
+    # bounded.
+    # The fBm eigenvalue lookups run alongside, over more keys than the
+    # cap, so entries are evicted under contention
     keys = [(1.0 / 64, 0.3), (1.0 / 64, 1.3), (0.01, 1.7)]
     errors = []
 
@@ -319,8 +320,8 @@ def test_power_cell_weights_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(grid_mod._weight_tables) <= grid_mod._TABLE_KEYS
-    assert len(fbm_mod._eigenvalue_tables) <= grid_mod._TABLE_KEYS
+    for cached in (grid_mod._power_cell_tables, fbm_mod._fgn_circulant_eigenvalues):
+        assert cached.cache_info().currsize <= cached.cache_info().maxsize
 
 
 def test_increment_convolution_ignores_offset():

@@ -274,3 +274,50 @@ def test_solution_metadata_schema():
         "holder_estimate", "converged", "theoretical_factor",
     }
     assert meta["iterations"] == len(meta["distances"])
+
+
+def test_replaced_drift_reaches_both_solvers():
+    # constant-sigma's zero drift replaced by the constant 5: the solution
+    # is x0 + 5 t + sigma0 g(t), from Picard and Euler alike
+    from dataclasses import replace
+
+    cs = replace(builtin_coefficients("constant-sigma"), b=lambda t, s, x: 5.0 + 0.0 * x)
+    params = HolderParams(H=0.75, alpha=0.3, T=1.0)
+    g = build_grid(1.0, 64)
+    drv = sample_davies_harte(g, 0.75, 1, Seed(3))
+    exact = 0.5 + 5.0 * g.nodes + drv.values[:, 0]
+    np.testing.assert_allclose(picard_solve(cs, 0.5, drv, params, tol=1e-12).x.values[:, 0],
+                               exact, atol=1e-12)
+    np.testing.assert_allclose(euler_solve(cs, 0.5, drv).values[:, 0], exact, atol=1e-12)
+
+
+def test_replaced_diffusion_reaches_both_solvers_and_the_weight():
+    # linear-drift's zero diffusion replaced by the constant 1, with no
+    # drift: the solution is x0 + g(t), and the contraction terms carry
+    # the diffusion
+    from dataclasses import replace
+
+    from volterra_fbm.solver import _contraction_terms
+
+    cs = replace(builtin_coefficients("linear-drift", kappa=0.0),
+                 sigma=lambda t, s, x: 1.0 + 0.0 * x[..., None])
+    params = HolderParams(H=0.8, alpha=0.25, T=1.0)
+    g = build_grid(1.0, 64)
+    drv = sample_davies_harte(g, 0.8, 1, Seed(4))
+    exact = 0.5 + drv.values[:, 0]
+    np.testing.assert_allclose(picard_solve(cs, 0.5, drv, params, tol=1e-12).x.values[:, 0],
+                               exact, atol=1e-12)
+    np.testing.assert_allclose(euler_solve(cs, 0.5, drv).values[:, 0], exact, atol=1e-12)
+    assert _contraction_terms(cs, 0.25, 1.0, 1.0, literal=True)[1] is not None
+
+
+@pytest.mark.parametrize("x0, message", [
+    (np.nan, "initial state must be finite"),
+    (np.inf, "initial state must be finite"),
+    (np.array([1.0, 2.0]), "initial state must have dimension 1"),
+], ids=["nan", "inf", "wrong-dimension"])
+def test_euler_refuses_bad_initial_state(x0, message):
+    cs = builtin_coefficients("smooth-volterra")
+    drv = DriverPath.from_callable(build_grid(1.0, 16), lambda t: 0.0)
+    with pytest.raises(ValueError, match=message):
+        euler_solve(cs, x0, drv)
