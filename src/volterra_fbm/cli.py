@@ -233,7 +233,8 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
                            lambda_override=cfg.lam)
         eul = euler_solve(cs, x0, g_sub)
         gap = float(np.max(np.abs(rec.x.values - eul.values)))
-        order = float("nan") if prev is None else float(np.log2(prev / gap))
+        # no order without a previous grid or against a zero gap
+        order = float(np.log2(prev / gap)) if prev and gap else float("nan")
         rows.append({"n": n_sub, "picard_euler_sup": gap, "order": order,
                      "iterations": rec.iterations})
         print(f"convergence n={n_sub}: sup gap {gap:.3e} order {order:.2f}")

@@ -300,6 +300,13 @@ def _random_states(rng, k: int, d: int, N: float) -> np.ndarray:
     return x / np.maximum(norms, 1e-300) * radii
 
 
+def _sample_count(sample_count: int) -> int:
+    k = int(sample_count)
+    if k < 0:
+        raise ValueError(f"sample_count must be nonnegative, got {sample_count}")
+    return k
+
+
 def verify_hypotheses(
     cs: CoefficientSet,
     sample_count: int,
@@ -310,10 +317,11 @@ def verify_hypotheses(
     from the physical domain s <= t in [0, 1], |x|, |y| <= N.
 
     Violations are report content (ratio > 1), never exceptions.  An
-    empty sample certifies nothing, so it fails.
+    empty sample certifies nothing, so it fails; a negative count raises
+    ValueError.
     """
     rng = np.random.default_rng(rng_seed)
-    k = int(sample_count)
+    k = _sample_count(sample_count)
     # time tuples: three U(0,1) draws sorted so every (t, s) use keeps s <= t
     u = np.sort(rng.uniform(0.0, 1.0, size=(k, 3)), axis=1)
     s_lo, t_mid, t_hi = u[:, 0], u[:, 1], u[:, 2]
@@ -406,10 +414,11 @@ def partials_fd_check(
 ) -> EstimateReport:
     """Central finite differences of sigma against the declared partials
     at random interior points of [0, 1], step 1e-4, tolerance 1e-6
-    relative to |sigma| + 1.  An empty sample fails."""
+    relative to |sigma| + 1.  An empty sample fails; a negative count
+    raises ValueError."""
     step, tol = 1e-4, 1e-6
     rng = np.random.default_rng(rng_seed)
-    k = int(sample_count)
+    k = _sample_count(sample_count)
     s = rng.uniform(0.0, 1.0 - 4 * step, size=k)
     t = rng.uniform(s + 2 * step, 1.0 - step)
     x = _random_states(rng, k, cs.d, 2.0)

@@ -34,10 +34,10 @@ Toeplitz matrix of gap weights.  Three routes share it:
   O(n log n) per row; equal to the direct rule up to round-off.
 
 The first two are one kernel, ``_blocked_row_rule``: rows in blocks of
-256, each block cut at its last row's column (the weights beyond are
-zero, about half of a full-width block), one weight copy per block for
-all samples, one einsum per block and sample.  A solver step measures
-two samples in one call, the verify suite's double integrals dozens.
+64 (the last one up to 127), each block cut at its last row's column
+(the weights beyond are zero), one weight copy per block for all
+samples, one einsum per block and sample.  A solver step measures two
+samples in one call, the verify suite's double integrals dozens.
 
 Sups over node pairs s < t (Weyl bracket, Lambda_alpha, driver and Holder
 norms) take ``_pair_blocks``: increments and left-singular tail integrals
@@ -78,9 +78,11 @@ __all__ = [
 # theta >= 1 is a non-integrable singularity, not rounding noise.
 _ENDPOINT_ATOL = 1e-12
 
-# rows per block of the direct row rules: at n = 2048 a block of weights
-# or of integrands is 4 MB, against 34 MB for a whole (n+1)^2 table
-_ROW_CHUNK = 256
+# rows per block of the direct row rules (_row_blocks).  A block of r rows
+# computes about r^2 / 2 entries above the diagonal that no rule reads, so
+# 64 rows waste a quarter of what 256 did; at n = 2048 a block of weights
+# or integrands is 1 MB, inside a 2 MB L2 (256 rows: 4 MB, read from L3)
+_ROW_CHUNK = 64
 
 # rows per block of the pair tables: at n = 2048 a block is 1 MB per
 # array; 256-row blocks cost young_frac 7 MB of peak RSS at n = 1024
@@ -374,7 +376,7 @@ def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np
     |v_i - v_j| for d = 1 (equal to the table's sqrt((v_i - v_j)**2)
     unless that square under- or overflows), sqrt(add.reduce(d*d,
     axis=-1)) for d > 1, then the power in place.  Cost O(n^2 d) time
-    per sample and O(256 n d) memory in all.  The diagonal is zero by
+    per sample and O(64 n d) memory in all.  The diagonal is zero by
     construction, so theta >= 1 needs no endpoint check.
     """
     vs, powers = [], []
@@ -383,7 +385,9 @@ def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np
         vs.append(v[:, None] if v.ndim == 1 else v)
         powers.append(power)
     n = max(v.shape[0] for v in vs) - 1
-    buf = np.empty(min(_ROW_CHUNK, n) * (n + 1) * max(v.shape[1] for v in vs))
+    # one block of increments; the last block is the longest
+    last_lo, _ = _row_blocks(1, n + 1)[-1]
+    buf = np.empty((n + 1 - last_lo) * (n + 1) * max(v.shape[1] for v in vs))
 
     def increments(k, lo, hi):
         v, dim = vs[k], vs[k].shape[1]
@@ -404,11 +408,22 @@ def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np
     return _blocked_row_rule(h, theta, [v.shape[0] for v in vs], increments)
 
 
+def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:
+    """Row blocks (lo, hi) of _ROW_CHUNK rows covering start <= i < stop.
+    The last block also takes a remainder shorter than _ROW_CHUNK: a
+    block of its own would cost one more call per sample for less work
+    than it saves (a 33-row second block at n = 96 slowed the CLI's
+    two-thread batches of paths by a fifth)."""
+    count = max(1, (stop - start) // _ROW_CHUNK)
+    edges = [start + k * _ROW_CHUNK for k in range(count)] + [stop]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _blocked_row_rule(h: float, theta: float, lengths, block_of) -> list[np.ndarray]:
     """The row rule of several samples, sample k having lengths[k] nodes:
     out_k[i] = sum_{j<=i} W[i, j] rows_k[i, j] - b[i] rows_k[i, 0] for
-    every row i of sample k (row 0 is an empty integral), in blocks of
-    _ROW_CHUNK rows.  block_of(k, lo, hi) returns rows_k[lo:hi, :hi]:
+    every row i of sample k (row 0 is an empty integral), in the row
+    blocks of _row_blocks.  block_of(k, lo, hi) returns rows_k[lo:hi, :hi]:
     a block stops at its last row's column, past which every weight is
     zero.  The gap weights and each block's weight copy are made once
     for all samples.
@@ -417,18 +432,23 @@ def _blocked_row_rule(h: float, theta: float, lengths, block_of) -> list[np.ndar
     rounding depends on the row length, so a sample keeps its own
     length: appending zero columns changes the last bit of some sums.
     Cutting a block at column hi does not; tests/test_row_kernel.py pins
-    the outputs of the full-width rule.  Blocks start at rows 1 + 256 k,
-    so their width hi = lo + 256 is one past a multiple of every SIMD
-    stride: the last kept column, alone past the vector loop, holds only
-    the last row's diagonal term.
+    the outputs of the full-width rule.  Blocks start at rows 1 + 64 k,
+    so every block but the last (which ends at the full width) is one
+    past a multiple of 64 columns wide, and 64 is a multiple of the
+    einsum's vector loop (4 x 8 doubles on AVX-512): every nonzero term
+    of a row keeps its lane in any block, the zero columns of a wider
+    block add +0.0, and the last kept column, alone past the vector loop,
+    holds only the last row's diagonal term.  tests/test_block_neutrality.py
+    compares blocks of 32 to 256 rows; 50 rows move bits.
     """
     n = max(lengths) - 1
     c, b = gap_weights(n, h, theta)
     weights = _toeplitz_block(c)
-    wbuf = np.empty(min(_ROW_CHUNK, n) * (n + 1))
+    blocks = _row_blocks(1, n + 1)
+    # the last block is the longest
+    wbuf = np.empty((n + 1 - blocks[-1][0]) * (n + 1))
     outs = [np.zeros(size) for size in lengths]
-    for lo in range(1, n + 1, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n + 1)
+    for lo, hi in blocks:
         w = wbuf[: (hi - lo) * hi].reshape(hi - lo, hi)
         np.copyto(w, weights[lo:hi, :hi])
         for k, out in enumerate(outs):

@@ -14,7 +14,7 @@ serves lebesgue_volterra and drift_term, the left-point rule
 of two sources: slices of a tabulated kernel (_table_blocks), or
 evaluations of a coefficient on the causal triangle (_triangle_blocks),
 so the coefficient maps never build the (n+1)^2 table.  Both need
-O(256 (n+1) d m) working memory per block beyond the input table.  The
+O(64 (n+1) d m) working memory per block beyond the input table.  The
 maps also take a stack of P paths at once, the path axis leading the
 state; each path's rows are bit for bit its one-path map.
 
@@ -40,7 +40,7 @@ from scipy.special import betainc
 from .errors import EvaluationError
 from .fbm import DriverPath
 from .fraccalc import _gamma, beta_fn, check_alpha, left_frac_derivative_all, weyl_bracket_matrix
-from .grid import _ROW_CHUNK, BivariateKernelValues, GridFunction, TimeGrid
+from .grid import BivariateKernelValues, GridFunction, TimeGrid, _row_blocks
 
 # rows per block of young_frac: at n = 1024, 16 rows keep a call's peak
 # RSS at the per-row rule's (64 rows add 5 MB), and 4 rows take a fifth longer
@@ -89,18 +89,16 @@ def _check_driver_dimension(m: int, g_m: int) -> None:
 
 
 def _table_blocks(f: BivariateKernelValues):
-    """Blocks (lo, hi, v[lo:hi, :hi]) of a tabulated kernel, in
-    _ROW_CHUNK rows, as views of shape (hi - lo, hi, d, m)."""
+    """Blocks (lo, hi, v[lo:hi, :hi]) of a tabulated kernel, on the rows
+    of grid._row_blocks, as views of shape (hi - lo, hi, d, m)."""
     v = _as_matrix_kernel(f.values)
-    n1 = f.grid.n + 1
-    for lo in range(0, n1, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n1)
+    for lo, hi in _row_blocks(0, f.grid.n + 1):
         yield lo, hi, v[lo:hi, :hi]
 
 
 def _triangle_blocks(fn, grid: TimeGrid, states: np.ndarray, rank: int, which: str, errors):
-    """Evaluate fn(t_i, t_j, x(t_j)) on the causal triangle j <= i, in
-    blocks of _ROW_CHUNK rows, for one path (states of shape (n+1, d))
+    """Evaluate fn(t_i, t_j, x(t_j)) on the causal triangle j <= i, on
+    the rows of grid._row_blocks, for one path (states of shape (n+1, d))
     or a stack of paths (P, n+1, d).
 
     Yields (lo, hi, vals) with vals of shape ([P,] hi - lo, hi, d, m):
@@ -114,10 +112,8 @@ def _triangle_blocks(fn, grid: TimeGrid, states: np.ndarray, rank: int, which: s
     checked for finiteness; see _check_triangle_finite for errors.
     """
     t = grid.nodes
-    n1 = grid.n + 1
     lead = states.shape[:-2]
-    for lo in range(0, n1, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n1)
+    for lo, hi in _row_blocks(0, grid.n + 1):
         ti = t[lo:hi, None]
         vals = np.asarray(fn(ti, np.minimum(t[None, :hi], ti), states[..., None, :hi, :]), dtype=float)
         vals = np.broadcast_to(vals, lead + (hi - lo, hi) + vals.shape[max(vals.ndim - rank, 0) :])

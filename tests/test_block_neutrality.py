@@ -1,0 +1,76 @@
+"""The row-block size of the direct kernels does not move a bit.
+
+grid._ROW_CHUNK sets the rows per block (grid._row_blocks) of the
+coefficient maps and the table rules (integrals._triangle_blocks,
+_table_blocks) and of the norm rule (grid._blocked_row_rule).  Every
+output below is compared byte for byte across block sizes, one block of
+the whole grid included.
+"""
+
+import numpy as np
+import pytest
+
+from volterra_fbm import grid as grid_mod
+from volterra_fbm.coeffs import builtin_coefficients, catalog_names
+from volterra_fbm.fbm import DriverPath
+from volterra_fbm.grid import BivariateKernelValues, GridFunction, _row_blocks, build_grid
+from volterra_fbm.integrals import diffusion_term, drift_term, lebesgue_volterra, young_rs
+from volterra_fbm.norms import norm_row_passes
+
+SIZES = (2, 3, 63, 64, 65, 97, 255, 257, 300, 1000)
+CHUNKS = (32, 64, 96, 256)
+CASES = [(name, {}) for name in catalog_names()] + [("linear-drift", {"d": 2})]
+
+
+def _table(fn, g, states):
+    """fn on the whole (n+1)^2 square, the state broadcast over t."""
+    t = g.nodes[:, None]
+    x = np.broadcast_to(states[None], (g.n + 1,) + states.shape)
+    return BivariateKernelValues(g, np.asarray(fn(t, np.minimum(g.nodes[None, :], t), x), dtype=float))
+
+
+def _outputs(cs, g, states, drivers):
+    """Bytes of every blocked kernel on one path (the first) and on the stack."""
+    x, drv = GridFunction(g, states[0]), DriverPath(g, drivers[0])
+    aggregates, deltas = norm_row_passes(list(states), list(states), g.h, 0.3, cs.delta)
+    arrays = [
+        drift_term(cs.b, x).values.values,
+        drift_term(cs.b, states, g),
+        diffusion_term(cs.sigma, x, drv).values.values,
+        diffusion_term(cs.sigma, states, drivers, g),
+        lebesgue_volterra(_table(cs.b, g, states[0])).values.values,
+        young_rs(_table(cs.sigma, g, states[0]), drv).values.values,
+        *(inc for _, inc in aggregates),
+        np.array(deltas),
+    ]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("name, params", CASES)
+def test_row_block_size_is_bit_neutral(monkeypatch, name, params, n):
+    cs = builtin_coefficients(name, **params)
+    rng = np.random.default_rng(n)
+    for T in (1.0, 0.7):
+        g = build_grid(T, n)
+        states = 1.0 + np.cumsum(rng.normal(size=(3, n + 1, cs.d)), axis=1) / np.sqrt(n)
+        drivers = np.cumsum(rng.normal(size=(3, n + 1, cs.m)), axis=1) * np.sqrt(T / n)
+        drivers[:, 0] = 0.0
+        got = {}
+        for chunk in CHUNKS + (n + 1,):
+            monkeypatch.setattr(grid_mod, "_ROW_CHUNK", chunk)
+            got[chunk] = _outputs(cs, g, states, drivers)
+        for chunk, out in got.items():
+            assert out == got[n + 1], (T, chunk)
+
+
+@pytest.mark.parametrize("start, stop, want", [
+    (0, 3, [(0, 3)]),
+    (1, 65, [(1, 65)]),
+    (0, 97, [(0, 97)]),
+    (0, 128, [(0, 64), (64, 128)]),
+    (1, 130, [(1, 65), (65, 130)]),
+    (0, 2049, [(lo, lo + 64) for lo in range(0, 1984, 64)] + [(1984, 2049)]),
+])
+def test_row_blocks_cover_the_rows_without_a_short_block(start, stop, want):
+    assert _row_blocks(start, stop) == want

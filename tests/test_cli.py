@@ -316,6 +316,20 @@ def test_convergence_schema(tmp_path):
     assert sups[2] < sups[0]
 
 
+def test_convergence_zero_gap_has_no_order(tmp_path):
+    # constant sigma, zero drift: Picard and Euler agree exactly on every
+    # grid, so no ratio of gaps exists
+    code = main(["convergence", "--coeffs", "constant-sigma", "--n", "64",
+                 "--out", str(tmp_path / "c")])
+    assert code == 0
+    lines = (tmp_path / "c" / "convergence.csv").read_text().splitlines()
+    assert lines[0] == "n,picard_euler_sup,order,iterations"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == [16, 32, 64]
+    assert [float(r[1]) for r in rows] == [0.0, 0.0, 0.0]
+    assert all(np.isnan(float(r[2])) for r in rows)
+
+
 def test_run_experiment_unknown_subcommand():
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(subcommand="noop"))

@@ -113,6 +113,15 @@ def test_zero_terms_read_off_the_evaluators():
         replace(cs, sigma_is_zero=True)
 
 
+@pytest.mark.parametrize("check", [
+    lambda cs: partials_fd_check(cs, -1, 0),
+    lambda cs: verify_hypotheses(cs, -1, 1.0, 0),
+])
+def test_negative_sample_count_is_named(check):
+    with pytest.raises(ValueError, match=r"sample_count must be nonnegative, got -1"):
+        check(builtin_coefficients("smooth-volterra"))
+
+
 def test_partials_fd_check_at_zero_cases_fails():
     rep = partials_fd_check(builtin_coefficients("smooth-volterra"), 0, rng_seed=7)
     assert rep.cases == 0 and not rep.passed

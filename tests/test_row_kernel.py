@@ -5,8 +5,10 @@ abs_increment_row_integrals and row_singular_integrals, recorded before the
 rule trimmed each 256-row block at its last column and began serving several
 samples per call (numpy 2.4, x86-64).  The trimmed rule cannot be its own
 oracle, so the pins stand in for the full-width one.  The sizes sit on
-both sides of the block edges (256 rows, blocks starting at row 1) and on
-odd lengths of the SIMD sum; d = 3 takes the Euclidean increment, power
+both sides of the block edges, for blocks of 256 rows and of 64 (the
+blocks start at row 1), and on odd lengths of the SIMD sum; the pins of
+63, 64, 65, 66 and 129 were recorded with 256-row blocks, before the
+blocks shrank to 64 rows.  d = 3 takes the Euclidean increment, power
 0.7 the in-place power.
 """
 
@@ -24,7 +26,7 @@ from volterra_fbm.grid import (
 )
 
 PINS = json.loads((Path(__file__).parent / "golden" / "row_kernel_pins.json").read_text())
-SIZES = (2, 3, 7, 9, 255, 256, 257, 258, 261, 1000, 2049)
+SIZES = (2, 3, 7, 9, 63, 64, 65, 66, 129, 255, 256, 257, 258, 261, 1000, 2049)
 THETA = 1.3
 
 
