@@ -27,7 +27,7 @@ from .coeffs import CoefficientSet, builtin_coefficients
 from .errors import AdmissibilityError, CatalogError, VolterraError
 from .fbm import DriverPath, Seed, _draw_block_rows, _sampler, fbm_covariance
 from .grid import build_grid
-from .norms import HolderParams, w_alpha_infty_norm
+from .norms import HolderParams, w_alpha_infty_norms
 from .report import write_csv
 from .solver import euler_solve, picard_solve, picard_solve_batch
 from .verify import FAMILIES, SuiteConfig, run_suite
@@ -192,7 +192,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
     cs = _coefficients(cfg)
     records = _solve_all(cfg, cs)
-    norms = np.array([w_alpha_infty_norm(r.x, cfg.alpha).value for r in records])
+    norms = np.array([rep.value for rep in w_alpha_infty_norms([r.x for r in records], cfg.alpha)])
     # dedicated bootstrap stream, disjoint from the path streams
     boot_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xB007,)))
     rows = []

@@ -12,7 +12,8 @@ drivers the real bracket is therefore negative.
 The bracket is written once, in ``_bracket_blocks``, over the node-pair
 blocks of ``grid._pair_blocks``: ``right_weyl_derivative`` reads one
 pair from it, ``weyl_bracket_matrix`` the whole table and
-``lambda_alpha`` the sup.
+``lambda_alpha_many`` the sup over a stack of drivers, of which
+``lambda_alpha`` is the one-driver case.
 
 All suprema are discrete sups over grid nodes: lower estimates of the
 continuum value, paired where needed with the norm-based upper bound so
@@ -33,6 +34,7 @@ __all__ = [
     "right_weyl_derivative",
     "weyl_bracket_matrix",
     "lambda_alpha",
+    "lambda_alpha_many",
 ]
 
 
@@ -89,17 +91,18 @@ def right_weyl_derivative(g_values: np.ndarray, h: float, alpha: float, s_index:
     if not 0 <= a < i <= g_values.shape[0] - 1:
         raise ValueError(f"need 0 <= s < t inside the grid, got ({s_index}, {t_index})")
     # the first row of the bracket block from s on the grid cut at t
-    _, bracket = next(_bracket_blocks(np.asarray(g_values, dtype=float)[: i + 1], h, alpha, a))
-    return float(bracket[0, -1]) / _gamma(alpha)
+    _, bracket = next(_bracket_blocks(np.asarray(g_values, dtype=float)[None, : i + 1], h, alpha, a))
+    return float(bracket[0, 0, -1]) / _gamma(alpha)
 
 
 def _bracket_blocks(v: np.ndarray, h: float, alpha: float, lo: int):
-    """Blocks (a0, B): B[a - a0, k - 1] = Gamma(alpha) * right_weyl_derivative at (a, a + k)."""
-    n = v.shape[0] - 1
+    """Blocks (a0, B) of scalar samples stacked as v (P, n+1):
+    B[p, a - a0, k - 1] = Gamma(alpha) * right_weyl_derivative of v_p at (a, a + k)."""
+    n = v.shape[1] - 1
     gap_pow = _gap_powers(n, h, 1.0 - alpha)
     for a0, dv, tail in _pair_blocks(v, h, lo, n, theta=2.0 - alpha):
         # in place: dv / gap_pow + (1 - alpha) * tail, no block-sized temporaries
-        dv /= gap_pow[: dv.shape[1]]
+        dv /= gap_pow[: dv.shape[-1]]
         dv += np.multiply(tail, 1.0 - alpha, out=tail)
         yield a0, dv
 
@@ -114,8 +117,8 @@ def weyl_bracket_matrix(g_values: np.ndarray, h: float, alpha: float) -> np.ndar
     n = v.shape[0] - 1
     ga = _gamma(alpha)
     out = np.full((n + 1, n + 1), np.nan)
-    for a0, bracket in _bracket_blocks(v, h, alpha, 0):
-        for r, row in enumerate(bracket):
+    for a0, bracket in _bracket_blocks(v[None], h, alpha, 0):
+        for r, row in enumerate(bracket[0]):
             out[a0 + r, a0 + r + 1 :] = row[: n - a0 - r] / ga
     return out
 
@@ -130,17 +133,34 @@ def lambda_alpha(g_values: np.ndarray, h: float, alpha: float):
     The discrete sup is a lower estimate of the continuum one; callers
     needing an upper bound should use
     ``norms.w_1malpha_norm(g) / (Gamma(1-alpha) * Gamma(alpha))``.
+    The one-driver case of lambda_alpha_many.
+    """
+    values, args = lambda_alpha_many(np.asarray(g_values, dtype=float)[None], h, alpha)
+    return float(values[0]), (int(args[0, 0]), int(args[0, 1]))
+
+
+def lambda_alpha_many(g_values: np.ndarray, h: float, alpha: float):
+    """lambda_alpha of P scalar drivers on one grid, stacked as g_values
+    (P, n+1), in one pass over the node-pair blocks.  Returns the values,
+    shape (P,), and the argmax pairs, shape (P, 2); each driver's are bit
+    for bit its own lambda_alpha.  The bracket is elementwise or a
+    sequential cumsum along the gaps, and each path's block sup is its
+    own nanargmax, so the stack moves no bit.
     """
     v = np.asarray(g_values, dtype=float)
-    n = v.shape[0] - 1
+    n = v.shape[1] - 1
     if n < 2:
         raise ValueError("need at least 2 cells")
-    best = -1.0
-    arg = (1, 2)
+    paths = np.arange(v.shape[0])
+    best = np.full(v.shape[0], -1.0)
+    args = np.tile([1, 2], (v.shape[0], 1))
     for a0, bracket in _bracket_blocks(v, h, alpha, 1):
-        mag = np.abs(bracket, out=bracket)
-        r, k = np.unravel_index(np.nanargmax(mag), mag.shape)
-        if mag[r, k] > best:
-            best = float(mag[r, k])
-            arg = (a0 + int(r), a0 + int(r) + int(k) + 1)
-    return best / (_gamma(alpha) * _gamma(1.0 - alpha)), arg
+        mag = np.abs(bracket, out=bracket).reshape(v.shape[0], -1)
+        flat = np.nanargmax(mag, axis=1)
+        top = mag[paths, flat]
+        # a later block takes over only where it is strictly larger
+        better = top > best
+        best[better] = top[better]
+        r, k = np.divmod(flat[better], bracket.shape[-1])
+        args[better] = np.stack([a0 + r, a0 + r + k + 1], axis=1)
+    return best / (_gamma(alpha) * _gamma(1.0 - alpha)), args

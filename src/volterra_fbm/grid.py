@@ -25,10 +25,10 @@ Toeplitz matrix of gap weights.  Three routes share it:
 - ``row_singular_integrals``: any (n+1)^2 table of integrands, O(n^2);
   the rule for general tables and the oracle of the other two.
 - ``abs_increment_row_integrals_many``: the integrands |v_i - v_j|^p of
-  several samples, each (n_k+1, d_k) with its own power, O(n^2 d) per
-  sample without building the table; bit-identical to
-  ``row_singular_integrals`` on each table.  ``abs_increment_row_integrals``
-  is its one-sample case.
+  several samples, each (n_k+1, d_k) with its own power, or stacks
+  (S, n_k+1, d_k) of samples sharing one, O(n^2 d) per sample without
+  building the table; bit-identical to ``row_singular_integrals`` on
+  each table.  ``abs_increment_row_integrals`` is its one-sample case.
 - ``increment_row_integrals``: the signed integrands v_i - v_j of
   scalar samples stacked as rows, one FFT convolution for all rows,
   O(n log n) per row; equal to the direct rule up to round-off.
@@ -36,12 +36,13 @@ Toeplitz matrix of gap weights.  Three routes share it:
 The first two are one kernel, ``_blocked_row_rule``: rows in blocks of
 64 (the last one up to 127), each block cut at its last row's column
 (the weights beyond are zero), one weight copy per block for all
-samples, one einsum per block and sample.  A solver step measures two
-samples in one call, the verify suite's double integrals dozens.
+samples, one einsum per block and entry, a sample or a stack.  A Picard
+step of a batch passes two stacks (its paths' gaps and iterates), the
+verify suite's double integrals dozens of single samples.
 
 Sups over node pairs s < t (Weyl bracket, Lambda_alpha, driver and Holder
 norms) take ``_pair_blocks``: increments and left-singular tail integrals
-by (row, gap), in blocks of 64 rows.
+of a stack of samples by (sample, row, gap), in blocks of 64 rows.
 
 ``power_cell_weights`` keeps one read-only weight table per power-of-two
 size and (h, theta); a shorter row's weights are a bit-exact prefix of a
@@ -334,7 +335,8 @@ def row_singular_integrals(rows: np.ndarray, h: float, theta: float) -> np.ndarr
     """Per-row singular integrals against the right-sided kernel.
 
     rows[i, j] samples the integrand of row i at node s_j (j <= i; the
-    strict upper triangle is ignored).  Returns out[i] =
+    strict upper triangle is never read, so a non-finite entry there
+    changes nothing).  Returns out[i] =
     integral_0^{t_i} (t_i - s)**-theta * rows[i](s) ds for every i.
 
     For theta >= 1 the integrands must vanish on the diagonal, rows[i, i]
@@ -345,10 +347,12 @@ def row_singular_integrals(rows: np.ndarray, h: float, theta: float) -> np.ndarr
     blocked kernel as abs_increment_row_integrals, which is what makes
     the two bit-identical.
     """
-    m = np.asarray(rows, dtype=float)
+    # a row block spans columns past its first rows' diagonals, where a
+    # zero weight times a non-finite entry would be NaN
+    m = np.tril(np.asarray(rows, dtype=float))
     n = m.shape[0] - 1
     _check_increment_endpoint(np.diagonal(m), m, theta)
-    return _blocked_row_rule(h, theta, [n + 1], lambda k, lo, hi: m[lo:hi, :hi])[0]
+    return _blocked_row_rule(h, theta, [(n + 1,)], lambda k, lo, hi: m[lo:hi, :hi])[0]
 
 
 def abs_increment_row_integrals(
@@ -364,40 +368,46 @@ def abs_increment_row_integrals(
 def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np.ndarray]:
     """abs_increment_row_integrals of each (values, power) in samples, in
     one pass: the gap weights and each block's weight copy serve every
-    sample.  Samples may differ in length, dimension and power; each
-    result is bit for bit its own one-sample call.
+    sample.  Each values is one sample, (length,) or (length, d), with a
+    (length,) result, or a stack of S samples of one length, (S, length,
+    d), with an (S, length) result.  Entries may differ in length,
+    dimension and power; each sample's result is bit for bit its own
+    one-sample call, stacked or not.  A stack is one entry of the pass,
+    a list of samples one entry per sample.
 
     Fused form of row_singular_integrals on the table
     rows[i, j] = |v_i - v_j|**power, without building that table:
 
         out[i] = sum_{j<=i} c[i-j] |v_i - v_j|**p - b[i] |v_i - v_0|**p.
 
-    The increments of a block go to one buffer shared by all samples:
-    |v_i - v_j| for d = 1 (equal to the table's sqrt((v_i - v_j)**2)
-    unless that square under- or overflows), sqrt(add.reduce(d*d,
-    axis=-1)) for d > 1, then the power in place.  Cost O(n^2 d) time
-    per sample and O(64 n d) memory in all.  The diagonal is zero by
-    construction, so theta >= 1 needs no endpoint check.
+    The increments of a block go to one buffer shared by all entries, a
+    stack's in one call: |v_i - v_j| for d = 1 (equal to the table's
+    sqrt((v_i - v_j)**2) unless that square under- or overflows),
+    sqrt(add.reduce(d*d, axis=-1)) for d > 1, then the power in place.
+    Cost O(n^2 d) time per sample and O(64 n d S) memory for the largest
+    entry.  The diagonal is zero by construction, so theta >= 1 needs no
+    endpoint check.
     """
     vs, powers = [], []
     for values, power in samples:
         v = np.asarray(values, dtype=float)
         vs.append(v[:, None] if v.ndim == 1 else v)
         powers.append(power)
-    n = max(v.shape[0] for v in vs) - 1
-    # one block of increments; the last block is the longest
+    n = max(v.shape[-2] for v in vs) - 1
+    # one block of increments for the widest entry (S d columns per node);
+    # the last block is the longest
     last_lo, _ = _row_blocks(1, n + 1)[-1]
-    buf = np.empty((n + 1 - last_lo) * (n + 1) * max(v.shape[1] for v in vs))
+    buf = np.empty((n + 1 - last_lo) * (n + 1) * max(v.size // v.shape[-2] for v in vs))
 
     def increments(k, lo, hi):
-        v, dim = vs[k], vs[k].shape[1]
-        if dim == 1:
-            m = buf[: (hi - lo) * hi].reshape(hi - lo, hi)
-            np.subtract(v[lo:hi], v[:hi, 0], out=m)
+        v = vs[k]
+        if v.shape[-1] == 1:
+            m = np.ndarray(v.shape[:-2] + (hi - lo, hi), buffer=buf)
+            np.subtract(v[..., lo:hi, :], v[..., None, :hi, 0], out=m)
             np.abs(m, out=m)
         else:
-            d = buf[: (hi - lo) * hi * dim].reshape(hi - lo, hi, dim)
-            np.subtract(v[lo:hi, None, :], v[None, :hi, :], out=d)
+            d = np.ndarray(v.shape[:-2] + (hi - lo, hi, v.shape[-1]), buffer=buf)
+            np.subtract(v[..., lo:hi, None, :], v[..., None, :hi, :], out=d)
             np.multiply(d, d, out=d)
             m = np.add.reduce(d, axis=-1)
             np.sqrt(m, out=m)
@@ -405,7 +415,7 @@ def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np
             m **= powers[k]
         return m
 
-    return _blocked_row_rule(h, theta, [v.shape[0] for v in vs], increments)
+    return _blocked_row_rule(h, theta, [v.shape[:-1] for v in vs], increments)
 
 
 def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:
@@ -419,19 +429,23 @@ def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _blocked_row_rule(h: float, theta: float, lengths, block_of) -> list[np.ndarray]:
-    """The row rule of several samples, sample k having lengths[k] nodes:
-    out_k[i] = sum_{j<=i} W[i, j] rows_k[i, j] - b[i] rows_k[i, 0] for
-    every row i of sample k (row 0 is an empty integral), in the row
-    blocks of _row_blocks.  block_of(k, lo, hi) returns rows_k[lo:hi, :hi]:
-    a block stops at its last row's column, past which every weight is
-    zero.  The gap weights and each block's weight copy are made once
-    for all samples.
+def _blocked_row_rule(h: float, theta: float, shapes, block_of) -> list[np.ndarray]:
+    """The row rule of several entries, each one sample or a stack of S
+    samples of one length, shapes[k] = (length,) or (S, length):
+    out_k[..., i] = sum_{j<=i} W[i, j] rows_k[..., i, j] - b[i]
+    rows_k[..., i, 0] for every row i (row 0 is an empty integral), in
+    the row blocks of _row_blocks.  block_of(k, lo, hi) returns
+    rows_k[..., lo:hi, :hi]: a block stops at its last row's column, past
+    which every weight is zero.  The gap weights and each block's weight
+    copy are made once for all entries; one einsum and one b-correction
+    per block serve a whole entry, a stack's S samples included.
+    Returns one array of shapes[k] per entry.
 
-    The rows are summed by one einsum per block and sample, whose
-    rounding depends on the row length, so a sample keeps its own
-    length: appending zero columns changes the last bit of some sums.
-    Cutting a block at column hi does not; tests/test_row_kernel.py pins
+    The einsum's rounding depends on the row length, so an entry keeps
+    its own length: appending zero columns changes the last bit of some
+    sums.  It does not depend on the stack: each sample's sums are those
+    of its own one-sample entry (tests/test_stacks.py).  Cutting a block
+    at column hi does not move bits either; tests/test_row_kernel.py pins
     the outputs of the full-width rule.  Blocks start at rows 1 + 64 k,
     so every block but the last (which ends at the full width) is one
     past a multiple of 64 columns wide, and 64 is a multiple of the
@@ -441,24 +455,25 @@ def _blocked_row_rule(h: float, theta: float, lengths, block_of) -> list[np.ndar
     holds only the last row's diagonal term.  tests/test_block_neutrality.py
     compares blocks of 32 to 256 rows; 50 rows move bits.
     """
-    n = max(lengths) - 1
+    n = max(shape[-1] for shape in shapes) - 1
     c, b = gap_weights(n, h, theta)
     weights = _toeplitz_block(c)
     blocks = _row_blocks(1, n + 1)
     # the last block is the longest
     wbuf = np.empty((n + 1 - blocks[-1][0]) * (n + 1))
-    outs = [np.zeros(size) for size in lengths]
+    outs = [np.zeros(shape) for shape in shapes]
     for lo, hi in blocks:
         w = wbuf[: (hi - lo) * hi].reshape(hi - lo, hi)
         np.copyto(w, weights[lo:hi, :hi])
         for k, out in enumerate(outs):
-            top = min(hi, out.shape[0])
+            top = min(hi, out.shape[-1])
             if top <= lo:
                 continue
             block = block_of(k, lo, top)
-            out[lo:top] = np.einsum("ij,ij->i", w[: top - lo, :top], block)
+            seg = out[..., lo:top]
+            np.einsum("ij,...ij->...i", w[: top - lo, :top], block, out=seg)
             # node j=0 carries only the far weight of cell 0
-            out[lo:top] -= b[lo:top] * block[:, 0]
+            seg -= b[lo:top] * block[..., 0]
     return outs
 
 
@@ -502,27 +517,31 @@ def _gap_powers(k: int, h: float, exponent: float) -> np.ndarray:
 
 
 def _pair_blocks(values, h: float, lo: int, hi: int, theta: float | None = None, signed: bool = True):
-    """Node-pair table of v, shape (n+1,) or (n+1, d), rows lo <= a < hi, in
-    blocks of _PAIR_ROWS rows from a0: yields (a0, dv, tail) with
-    dv[a - a0, k - 1] = v[a] - v[a + k] for k = 1..n - a0 (NaN past t_n; the
-    sign of the Weyl integrand, zeros included) and, given theta,
-    tail[a - a0, k - 1] = int_{t_a}^{t_{a+k}} psi(y) (y - t_a)**-theta dy,
-    psi = v[a] - v(y) (signed) or |v(y) - v[a]|: the one-row product rule's
-    terms, summed by a sequential cumsum, so bit for bit that rule.  Each
-    block's arrays are fresh: callers may overwrite them."""
+    """Node-pair tables of P samples stacked as values (P, n+1) or
+    (P, n+1, d), rows lo <= a < hi, in blocks of _PAIR_ROWS rows from a0:
+    yields (a0, dv, tail) with dv[p, a - a0, k - 1] = v_p[a] - v_p[a + k]
+    for k = 1..n - a0 (NaN past t_n; the sign of the Weyl integrand,
+    zeros included), shape (P, rows, n - a0[, d]), and, given theta (scalar
+    samples only), tail[p, a - a0, k - 1] = int_{t_a}^{t_{a+k}} psi(y)
+    (y - t_a)**-theta dy, psi = v_p[a] - v_p(y) (signed) or
+    |v_p(y) - v_p[a]|: the one-row product rule's terms, summed by a
+    sequential cumsum along k, so bit for bit that rule.  Every operation
+    is elementwise or runs along k, so a sample's blocks are bit for bit
+    those of its own one-sample stack (P = 1).  Each block's arrays are
+    fresh: callers may overwrite them."""
     v = np.asarray(values, dtype=float)
-    n = v.shape[0] - 1
-    pad = np.concatenate([v, np.full((_PAIR_ROWS,) + v.shape[1:], np.nan)])
+    n = v.shape[1] - 1
+    pad = np.concatenate([v, np.full((v.shape[0], _PAIR_ROWS) + v.shape[2:], np.nan)], axis=1)
     for a0 in range(lo, hi, _PAIR_ROWS):
         a1, k = min(a0 + _PAIR_ROWS, hi), n - a0
         # the windows of v after rows a0..a1-1; for d > 1 the window axis goes before d
-        ahead = np.moveaxis(sliding_window_view(pad, k, axis=0)[a0 + 1 : a1 + 1], -1, 1)
-        dv = np.subtract(v[a0:a1, None], ahead, order="C")
+        ahead = np.moveaxis(sliding_window_view(pad, k, axis=1)[:, a0 + 1 : a1 + 1], -1, 2)
+        dv = np.subtract(v[:, a0:a1, None], ahead, order="C")
         tail = None
         if theta is not None:
             a_w, b_w = power_cell_weights(k, h, theta)
             psi = dv if signed else np.abs(dv)
             contrib = a_w * psi
-            contrib[:, 1:] += b_w[1:k] * psi[:, :-1]
-            tail = np.cumsum(contrib, axis=1, out=contrib)
+            contrib[..., 1:] += b_w[1:k] * psi[..., :-1]
+            tail = np.cumsum(contrib, axis=-1, out=contrib)
         yield a0, dv, tail

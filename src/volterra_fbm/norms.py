@@ -28,6 +28,7 @@ __all__ = [
     "HolderParams",
     "NormReport",
     "w_alpha_infty_norm",
+    "w_alpha_infty_norms",
     "w_alpha_lambda_norm",
     "fractional_aggregate",
     "fractional_norm",
@@ -41,6 +42,12 @@ __all__ = [
     "norm_row_passes",
     "holder_exponent_estimate",
 ]
+
+
+# node-pair entries S (n+1)^2 of one stacked norm pass in
+# w_alpha_infty_norms: 6 functions at n = 96, as in a CLI solve batch;
+# the increment buffer is then about 0.5 MB
+_STACK_ENTRIES = 2 ** 16
 
 
 def check_young_hurst(H: float):
@@ -109,8 +116,29 @@ def check_weight(lam: float):
 
 
 def w_alpha_infty_norm(f: GridFunction, alpha: float) -> NormReport:
-    """sup_t ( |f(t)| + int_0^t |f(t)-f(s)| / (t-s)^{alpha+1} ds )."""
-    return fractional_norm(f.grid.nodes, fractional_aggregate(f, alpha), 0.0)
+    """sup_t ( |f(t)| + int_0^t |f(t)-f(s)| / (t-s)^{alpha+1} ds ).  The
+    one-function case of w_alpha_infty_norms."""
+    return w_alpha_infty_norms([f], alpha)[0]
+
+
+def w_alpha_infty_norms(fs, alpha: float) -> list[NormReport]:
+    """w_alpha_infty_norm of each grid function of fs, all on one grid,
+    in stacks of at most _STACK_ENTRIES // (n+1)^2 functions (at least
+    one): one norm_row_passes call per stack, each report bit for bit
+    the function's own call."""
+    check_alpha(alpha)
+    fs = list(fs)
+    if not fs:
+        return []
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs):
+        raise ValueError("all functions of a stack must share one grid")
+    size = max(1, _STACK_ENTRIES // (grid.n + 1) ** 2)
+    reports = []
+    for lo in range(0, len(fs), size):
+        aggs, _ = norm_row_passes(np.stack([f.values for f in fs[lo : lo + size]]), (), grid.h, alpha, 1.0)
+        reports += [fractional_norm(grid.nodes, agg, 0.0) for agg in aggs]
+    return reports
 
 
 def w_alpha_lambda_norm(f: GridFunction, alpha: float, lam: float) -> NormReport:
@@ -127,9 +155,9 @@ def holder_norm(f: GridFunction, exponent: float) -> float:
     n = f.grid.n
     gap_pow = _gap_powers(n, f.grid.h, exponent)
     semi = 0.0
-    for _, dv, _ in _pair_blocks(f.values, f.grid.h, 0, n):
+    for _, dv, _ in _pair_blocks(f.values[None], f.grid.h, 0, n):
         dist = np.sqrt(np.add.reduce(dv * dv, axis=-1))
-        semi = max(semi, float(np.nanmax(dist / gap_pow[: dist.shape[1]])))
+        semi = max(semi, float(np.nanmax(dist / gap_pow[: dist.shape[-1]])))
     return f.sup_norm() + semi
 
 
@@ -147,8 +175,8 @@ def w_1malpha_norm(g_values: np.ndarray, h: float, alpha: float) -> float:
     n = v.shape[0] - 1
     gap_pow = _gap_powers(n, h, 1.0 - alpha)
     best = 0.0
-    for _, dv, tail in _pair_blocks(v, h, 1, n, theta=2.0 - alpha, signed=False):
-        row = np.abs(dv) / gap_pow[: dv.shape[1]] + tail
+    for _, dv, tail in _pair_blocks(v[None], h, 1, n, theta=2.0 - alpha, signed=False):
+        row = np.abs(dv) / gap_pow[: dv.shape[-1]] + tail
         best = max(best, float(np.nanmax(row)))
     return best
 
@@ -186,16 +214,34 @@ def norm_row_passes(aggregated, delta_of, h: float, alpha: float, delta: float):
     """([fractional_aggregate of v for v in aggregated],
     [delta_functional of v for v in delta_of]) for node values v of
     shape (n+1, d): one abs_increment_row_integrals_many call serves
-    them all, each result bit for bit its own call.  A Picard step of a
-    batch measures all its paths' gaps and iterates in one such call."""
+    them all, each result bit for bit its own call.  aggregated and
+    delta_of are each a sequence of samples, one kernel entry per
+    sample, or one stack (S, n+1, d), one kernel entry for all S: a
+    Picard step of a batch passes its paths' gaps and iterates as two
+    stacks."""
     _check_delta(delta)
-    if not len(aggregated) + len(delta_of):
+    agg_vs, delta_vs = _as_entries(aggregated), _as_entries(delta_of)
+    if not (agg_vs or delta_vs):
         return [], []
     incs = abs_increment_row_integrals_many(
-        [(v, 1.0) for v in aggregated] + [(v, delta) for v in delta_of], h, alpha + 1.0
+        [(v, 1.0) for v in agg_vs] + [(v, delta) for v in delta_vs], h, alpha + 1.0
     )
-    aggregates = [(np.linalg.norm(v, axis=1), inc) for v, inc in zip(aggregated, incs)]
-    return aggregates, [float(np.max(inc)) for inc in incs[len(aggregated) :]]
+    # a stack's (S, n+1) results hold one row per sample
+    aggregates, deltas = [], []
+    for v, inc in zip(agg_vs, incs):
+        sup = np.linalg.norm(v, axis=-1)
+        aggregates += list(zip(sup, inc)) if np.ndim(v) == 3 else [(sup, inc)]
+    for v, inc in zip(delta_vs, incs[len(agg_vs) :]):
+        top = inc.max(axis=-1)
+        deltas += [float(x) for x in top] if np.ndim(v) == 3 else [float(top)]
+    return aggregates, deltas
+
+
+def _as_entries(samples) -> list:
+    """A stack (S, n+1, d) as one entry, a sequence as one per sample."""
+    if isinstance(samples, np.ndarray) and samples.ndim == 3:
+        return [samples]
+    return list(samples)
 
 
 def holder_exponent_estimate(f: GridFunction) -> float:

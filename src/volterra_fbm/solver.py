@@ -19,7 +19,7 @@ from . import bounds
 from .coeffs import CoefficientSet
 from .errors import AdmissibilityError, DivergenceError, NoContractionError
 from .fbm import DriverPath
-from .fraccalc import check_alpha, lambda_alpha
+from .fraccalc import check_alpha, lambda_alpha_many
 from .grid import GridFunction, TimeGrid
 from .integrals import diffusion_term, drift_term
 from .norms import (
@@ -29,6 +29,7 @@ from .norms import (
     holder_exponent_estimate,
     norm_row_passes,
     w_alpha_infty_norm,
+    w_alpha_infty_norms,
 )
 
 __all__ = [
@@ -213,10 +214,17 @@ def _sup_norms(states: np.ndarray) -> list[float]:
     return [float(v) for v in np.linalg.norm(states, axis=-1).max(axis=-1)]
 
 
-def total_lambda_alpha(g: DriverPath, alpha: float) -> float:
-    """Capacity of a multi-component driver: componentwise values add in
-    the Stieltjes bounds, so the sum is the conservative aggregate."""
-    return float(sum(lambda_alpha(g.component(c), g.grid.h, alpha)[0] for c in range(g.m)))
+def total_lambda_alpha(drivers: list[DriverPath], alpha: float) -> list[float]:
+    """Capacity of each multi-component driver of one grid: componentwise
+    values add in the Stieltjes bounds, so the sum is the conservative
+    aggregate.  One lambda_alpha_many pass per component serves every
+    driver; the components add in order, so each value is bit for bit
+    the sum of its own lambda_alpha calls."""
+    h = drivers[0].grid.h
+    total = 0.0
+    for c in range(drivers[0].m):
+        total = total + lambda_alpha_many(np.stack([g.component(c) for g in drivers]), h, alpha)[0]
+    return [float(lam) for lam in total]
 
 
 def picard_solve(
@@ -253,12 +261,15 @@ def picard_solve_batch(
     """picard_solve on each of several drivers on one grid, one record
     per driver.
 
-    The iterates of the paths still iterating form one stack (P, n+1, d):
-    one map application and one fused norm pass per step serve them all.
-    Each path keeps its own weight (from its own capacity and a priori
-    radii), iteration count, distances and radii, and leaves the stack
-    when it converges or reaches max_iter.  Its record is bit for bit
-    that of a solve of its driver alone, whatever the batch.
+    The drivers' capacities come from one stacked pass per driver
+    component (total_lambda_alpha).  The iterates of the paths still
+    iterating form one stack (P, n+1, d): one map application and one
+    fused norm pass per step serve them all, the pass taking the gaps
+    and the iterates as two stacked entries.  Each path keeps its own
+    weight (from its own capacity and a priori radii), iteration count,
+    distances and radii, and leaves the stack when it converges or
+    reaches max_iter.  Its record is bit for bit that of a solve of its
+    driver alone, whatever the batch.
 
     A failing path (EvaluationError, DivergenceError, NoContractionError)
     leaves the stack with its exception; once the others are done, the
@@ -285,13 +296,15 @@ def picard_solve_batch(
     # a priori radii: running maxima over the iterates, the constant
     # starting iterate included (it has no increments: its functional is 0)
     start_sup = _sup_norms(start[None])[0]
-    paths = [_Path(g.values, total_lambda_alpha(g, alpha), start, start_sup) for g in drivers]
+    capacities = total_lambda_alpha(drivers, alpha)
+    paths = [_Path(g.values, lam, start, start_sup) for g, lam in zip(drivers, capacities)]
 
     def step(active, measure_gaps):
         """Apply the map to the stacked iterates of the paths active and
         raise their radii; if measure_gaps, set their gap parts |gap| +
         increment integral per node (one row pass serves the new
-        iterates' delta functionals and the gaps).  Returns the paths
+        iterates' delta functionals and the gaps, as two stacks).
+        Returns the paths
         that go on, those without error."""
         prev = np.stack([p.x for p in active])
         cur, errs = _apply_map(cs, x0, grid, prev, np.stack([p.g for p in active]))
@@ -467,7 +480,7 @@ def calibrate_growth_bound(
         raise ValueError("growth-bound calibration needs the (H3) constants")
     phi = phi_exponent(params.alpha, cs.gamma)
     z = np.array([r.lambda_alpha_g ** phi for r in records])
-    y = np.array([w_alpha_infty_norm(r.x, params.alpha).value for r in records])
+    y = np.array([rep.value for rep in w_alpha_infty_norms([r.x for r in records], params.alpha)])
     logy = np.log(np.maximum(y, 1e-300))
     if np.ptp(z) < 1e-12 or np.ptp(logy) < 1e-12:
         slope = 0.0

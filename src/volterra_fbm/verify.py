@@ -536,7 +536,10 @@ class SuiteConfig:
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> dict[str, list[EstimateReport]]:
     """Run the selected families; returns {family: [reports]}.  An
-    unknown family raises CatalogError before any family runs."""
+    unknown family, or none at all (an empty result would certify
+    nothing), raises CatalogError before any family runs."""
+    if not config.families:
+        raise CatalogError("no verification family selected")
     for fam in config.families:
         if fam not in FAMILIES:
             raise CatalogError(f"unknown verification family {fam!r}")

@@ -2,9 +2,9 @@
 
 grid._ROW_CHUNK sets the rows per block (grid._row_blocks) of the
 coefficient maps and the table rules (integrals._triangle_blocks,
-_table_blocks) and of the norm rule (grid._blocked_row_rule).  Every
-output below is compared byte for byte across block sizes, one block of
-the whole grid included.
+_table_blocks) and of the norm rule (grid._blocked_row_rule), on one
+path and on a stack of paths.  Every output below is compared byte for
+byte across block sizes, one block of the whole grid included.
 """
 
 import numpy as np
@@ -33,6 +33,8 @@ def _outputs(cs, g, states, drivers):
     """Bytes of every blocked kernel on one path (the first) and on the stack."""
     x, drv = GridFunction(g, states[0]), DriverPath(g, drivers[0])
     aggregates, deltas = norm_row_passes(list(states), list(states), g.h, 0.3, cs.delta)
+    # the solver's route: the stack as one entry of the pass
+    stacked, stacked_deltas = norm_row_passes(states, states, g.h, 0.3, cs.delta)
     arrays = [
         drift_term(cs.b, x).values.values,
         drift_term(cs.b, states, g),
@@ -42,6 +44,8 @@ def _outputs(cs, g, states, drivers):
         young_rs(_table(cs.sigma, g, states[0]), drv).values.values,
         *(inc for _, inc in aggregates),
         np.array(deltas),
+        *(inc for _, inc in stacked),
+        np.array(stacked_deltas),
     ]
     return [a.tobytes() for a in arrays]
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from volterra_fbm import grid as grid_mod
 from volterra_fbm.grid import (
     abs_increment_row_integrals,
     abs_increment_row_integrals_many,
@@ -88,3 +89,19 @@ def test_many_samples_match_one_at_a_time(n):
     assert len(many) == len(samples)
     for (v, power), got in zip(samples, many):
         assert np.array_equal(got, abs_increment_row_integrals(v, h, THETA, power=power))
+
+
+@pytest.mark.parametrize("chunk", [64, 256])
+@pytest.mark.parametrize("theta", [0.7, THETA])
+def test_table_rule_never_reads_above_the_diagonal(monkeypatch, chunk, theta):
+    # a row block spans columns past the diagonals of its first rows; a
+    # non-finite entry there must not reach any row, whatever the block size
+    monkeypatch.setattr(grid_mod, "_ROW_CHUNK", chunk)
+    n = 300
+    table = _abs_table(_sample(n, 1), 1.0)
+    want = row_singular_integrals(table, 1.0 / n, theta)
+    assert np.all(np.isfinite(want))
+    for i, j, bad in ((70, 100, np.inf), (1, 100, np.inf), (0, n, np.nan), (299, 300, -np.inf)):
+        poisoned = table.copy()
+        poisoned[i, j] = bad
+        assert row_singular_integrals(poisoned, 1.0 / n, theta).tobytes() == want.tobytes()

@@ -100,7 +100,10 @@ def test_aux_checks_pass():
 
 
 def test_run_suite_empty_and_selection():
-    assert run_suite(SuiteConfig(families=())) == {}
+    from volterra_fbm.errors import CatalogError
+
+    with pytest.raises(CatalogError, match="no verification family"):
+        run_suite(SuiteConfig(families=()))
     out = run_suite(SuiteConfig(
         families=("lemmas",), samples=20000,
         coefficient_names=("smooth-volterra",),
