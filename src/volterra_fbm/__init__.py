@@ -10,7 +10,7 @@ estimates the construction rests on.
 
 from .coeffs import CoefficientSet, builtin_coefficients, partials_fd_check, verify_hypotheses
 from .fbm import DriverPath, Seed, fbm_covariance, sample_cholesky, sample_davies_harte
-from .fraccalc import beta_fn, lambda_alpha, right_weyl_derivative
+from .fraccalc import beta_fn, lambda_alpha
 from .grid import BivariateKernelValues, GridFunction, TimeGrid, build_grid, right_singular_integral
 from .integrals import IntegralResult, diffusion_term, drift_term, lebesgue_volterra, young_frac, young_rs
 from .norms import (

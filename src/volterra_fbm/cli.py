@@ -26,7 +26,7 @@ import numpy as np
 from .coeffs import CoefficientSet, builtin_coefficients
 from .errors import AdmissibilityError, CatalogError, VolterraError
 from .fbm import DriverPath, Seed, _draw_block_rows, _sampler, fbm_covariance
-from .grid import build_grid
+from .grid import _stack_size, build_grid
 from .norms import HolderParams, w_alpha_infty_norms
 from .report import write_csv
 from .solver import euler_solve, picard_solve, picard_solve_batch
@@ -64,11 +64,6 @@ def emit_report(records: list[dict], out_path: Path) -> None:
         raise ValueError("no records to emit")
     keys = list(records[0])
     write_csv(out_path, keys, [[r[k] for r in records] for k in keys])
-
-
-# entries of the (n+1)^2 two-time tables in one batch of solves: 6 paths
-# at n = 96, one from n = 181
-_SOLVE_ENTRIES = 2 ** 16
 
 
 def _batches(paths: int, size: int) -> list[range]:
@@ -135,7 +130,7 @@ def _solve_all(cfg: ExperimentConfig, cs: CoefficientSet) -> list:
         )
 
     # one task per batch; the batches never depend on --workers
-    batches = _batches(cfg.paths, max(1, _SOLVE_ENTRIES // (cfg.n + 1) ** 2))
+    batches = _batches(cfg.paths, _stack_size(cfg.n))
     with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
         return [rec for recs in ex.map(solve, batches) for rec in recs]
 

@@ -10,9 +10,9 @@ single leading minus sign, which that routine applies.  For increasing
 drivers the real bracket is therefore negative.
 
 The bracket is written once, in ``_bracket_blocks``, over the node-pair
-blocks of ``grid._pair_blocks``: ``right_weyl_derivative`` reads one
-pair from it, ``weyl_bracket_matrix`` the whole table and
-``lambda_alpha_many`` the sup over a stack of drivers, of which
+blocks of ``grid._pair_blocks`` (the row blocks of ``grid._row_blocks``):
+``weyl_bracket_matrix`` gives the whole table, one pair being one entry,
+and ``lambda_alpha_many`` the sup over a stack of drivers, of which
 ``lambda_alpha`` is the one-driver case.
 
 All suprema are discrete sups over grid nodes: lower estimates of the
@@ -31,7 +31,6 @@ __all__ = [
     "check_alpha",
     "beta_fn",
     "left_frac_derivative_all",
-    "right_weyl_derivative",
     "weyl_bracket_matrix",
     "lambda_alpha",
     "lambda_alpha_many",
@@ -72,6 +71,7 @@ def left_frac_derivative_all(values: np.ndarray, h: float, alpha: float) -> np.n
     (grid.row_singular_integrals on the table f(s_i) - f(s_j)).  Node i
     depends on f at s_0..s_i only, so a row may run past its last node.
     """
+    check_alpha(alpha)
     v = np.asarray(values, dtype=float)
     n = v.shape[-1] - 1
     s = h * np.arange(n + 1)
@@ -81,23 +81,12 @@ def left_frac_derivative_all(values: np.ndarray, h: float, alpha: float) -> np.n
     return out
 
 
-def right_weyl_derivative(g_values: np.ndarray, h: float, alpha: float, s_index: int, t_index: int) -> float:
-    """(D^{1-alpha}_{t-} g_{t-})(s) in the real convention:
-
-        (1/Gamma(alpha)) * ( (g(s) - g(t)) / (t - s)^{1-alpha}
-            + (1-alpha) * int_s^t (g(s) - g(y)) / (y - s)^{2-alpha} dy ).
-    """
-    a, i = int(s_index), int(t_index)
-    if not 0 <= a < i <= g_values.shape[0] - 1:
-        raise ValueError(f"need 0 <= s < t inside the grid, got ({s_index}, {t_index})")
-    # the first row of the bracket block from s on the grid cut at t
-    _, bracket = next(_bracket_blocks(np.asarray(g_values, dtype=float)[None, : i + 1], h, alpha, a))
-    return float(bracket[0, 0, -1]) / _gamma(alpha)
-
-
 def _bracket_blocks(v: np.ndarray, h: float, alpha: float, lo: int):
-    """Blocks (a0, B) of scalar samples stacked as v (P, n+1):
-    B[p, a - a0, k - 1] = Gamma(alpha) * right_weyl_derivative of v_p at (a, a + k)."""
+    """Blocks (a0, B) of scalar samples stacked as v (P, n+1), rows a >= lo:
+    B[p, a - a0, k - 1] = Gamma(alpha) (D^{1-alpha}_{t-} v_{p,t-})(s) at
+    s = t_a, t = t_{a+k}, in the real convention (v(s) - v(t)) / (t - s)^{1-alpha}
+    + (1-alpha) * int_s^t (v(s) - v(y)) / (y - s)^{2-alpha} dy."""
+    check_alpha(alpha)
     n = v.shape[1] - 1
     gap_pow = _gap_powers(n, h, 1.0 - alpha)
     for a0, dv, tail in _pair_blocks(v, h, lo, n, theta=2.0 - alpha):
@@ -108,9 +97,9 @@ def _bracket_blocks(v: np.ndarray, h: float, alpha: float, lo: int):
 
 
 def weyl_bracket_matrix(g_values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """Full pair table V[a, i] = right_weyl_derivative at (s_a, t_i) for
-    a < i; other entries NaN.  O(n^2) time; O(n^2) memory for the result,
-    plus O(64 n) for the one 64-row block in flight.  Used by the
+    """Full pair table V[a, i] = (D^{1-alpha}_{t-} g_{t-})(s) at s = t_a,
+    t = t_i for a < i; other entries NaN.  O(n^2) time; O(n^2) memory for
+    the result, plus O(64 n) for the row block in flight.  Used by the
     fractional integral representation, which needs whole columns.
     """
     v = np.asarray(g_values, dtype=float)
@@ -145,9 +134,12 @@ def lambda_alpha_many(g_values: np.ndarray, h: float, alpha: float):
     shape (P,), and the argmax pairs, shape (P, 2); each driver's are bit
     for bit its own lambda_alpha.  The bracket is elementwise or a
     sequential cumsum along the gaps, and each path's block sup is its
-    own nanargmax, so the stack moves no bit.
+    own nanargmax, so the stack moves no bit.  Non-finite driver values
+    are refused: nanargmax would skip the pairs they touch.
     """
     v = np.asarray(g_values, dtype=float)
+    if v.ndim != 2 or not np.all(np.isfinite(v)):
+        raise ValueError(f"need finite driver values stacked as (P, n+1), got shape {v.shape}")
     n = v.shape[1] - 1
     if n < 2:
         raise ValueError("need at least 2 cells")

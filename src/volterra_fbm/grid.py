@@ -42,7 +42,7 @@ verify suite's double integrals dozens of single samples.
 
 Sups over node pairs s < t (Weyl bracket, Lambda_alpha, driver and Holder
 norms) take ``_pair_blocks``: increments and left-singular tail integrals
-of a stack of samples by (sample, row, gap), in blocks of 64 rows.
+of a stack of samples by (sample, row, gap), in the same row blocks.
 
 ``power_cell_weights`` keeps one read-only weight table per power-of-two
 size and (h, theta); a shorter row's weights are a bit-exact prefix of a
@@ -79,15 +79,16 @@ __all__ = [
 # theta >= 1 is a non-integrable singularity, not rounding noise.
 _ENDPOINT_ATOL = 1e-12
 
-# rows per block of the direct row rules (_row_blocks).  A block of r rows
-# computes about r^2 / 2 entries above the diagonal that no rule reads, so
-# 64 rows waste a quarter of what 256 did; at n = 2048 a block of weights
-# or integrands is 1 MB, inside a 2 MB L2 (256 rows: 4 MB, read from L3)
+# rows per block of the row rules and pair tables (_row_blocks).  A block
+# of r rows computes about r^2 / 2 entries above the diagonal that no rule
+# reads, so 64 rows waste a quarter of what 256 did; at n = 2048 a block of
+# weights, integrands or pair increments is 1 MB, inside a 2 MB L2
 _ROW_CHUNK = 64
 
-# rows per block of the pair tables: at n = 2048 a block is 1 MB per
-# array; 256-row blocks cost young_frac 7 MB of peak RSS at n = 1024
-_PAIR_ROWS = 64
+# node-pair entries S (n+1)^2 of one stack of S paths (_stack_size), for
+# a CLI solve batch and a stacked norm pass alike: 6 paths at n = 96, one
+# from n = 181; the increment buffer of a norm pass is then about 0.5 MB
+_STACK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -394,10 +395,9 @@ def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np
         vs.append(v[:, None] if v.ndim == 1 else v)
         powers.append(power)
     n = max(v.shape[-2] for v in vs) - 1
-    # one block of increments for the widest entry (S d columns per node);
-    # the last block is the longest
-    last_lo, _ = _row_blocks(1, n + 1)[-1]
-    buf = np.empty((n + 1 - last_lo) * (n + 1) * max(v.size // v.shape[-2] for v in vs))
+    # one block of increments for the widest entry (S d columns per node)
+    rows = max((hi - lo for lo, hi in _row_blocks(1, n + 1)), default=0)
+    buf = np.empty(rows * (n + 1) * max(v.size // v.shape[-2] for v in vs))
 
     def increments(k, lo, hi):
         v = vs[k]
@@ -423,10 +423,15 @@ def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:
     The last block also takes a remainder shorter than _ROW_CHUNK: a
     block of its own would cost one more call per sample for less work
     than it saves (a 33-row second block at n = 96 slowed the CLI's
-    two-thread batches of paths by a fifth)."""
+    two-thread batches of paths by a fifth).  An empty range has no block."""
     count = max(1, (stop - start) // _ROW_CHUNK)
     edges = [start + k * _ROW_CHUNK for k in range(count)] + [stop]
-    return list(zip(edges[:-1], edges[1:]))
+    return list(zip(edges[:-1], edges[1:])) if stop > start else []
+
+
+def _stack_size(n: int) -> int:
+    """Paths of one stack on n cells: _STACK_ENTRIES // (n+1)^2, at least one."""
+    return max(1, _STACK_ENTRIES // (n + 1) ** 2)
 
 
 def _blocked_row_rule(h: float, theta: float, shapes, block_of) -> list[np.ndarray]:
@@ -459,8 +464,7 @@ def _blocked_row_rule(h: float, theta: float, shapes, block_of) -> list[np.ndarr
     c, b = gap_weights(n, h, theta)
     weights = _toeplitz_block(c)
     blocks = _row_blocks(1, n + 1)
-    # the last block is the longest
-    wbuf = np.empty((n + 1 - blocks[-1][0]) * (n + 1))
+    wbuf = np.empty(max((hi - lo for lo, hi in blocks), default=0) * (n + 1))
     outs = [np.zeros(shape) for shape in shapes]
     for lo, hi in blocks:
         w = wbuf[: (hi - lo) * hi].reshape(hi - lo, hi)
@@ -518,7 +522,7 @@ def _gap_powers(k: int, h: float, exponent: float) -> np.ndarray:
 
 def _pair_blocks(values, h: float, lo: int, hi: int, theta: float | None = None, signed: bool = True):
     """Node-pair tables of P samples stacked as values (P, n+1) or
-    (P, n+1, d), rows lo <= a < hi, in blocks of _PAIR_ROWS rows from a0:
+    (P, n+1, d), rows lo <= a < hi, in the row blocks (a0, a1) of _row_blocks:
     yields (a0, dv, tail) with dv[p, a - a0, k - 1] = v_p[a] - v_p[a + k]
     for k = 1..n - a0 (NaN past t_n; the sign of the Weyl integrand,
     zeros included), shape (P, rows, n - a0[, d]), and, given theta (scalar
@@ -531,9 +535,10 @@ def _pair_blocks(values, h: float, lo: int, hi: int, theta: float | None = None,
     fresh: callers may overwrite them."""
     v = np.asarray(values, dtype=float)
     n = v.shape[1] - 1
-    pad = np.concatenate([v, np.full((v.shape[0], _PAIR_ROWS) + v.shape[2:], np.nan)], axis=1)
-    for a0 in range(lo, hi, _PAIR_ROWS):
-        a1, k = min(a0 + _PAIR_ROWS, hi), n - a0
+    # a block of r <= hi - lo rows reads its last window up to r - 1 nodes past t_n
+    pad = np.concatenate([v, np.full((v.shape[0], hi - lo) + v.shape[2:], np.nan)], axis=1)
+    for a0, a1 in _row_blocks(lo, hi):
+        k = n - a0
         # the windows of v after rows a0..a1-1; for d > 1 the window axis goes before d
         ahead = np.moveaxis(sliding_window_view(pad, k, axis=1)[:, a0 + 1 : a1 + 1], -1, 2)
         dv = np.subtract(v[:, a0:a1, None], ahead, order="C")

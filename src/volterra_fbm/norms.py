@@ -20,6 +20,7 @@ from .grid import (
     GridFunction,
     _gap_powers,
     _pair_blocks,
+    _stack_size,
     abs_increment_row_integrals_many,
     left_singular_integral,
 )
@@ -42,12 +43,6 @@ __all__ = [
     "norm_row_passes",
     "holder_exponent_estimate",
 ]
-
-
-# node-pair entries S (n+1)^2 of one stacked norm pass in
-# w_alpha_infty_norms: 6 functions at n = 96, as in a CLI solve batch;
-# the increment buffer is then about 0.5 MB
-_STACK_ENTRIES = 2 ** 16
 
 
 def check_young_hurst(H: float):
@@ -94,7 +89,7 @@ def fractional_aggregate(f: GridFunction, alpha: float) -> tuple[np.ndarray, np.
     at every node: the per-node parts of the fractional norms, one
     O(n^2) pass."""
     check_alpha(alpha)
-    return norm_row_passes([f.values], (), f.grid.h, alpha, 1.0)[0][0]
+    return norm_row_passes(f.values[None], None, f.grid.h, alpha, 1.0)[0][0]
 
 
 def fractional_norm(nodes: np.ndarray, aggregate: tuple[np.ndarray, np.ndarray], lam: float) -> NormReport:
@@ -123,9 +118,9 @@ def w_alpha_infty_norm(f: GridFunction, alpha: float) -> NormReport:
 
 def w_alpha_infty_norms(fs, alpha: float) -> list[NormReport]:
     """w_alpha_infty_norm of each grid function of fs, all on one grid,
-    in stacks of at most _STACK_ENTRIES // (n+1)^2 functions (at least
-    one): one norm_row_passes call per stack, each report bit for bit
-    the function's own call."""
+    in stacks of at most grid._stack_size(n) functions: one
+    norm_row_passes call per stack, each report bit for bit the
+    function's own call."""
     check_alpha(alpha)
     fs = list(fs)
     if not fs:
@@ -133,10 +128,10 @@ def w_alpha_infty_norms(fs, alpha: float) -> list[NormReport]:
     grid = fs[0].grid
     if any(f.grid != grid for f in fs):
         raise ValueError("all functions of a stack must share one grid")
-    size = max(1, _STACK_ENTRIES // (grid.n + 1) ** 2)
+    size = _stack_size(grid.n)
     reports = []
     for lo in range(0, len(fs), size):
-        aggs, _ = norm_row_passes(np.stack([f.values for f in fs[lo : lo + size]]), (), grid.h, alpha, 1.0)
+        aggs, _ = norm_row_passes(np.stack([f.values for f in fs[lo : lo + size]]), None, grid.h, alpha, 1.0)
         reports += [fractional_norm(grid.nodes, agg, 0.0) for agg in aggs]
     return reports
 
@@ -207,41 +202,23 @@ def _check_delta(delta: float):
 
 def delta_functional(f: GridFunction, alpha: float, delta: float) -> float:
     """sup_u int_0^u |f(u)-f(s)|^delta / (u-s)^{alpha+1} ds."""
-    return norm_row_passes((), [f.values], f.grid.h, alpha, delta)[1][0]
+    return norm_row_passes(None, f.values[None], f.grid.h, alpha, delta)[1][0]
 
 
 def norm_row_passes(aggregated, delta_of, h: float, alpha: float, delta: float):
     """([fractional_aggregate of v for v in aggregated],
-    [delta_functional of v for v in delta_of]) for node values v of
-    shape (n+1, d): one abs_increment_row_integrals_many call serves
-    them all, each result bit for bit its own call.  aggregated and
-    delta_of are each a sequence of samples, one kernel entry per
-    sample, or one stack (S, n+1, d), one kernel entry for all S: a
-    Picard step of a batch passes its paths' gaps and iterates as two
-    stacks."""
+    [delta_functional of v for v in delta_of]) for two stacks of node
+    values, each (S, n+1, d) or None for no samples: one
+    abs_increment_row_integrals_many call, one kernel entry per stack,
+    serves them all, each result bit for bit its own one-sample stack's.
+    A Picard step of a batch passes its paths' gaps and iterates."""
     _check_delta(delta)
-    agg_vs, delta_vs = _as_entries(aggregated), _as_entries(delta_of)
-    if not (agg_vs or delta_vs):
-        return [], []
-    incs = abs_increment_row_integrals_many(
-        [(v, 1.0) for v in agg_vs] + [(v, delta) for v in delta_vs], h, alpha + 1.0
-    )
-    # a stack's (S, n+1) results hold one row per sample
-    aggregates, deltas = [], []
-    for v, inc in zip(agg_vs, incs):
-        sup = np.linalg.norm(v, axis=-1)
-        aggregates += list(zip(sup, inc)) if np.ndim(v) == 3 else [(sup, inc)]
-    for v, inc in zip(delta_vs, incs[len(agg_vs) :]):
-        top = inc.max(axis=-1)
-        deltas += [float(x) for x in top] if np.ndim(v) == 3 else [float(top)]
+    entries = [(v, p) for v, p in ((aggregated, 1.0), (delta_of, delta)) if v is not None]
+    incs = abs_increment_row_integrals_many(entries, h, alpha + 1.0) if entries else []
+    # each stack's (S, n+1) result holds one row per sample
+    aggregates = [] if aggregated is None else list(zip(np.linalg.norm(aggregated, axis=-1), incs[0]))
+    deltas = [] if delta_of is None else [float(x) for x in incs[-1].max(axis=-1)]
     return aggregates, deltas
-
-
-def _as_entries(samples) -> list:
-    """A stack (S, n+1, d) as one entry, a sequence as one per sample."""
-    if isinstance(samples, np.ndarray) and samples.ndim == 3:
-        return [samples]
-    return list(samples)
 
 
 def holder_exponent_estimate(f: GridFunction) -> float:

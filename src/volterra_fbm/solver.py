@@ -312,7 +312,7 @@ def picard_solve_batch(
             p.error = exc
         ok = [k for k, exc in enumerate(errs) if exc is None]
         active, prev, cur = [active[k] for k in ok], prev[ok], cur[ok]
-        aggs, deltas = norm_row_passes(cur - prev if measure_gaps else (), cur, grid.h, alpha, cs.delta)
+        aggs, deltas = norm_row_passes(cur - prev if measure_gaps else None, cur, grid.h, alpha, cs.delta)
         for p, x, sup, delta in zip(active, cur, _sup_norms(cur), deltas):
             p.x = x.copy()  # a path that leaves keeps no view of the stack
             p.sup_radius = max(p.sup_radius, sup)

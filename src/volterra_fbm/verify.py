@@ -172,7 +172,7 @@ def check_lebesgue_estimates(
         checks.add("drift-holder-bound", holder_norm(Ff, 1.0 - alpha), d1 * (1.0 + f.sup_norm()))
 
         (agg_ff, agg_f, agg_gap, agg_diff), _ = norm_row_passes(
-            (Ff.values, f.values, Ff.values - Fh.values, f.values - hh.values), (), h, alpha, 1.0
+            np.stack((Ff.values, f.values, Ff.values - Fh.values, f.values - hh.values)), None, h, alpha, 1.0
         )
         d2 = checks.const("d2", bounds.drift_d2(alpha, T, cs.L, cs.L_0, cs.mu, b0a), "d2")
         checks.add("drift-weighted-bound", fractional_norm(grid.nodes, agg_ff, lam).value,
@@ -294,8 +294,8 @@ def check_rs_estimates(
 
         # every row pass of the three estimates in one kernel call
         (agg_f, agg_gf, agg_gap, agg_diff), (df, dh) = norm_row_passes(
-            (f.values, Gf.values, Gf.values - Gh.values, f.values - hh.values),
-            (f.values, hh.values), h, alpha, cs.delta,
+            np.stack((f.values, Gf.values, Gf.values - Gh.values, f.values - hh.values)),
+            np.stack((f.values, hh.values)), h, alpha, cs.delta,
         )
         sigma_consts = (alpha, cs.beta, cs.mu, T, cs.K, s00)
 

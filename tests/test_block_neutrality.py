@@ -2,9 +2,10 @@
 
 grid._ROW_CHUNK sets the rows per block (grid._row_blocks) of the
 coefficient maps and the table rules (integrals._triangle_blocks,
-_table_blocks) and of the norm rule (grid._blocked_row_rule), on one
-path and on a stack of paths.  Every output below is compared byte for
-byte across block sizes, one block of the whole grid included.
+_table_blocks), of the norm rule (grid._blocked_row_rule), on one
+path and on a stack of paths, and of the node-pair tables
+(grid._pair_blocks).  Every output below is compared byte for byte
+across block sizes, one block of the whole grid included.
 """
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 from volterra_fbm import grid as grid_mod
 from volterra_fbm.coeffs import builtin_coefficients, catalog_names
 from volterra_fbm.fbm import DriverPath
+from volterra_fbm.fraccalc import lambda_alpha_many, weyl_bracket_matrix
 from volterra_fbm.grid import BivariateKernelValues, GridFunction, _row_blocks, build_grid
 from volterra_fbm.integrals import diffusion_term, drift_term, lebesgue_volterra, young_rs
-from volterra_fbm.norms import norm_row_passes
+from volterra_fbm.norms import holder_norm, norm_row_passes, w_1malpha_norm
 
 SIZES = (2, 3, 63, 64, 65, 97, 255, 257, 300, 1000)
 CHUNKS = (32, 64, 96, 256)
@@ -32,7 +34,7 @@ def _table(fn, g, states):
 def _outputs(cs, g, states, drivers):
     """Bytes of every blocked kernel on one path (the first) and on the stack."""
     x, drv = GridFunction(g, states[0]), DriverPath(g, drivers[0])
-    aggregates, deltas = norm_row_passes(list(states), list(states), g.h, 0.3, cs.delta)
+    aggregates, deltas = norm_row_passes(states[:1], states[:1], g.h, 0.3, cs.delta)
     # the solver's route: the stack as one entry of the pass
     stacked, stacked_deltas = norm_row_passes(states, states, g.h, 0.3, cs.delta)
     arrays = [
@@ -75,6 +77,50 @@ def test_row_block_size_is_bit_neutral(monkeypatch, name, params, n):
     (0, 128, [(0, 64), (64, 128)]),
     (1, 130, [(1, 65), (65, 130)]),
     (0, 2049, [(lo, lo + 64) for lo in range(0, 1984, 64)] + [(1984, 2049)]),
+    (1, 1, []),
+    (5, 3, []),
 ])
 def test_row_blocks_cover_the_rows_without_a_short_block(start, stop, want):
     assert _row_blocks(start, stop) == want
+
+
+def test_two_node_driver_norm_has_no_pair():
+    # no interior node: the sup over 0 < s < t runs over no pair
+    assert w_1malpha_norm(np.array([0.0, 1.0]), 1.0, 0.3) == 0.0
+
+
+PAIR_SIZES = (2, 3, 63, 64, 65, 96, 127, 128, 129, 300, 1000)
+PAIR_CHUNKS = (32, 50, 64, 96, 256)
+
+
+def _pair_outputs(g, drivers, f):
+    """Bytes of every function on the node-pair table."""
+    values, args = lambda_alpha_many(drivers, g.h, 0.3)
+    return [
+        values.tobytes(),
+        args.tobytes(),
+        weyl_bracket_matrix(drivers[1], g.h, 0.3).tobytes(),
+        holder_norm(f, 0.7).hex(),
+        holder_norm(GridFunction(g, drivers[1]), 0.7).hex(),
+        w_1malpha_norm(drivers[1], g.h, 0.3).hex(),
+    ]
+
+
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_pair_table_block_size_is_bit_neutral(monkeypatch, n):
+    # every pair's terms are elementwise or a cumsum along its row, and a
+    # block's argmax is its first maximal pair: 50-row blocks hold too.
+    # The constant driver ties every pair, the jump puts the sup last
+    rng = np.random.default_rng(n)
+    g = build_grid(1.0, n)
+    walk = 2.0 + np.cumsum(rng.normal(size=n + 1)) / np.sqrt(n)
+    jump = 0.1 * walk
+    jump[-1] += 5.0
+    drivers = np.stack([np.full(n + 1, 1.5), walk, jump, g.nodes])
+    f = GridFunction(g, np.cumsum(rng.normal(size=(n + 1, 3)), axis=0))
+    got = {}
+    for chunk in PAIR_CHUNKS + (n + 1,):
+        monkeypatch.setattr(grid_mod, "_ROW_CHUNK", chunk)
+        got[chunk] = _pair_outputs(g, drivers, f)
+    for chunk, out in got.items():
+        assert out == got[n + 1], chunk

@@ -7,6 +7,7 @@ import pytest
 
 from volterra_fbm import cli, fbm, report, solver, verify
 from volterra_fbm.cli import ExperimentConfig, emit_report, main, run_experiment
+from volterra_fbm.grid import _stack_size
 
 
 def read_bytes_tree(root: Path) -> dict:
@@ -385,7 +386,7 @@ def test_batches_are_contiguous_and_sized_from_n():
     assert cli._batches(4, 1) == [range(0, 1), range(1, 2), range(2, 3), range(3, 4)]
     assert cli._batches(0, 9) == []
     # solves: 6 paths per batch at n = 96, 2 at n = 180, one from n = 181
-    assert [cli._SOLVE_ENTRIES // (n + 1) ** 2 for n in (96, 180, 181)] == [6, 2, 1]
+    assert [_stack_size(n) for n in (96, 180, 181)] == [6, 2, 1]
     # draws: one Davies-Harte block, 2n normals a path
     assert fbm._draw_block_rows(8) == fbm._DRAW_NORMALS // 16
     assert fbm._draw_block_rows(fbm._DRAW_NORMALS) == 1

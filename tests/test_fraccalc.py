@@ -8,8 +8,8 @@ from volterra_fbm.fraccalc import (
     beta_fn,
     check_alpha,
     lambda_alpha,
+    lambda_alpha_many,
     left_frac_derivative_all,
-    right_weyl_derivative,
     weyl_bracket_matrix,
 )
 from volterra_fbm.grid import GridFunction, build_grid
@@ -64,15 +64,16 @@ def test_left_derivative_of_zero_and_origin_error():
 def test_weyl_of_constant_is_zero():
     g = build_grid(1.0, 128)
     v = np.full(g.n + 1, 2.5)
-    assert right_weyl_derivative(v, g.h, 0.3, 10, 90) == pytest.approx(0.0, abs=1e-14)
+    assert weyl_bracket_matrix(v, g.h, 0.3)[10, 90] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_weyl_of_identity_closed_form():
     g = build_grid(1.0, 2048)
     v = g.nodes.copy()
-    got = right_weyl_derivative(v, g.h, 0.25, 0, g.n)
+    table = weyl_bracket_matrix(v, g.h, 0.25)
+    got = table[0, g.n]
     assert got == pytest.approx(-1.0 / gamma(1.25), rel=1e-10)
-    got2 = right_weyl_derivative(v, g.h, 0.25, 512, 1536)
+    got2 = table[512, 1536]
     assert got2 == pytest.approx(-0.5 ** 0.25 / gamma(1.25), rel=1e-10)
 
 
@@ -86,7 +87,7 @@ def test_weyl_quadrature_against_quad_oracle():
     tail, _ = quad(lambda y: (gfun(s) - gfun(y)) * (y - s) ** (alpha - 2), s, t,
                    points=[s], limit=400)
     oracle = ((gfun(s) - gfun(t)) / (t - s) ** (1 - alpha) + (1 - alpha) * tail) / gamma(alpha)
-    got = right_weyl_derivative(v, g.h, alpha, s_i, t_i)
+    got = weyl_bracket_matrix(v, g.h, alpha)[s_i, t_i]
     assert got == pytest.approx(oracle, rel=2e-4)
 
 
@@ -96,18 +97,30 @@ def test_weyl_linearity():
     u = np.cumsum(rng.normal(size=g.n + 1)) * 0.1
     w = np.cumsum(rng.normal(size=g.n + 1)) * 0.1
     a, b = 1.7, -0.6
-    got = right_weyl_derivative(a * u + b * w, g.h, 0.2, 30, 100)
-    parts = a * right_weyl_derivative(u, g.h, 0.2, 30, 100) + b * right_weyl_derivative(w, g.h, 0.2, 30, 100)
+    got = weyl_bracket_matrix(a * u + b * w, g.h, 0.2)[30, 100]
+    parts = a * weyl_bracket_matrix(u, g.h, 0.2)[30, 100] + b * weyl_bracket_matrix(w, g.h, 0.2)[30, 100]
     assert got == pytest.approx(parts, rel=1e-10)
 
 
-def test_weyl_rejects_bad_pairs():
-    g = build_grid(1.0, 32)
-    v = g.nodes.copy()
-    with pytest.raises(ValueError):
-        right_weyl_derivative(v, g.h, 0.3, 10, 10)
-    with pytest.raises(ValueError):
-        right_weyl_derivative(v, g.h, 0.3, 20, 10)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9999, 1.0, -0.1])
+def test_fraccalc_refuses_alpha_outside_its_window(alpha):
+    # alpha = 1 used to read capacity 0.0, alpha = 0.9999 0.0063, and
+    # alpha = 0 failed on the kernel exponent 2 without naming alpha
+    g = build_grid(1.0, 8)
+    v = g.nodes ** 2
+    for call in (lambda_alpha, weyl_bracket_matrix, left_frac_derivative_all):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            call(v, g.h, alpha)
+
+
+def test_lambda_alpha_refuses_non_finite_drivers_and_bad_stacks():
+    # nanargmax skipped the pairs a NaN touches: this read a finite 1.85
+    with pytest.raises(ValueError, match="finite"):
+        lambda_alpha(np.array([0.0, np.nan, 1.0, 2.0]), 1.0 / 3.0, 0.3)
+    with pytest.raises(ValueError, match="finite"):
+        lambda_alpha_many(np.array([[0.0, 1.0, 2.0], [0.0, np.inf, 1.0]]), 0.5, 0.3)
+    with pytest.raises(ValueError, match=r"\(P, n\+1\)"):
+        lambda_alpha_many(np.zeros((2, 5, 1)), 0.25, 0.3)
 
 
 def test_lambda_alpha_constant_driver():
@@ -169,9 +182,10 @@ def test_weyl_matrix_matches_pointwise():
     g = build_grid(1.0, 96)
     v = np.cumsum(rng.normal(size=g.n + 1)) * 0.15
     m = weyl_bracket_matrix(v, g.h, 0.3)
+    # a pair (s, t) sees the driver up to t only: the table of the grid cut at t
     for (a, i) in ((0, 96), (10, 40), (50, 51)):
-        assert m[a, i] == pytest.approx(right_weyl_derivative(v, g.h, 0.3, a, i), rel=1e-11)
-    assert np.isnan(m[40, 10])
+        assert m[a, i].hex() == weyl_bracket_matrix(v[: i + 1], g.h, 0.3)[a, i].hex()
+    assert np.isnan(m[40, 10]) and np.isnan(m[40, 40])
 
 
 def test_beta_moment_identity_grid_quadrature():

@@ -217,13 +217,15 @@ def test_delta_and_gap_aggregate_is_the_two_calls(d, delta):
     gap = x_next.values - x_prev.values
     want_sup, want_inc = fractional_aggregate(grid_fn(gap), 0.3)
     want_delta = delta_functional(x_next, 0.3, delta)
-    [(got_sup, got_inc)], [got_delta] = norm_row_passes([gap], [x_next.values], x_next.grid.h, 0.3, delta)
+    [(got_sup, got_inc)], [got_delta] = norm_row_passes(gap[None], x_next.values[None], x_next.grid.h, 0.3, delta)
     assert got_delta == want_delta
     assert np.array_equal(got_sup, want_sup)
     assert np.array_equal(got_inc, want_inc)
     other = random_fn(13, n=300, d=d).values
-    aggs, deltas = norm_row_passes([other, gap], [x_prev.values, x_next.values], x_next.grid.h, 0.3, delta)
+    aggs, deltas = norm_row_passes(
+        np.stack([other, gap]), np.stack([x_prev.values, x_next.values]), x_next.grid.h, 0.3, delta
+    )
     assert np.array_equal(aggs[1][0], want_sup) and np.array_equal(aggs[1][1], want_inc)
     assert deltas[0] == delta_functional(x_prev, 0.3, delta) and deltas[1] == want_delta
     with pytest.raises(ValueError):
-        norm_row_passes([gap], [x_next.values], x_next.grid.h, 0.3, 1.5)
+        norm_row_passes(gap[None], x_next.values[None], x_next.grid.h, 0.3, 1.5)

@@ -1,9 +1,11 @@
-"""The five functions built on the node-pair table (grid._pair_blocks),
+"""The functions built on the node-pair table (grid._pair_blocks),
 pinned to the bit.
 
 The pins were recorded from the per-row loops that the blocked table
 replaced (numpy 2.4, x86-64): sha256 of the weyl_bracket_matrix bytes,
-float.hex of every scalar, and the lambda_alpha argmax.  The sizes
+float.hex of every scalar, and the lambda_alpha argmax.  The
+right_weyl_derivative pins were recorded from a one-pair function that
+the table has since replaced; they are read from the table's entries.  The sizes
 cross the 64-row block edges; the constant driver ties every pair, within
 a block and across blocks (the argmax must stay the first one), and the
 jump driver puts the sup in the last block.
@@ -14,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from volterra_fbm.fraccalc import lambda_alpha, right_weyl_derivative, weyl_bracket_matrix
+from volterra_fbm.fraccalc import lambda_alpha, weyl_bracket_matrix
 from volterra_fbm.grid import GridFunction, build_grid
 from volterra_fbm.norms import holder_norm, w_1malpha_norm
 
@@ -39,10 +41,12 @@ def _outputs(kind, n):
     lam, arg = lambda_alpha(v, h, alpha)
     pairs = sorted({(0, n), (1, 2), (n // 2, n), (n - 1, n)})
     grid = build_grid(1.0, n)
+    table = weyl_bracket_matrix(v, h, alpha)
     out = {
         "lambda_alpha": (lam.hex(), tuple(int(i) for i in arg)),
-        "weyl_bracket_matrix": hashlib.sha256(weyl_bracket_matrix(v, h, alpha).tobytes()).hexdigest(),
-        "right_weyl_derivative": [right_weyl_derivative(v, h, alpha, a, i).hex() for a, i in pairs],
+        "weyl_bracket_matrix": hashlib.sha256(table.tobytes()).hexdigest(),
+        # the pins of the retired one-pair function, read from the table
+        "right_weyl_derivative": [float(table[a, i]).hex() for a, i in pairs],
         "w_1malpha_norm": w_1malpha_norm(v, h, alpha).hex(),
     }
     for d in (1, 3):
@@ -199,17 +203,3 @@ _PINS = {
 @pytest.mark.parametrize("kind, n", list(_PINS))
 def test_pair_table_outputs_unchanged(kind, n):
     assert _outputs(kind, n) == _PINS[(kind, n)]
-
-
-def test_right_weyl_derivative_is_the_bracket_table():
-    # both take the gap power (t - s)**(1 - alpha) from grid._gap_powers:
-    # every pair agrees to the bit (scalar ** differed at 94 of these 2080)
-    n, alpha = 64, 0.3
-    h = 1.0 / n
-    v = _sample("walk", n, 1, 7)[:, 0]
-    table = weyl_bracket_matrix(v, h, alpha)
-    pairs = [(a, i) for a in range(n) for i in range(a + 1, n + 1)]
-    assert len(pairs) == 2080
-    got = np.array([right_weyl_derivative(v, h, alpha, a, i) for a, i in pairs])
-    want = np.array([table[a, i] for a, i in pairs])
-    assert np.array_equal(got, want)

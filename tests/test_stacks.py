@@ -2,7 +2,7 @@
 
 The capacity functional (fraccalc.lambda_alpha_many), the norm rule
 (grid.abs_increment_row_integrals_many with a stack entry, and
-norms.norm_row_passes with stacks) and the fractional sup norms
+norms.norm_row_passes, which takes stacks only) and the fractional sup norms
 (norms.w_alpha_infty_norms) each serve a stack of paths in one pass.
 Every value below is compared by float.hex (or byte for byte) against
 the one-path call; tests/test_pair_tables.py and tests/test_row_kernel.py
@@ -138,18 +138,24 @@ def test_stacked_norm_rule_matches_one_sample_calls(n, power, d):
 @pytest.mark.parametrize("n", [2, 65, 129])
 @pytest.mark.parametrize("delta", [1.0, 0.7])
 def test_norm_row_passes_stacks_match_lists(n, delta):
-    # the solver's route (two stacks) against the verify suite's (lists)
+    # the solver's route (two stacks of four) against a list of calls on
+    # each row's own one-sample stacks, and those against the row
+    # kernel's one-sample entries
     rng = np.random.default_rng(n)
+    h, theta = 1.0 / n, ALPHA + 1.0
     gaps = rng.normal(size=(4, n + 1, 2))
     iterates = np.cumsum(rng.normal(size=(4, n + 1, 2)), axis=1)
-    stacked = norm_row_passes(gaps, iterates, 1.0 / n, ALPHA, delta)
-    listed = norm_row_passes(list(gaps), list(iterates), 1.0 / n, ALPHA, delta)
-    assert len(stacked[0]) == len(listed[0]) == 4
-    for (sup_s, inc_s), (sup_l, inc_l) in zip(stacked[0], listed[0]):
-        assert sup_s.tobytes() == sup_l.tobytes() and inc_s.tobytes() == inc_l.tobytes()
-    assert _hex(stacked[1]) == _hex(listed[1])
-    # an empty side stays empty
-    assert norm_row_passes((), iterates, 1.0 / n, ALPHA, delta)[0] == []
+    aggs, deltas = norm_row_passes(gaps, iterates, h, ALPHA, delta)
+    assert len(aggs) == len(deltas) == 4
+    for s in range(4):
+        [(sup, inc)], [top] = norm_row_passes(gaps[s][None], iterates[s][None], h, ALPHA, delta)
+        assert _hex(aggs[s][0]) == _hex(sup) == _hex(np.linalg.norm(gaps[s], axis=-1))
+        assert _hex(aggs[s][1]) == _hex(inc) == _hex(abs_increment_row_integrals(gaps[s], h, theta))
+        own = abs_increment_row_integrals(iterates[s], h, theta, delta).max()
+        assert deltas[s].hex() == top.hex() == float(own).hex()
+    # an absent side stays empty
+    assert norm_row_passes(None, iterates, h, ALPHA, delta)[0] == []
+    assert norm_row_passes(None, None, h, ALPHA, delta) == ([], [])
 
 
 @pytest.mark.parametrize("n", [16, 96, 300])
