@@ -99,8 +99,8 @@ def _bracket_blocks(v: np.ndarray, h: float, alpha: float, lo: int):
 def weyl_bracket_matrix(g_values: np.ndarray, h: float, alpha: float) -> np.ndarray:
     """Full pair table V[a, i] = (D^{1-alpha}_{t-} g_{t-})(s) at s = t_a,
     t = t_i for a < i; other entries NaN.  O(n^2) time; O(n^2) memory for
-    the result, plus O(64 n) for the row block in flight.  Used by the
-    fractional integral representation, which needs whole columns.
+    the result, plus O(_ROW_CHUNK n) for the row block in flight.  Used by
+    the fractional integral representation, which needs whole columns.
     """
     v = np.asarray(g_values, dtype=float)
     n = v.shape[0] - 1

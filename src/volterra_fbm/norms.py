@@ -206,14 +206,15 @@ def delta_functional(f: GridFunction, alpha: float, delta: float) -> float:
 
 
 def norm_row_passes(aggregated, delta_of, h: float, alpha: float, delta: float):
-    """([fractional_aggregate of v for v in aggregated],
-    [delta_functional of v for v in delta_of]) for two stacks of node
-    values, each (S, n+1, d) or None for no samples: one
-    abs_increment_row_integrals_many call, one kernel entry per stack,
-    serves them all, each result bit for bit its own one-sample stack's.
-    A Picard step of a batch passes its paths' gaps and iterates."""
+    """([fractional_aggregate of v for v in aggregated], [delta_functional
+    of v for v in delta_of]) for two stacks of node values, each (S, n+1,
+    d) or None for no samples: one abs_increment_row_integrals_many call,
+    one kernel entry per stack, serves them all, each result bit for bit
+    its own one-sample stack's.  A Picard step passes gaps and iterates."""
     _check_delta(delta)
     entries = [(v, p) for v, p in ((aggregated, 1.0), (delta_of, delta)) if v is not None]
+    if any(np.ndim(v) != 3 for v, _ in entries):
+        raise ValueError(f"need node values stacked as (S, n+1, d), got shapes {[np.shape(v) for v, _ in entries]}")
     incs = abs_increment_row_integrals_many(entries, h, alpha + 1.0) if entries else []
     # each stack's (S, n+1) result holds one row per sample
     aggregates = [] if aggregated is None else list(zip(np.linalg.norm(aggregated, axis=-1), incs[0]))

@@ -15,7 +15,13 @@ from volterra_fbm import grid as grid_mod
 from volterra_fbm.coeffs import builtin_coefficients, catalog_names
 from volterra_fbm.fbm import DriverPath
 from volterra_fbm.fraccalc import lambda_alpha_many, weyl_bracket_matrix
-from volterra_fbm.grid import BivariateKernelValues, GridFunction, _row_blocks, build_grid
+from volterra_fbm.grid import (
+    BivariateKernelValues,
+    GridFunction,
+    _row_blocks,
+    abs_increment_row_integrals_many,
+    build_grid,
+)
 from volterra_fbm.integrals import diffusion_term, drift_term, lebesgue_volterra, young_rs
 from volterra_fbm.norms import holder_norm, norm_row_passes, w_1malpha_norm
 
@@ -32,9 +38,14 @@ def _table(fn, g, states):
 
 
 def _outputs(cs, g, states, drivers):
-    """Bytes of every blocked kernel on one path (the first) and on the stack."""
+    """Bytes of every blocked kernel on one path (the first), on each path
+    as a one-sample entry of the row kernel, and on the stack."""
     x, drv = GridFunction(g, states[0]), DriverPath(g, drivers[0])
     aggregates, deltas = norm_row_passes(states[:1], states[:1], g.h, 0.3, cs.delta)
+    # the verify route: one (n+1, d) entry per sample
+    singles = abs_increment_row_integrals_many(
+        [(s, 1.0) for s in states] + [(s, cs.delta) for s in states], g.h, 1.3
+    )
     # the solver's route: the stack as one entry of the pass
     stacked, stacked_deltas = norm_row_passes(states, states, g.h, 0.3, cs.delta)
     arrays = [
@@ -46,6 +57,7 @@ def _outputs(cs, g, states, drivers):
         young_rs(_table(cs.sigma, g, states[0]), drv).values.values,
         *(inc for _, inc in aggregates),
         np.array(deltas),
+        *singles,
         *(inc for _, inc in stacked),
         np.array(stacked_deltas),
     ]

@@ -229,3 +229,8 @@ def test_delta_and_gap_aggregate_is_the_two_calls(d, delta):
     assert deltas[0] == delta_functional(x_prev, 0.3, delta) and deltas[1] == want_delta
     with pytest.raises(ValueError):
         norm_row_passes(gap[None], x_next.values[None], x_next.grid.h, 0.3, 1.5)
+    # an (S, n+1) stack of scalar samples is not read as one d = n+1 sample
+    scalars = np.stack([gap[:, 0], x_next.values[:, 0]])
+    for args in ((scalars, None), (None, scalars), (gap, x_next.values[None])):
+        with pytest.raises(ValueError, match=r"stacked as \(S, n\+1, d\)"):
+            norm_row_passes(*args, x_next.grid.h, 0.3, delta)
