@@ -18,6 +18,9 @@ and diffusion maps call b and sigma on row blocks of the triangle
 s <= t with t of shape (r, 1), s of shape (r, k) and the state
 un-broadcast, shape (1, k, d): a factor of x(s) alone is computed once
 per column.  A result smaller than the broadcast shape is broadcast.
+b and sigma are called on the same t, s and state arrays per block, so
+neither may write into its arguments; the maps in turn never write into
+an evaluator's result.
 A batch of P Picard solves stacks its paths on one more leading state
 axis, (P, 1, k, d).  Results are broadcast from the right, the last
 axis of b's and the last two of sigma's being the value's, so a result

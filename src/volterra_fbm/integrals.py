@@ -6,17 +6,23 @@ Riemann-Stieltjes sum against a driver (the pathwise Young integral),
 and the fractional-derivative representation of the same integral used
 as the accuracy arbiter for rough drivers.
 
-Each discrete rule is written once and reads its kernel values in
-blocks (lo, hi, v): v holds rows lo <= i < hi against columns j < hi,
-shaped ([P,] rows, cols, d, m).  The trapezoid rule (_trapezoid_rows)
-serves lebesgue_volterra and drift_term, the left-point rule
-(_left_point_rows) young_rs and diffusion_term.  Blocks come from one
-of two sources: slices of a tabulated kernel (_table_blocks), or
-evaluations of a coefficient on the causal triangle (_triangle_blocks),
-so the coefficient maps never build the (n+1)^2 table.  Both need
-O(64 (n+1) d m) working memory per block beyond the input table.  The
-maps also take a stack of P paths at once, the path axis leading the
-state; each path's rows are bit for bit its one-path map.
+Each discrete rule is written once, as a function of one block
+(lo, hi, v): v holds rows lo <= i < hi against columns j < hi, shaped
+([P,] rows, cols, d, m).  The trapezoid rule (_trapezoid_block) serves
+lebesgue_volterra and the drift map, the left-point rule
+(_left_point_block) young_rs and the diffusion map.  The table
+operators feed them slices of a tabulated kernel.  The maps take one
+pass over the causal triangle (coefficient_maps, with drift_term and
+diffusion_term its one-coefficient cases): each block builds its times
+once, evaluates b and sigma on them and feeds both rules, so a Picard
+step walks the triangle once and never builds the (n+1)^2 table.  Each
+call needs O(64 (n+1) d m) working memory beyond its input table, the
+left-point rule one block buffer reused for the whole call.  A block of
+evaluations is scanned for non-finite triangle entries only when its
+rows or its diagonal come out non-finite, which finds every one
+(_checked).  The maps also take a stack of P paths at once, the path
+axis leading the state; each path's rows are bit for bit its one-path
+map.
 
 young_frac takes its rows t_i in blocks: one FFT gives the left
 fractional derivatives of a whole block, one betainc table its outer
@@ -49,6 +55,7 @@ _FRAC_ROWS = 16
 __all__ = [
     "IntegralResult",
     "lebesgue_volterra",
+    "coefficient_maps",
     "drift_term",
     "young_rs",
     "young_frac",
@@ -88,38 +95,20 @@ def _check_driver_dimension(m: int, g_m: int) -> None:
         raise ValueError(f"kernel driver dimension {m} != driver m={g_m}")
 
 
-def _table_blocks(f: BivariateKernelValues):
-    """Blocks (lo, hi, v[lo:hi, :hi]) of a tabulated kernel, on the rows
-    of grid._row_blocks, as views of shape (hi - lo, hi, d, m)."""
-    v = _as_matrix_kernel(f.values)
-    for lo, hi in _row_blocks(0, f.grid.n + 1):
-        yield lo, hi, v[lo:hi, :hi]
+def _evaluate(fn, ti: np.ndarray, s: np.ndarray, states: np.ndarray, rank: int) -> np.ndarray:
+    """fn(t_i, s_j, x(s_j)) on one row block, as ([P,] rows, cols, d, m).
 
-
-def _triangle_blocks(fn, grid: TimeGrid, states: np.ndarray, rank: int, which: str, errors):
-    """Evaluate fn(t_i, t_j, x(t_j)) on the causal triangle j <= i, on
-    the rows of grid._row_blocks, for one path (states of shape (n+1, d))
-    or a stack of paths (P, n+1, d).
-
-    Yields (lo, hi, vals) with vals of shape ([P,] hi - lo, hi, d, m):
-    rows lo <= i < hi against columns j < hi, which covers those rows'
-    triangle.  s is clipped to t, so the entries j > i are evaluations
-    at s = t_i that no rule reads.  The state goes in un-broadcast, as
-    (1, hi, d), or (P, 1, hi, d) for a stack, so a state-only factor is
-    computed once per column.  The result is broadcast from the right,
-    its last rank axes being the value's (1 for b, 2 for sigma), so one
-    without the path axis serves every path.  Only the triangle is
-    checked for finiteness; see _check_triangle_finite for errors.
+    ti (rows, 1) and s (rows, cols) are the block's times, s clipped to
+    t; the state goes in un-broadcast, as (1, cols, d), or (P, 1, cols, d)
+    for a stack, so a state-only factor is computed once per column.
+    The result is broadcast from the right, its last rank axes being the
+    value's (1 for b, 2 for sigma), so one without the path axis serves
+    every path.
     """
-    t = grid.nodes
-    lead = states.shape[:-2]
-    for lo, hi in _row_blocks(0, grid.n + 1):
-        ti = t[lo:hi, None]
-        vals = np.asarray(fn(ti, np.minimum(t[None, :hi], ti), states[..., None, :hi, :]), dtype=float)
-        vals = np.broadcast_to(vals, lead + (hi - lo, hi) + vals.shape[max(vals.ndim - rank, 0) :])
-        if not np.all(np.isfinite(vals)):
-            _check_triangle_finite(which, vals, grid, lo, len(lead), errors)
-        yield lo, hi, _as_matrix_kernel(vals, len(lead))
+    lead = states.shape[:-3]
+    vals = np.asarray(fn(ti, s, states), dtype=float)
+    vals = np.broadcast_to(vals, lead + s.shape + vals.shape[max(vals.ndim - rank, 0) :])
+    return _as_matrix_kernel(vals, len(lead))
 
 
 def _check_triangle_finite(which: str, vals: np.ndarray, grid: TimeGrid, lo: int, lead: int, errors) -> None:
@@ -143,65 +132,127 @@ def _check_triangle_finite(which: str, vals: np.ndarray, grid: TimeGrid, lo: int
         errors[p] = exc
 
 
-def _trapezoid_rows(h: float, blocks) -> np.ndarray:
-    """Trapezoid rule int_0^{t_i} f(t_i, s) ds of every row, from blocks
-    ([P,] rows, cols, d, 1); rows ([P,] n+1, d).  Each row is one
+def _checked(which: str, rows: np.ndarray, v: np.ndarray, grid: TimeGrid, lo: int, errors) -> np.ndarray:
+    """rows, the rule's rows of the evaluated block v; the block is
+    scanned (_check_triangle_finite) only if rows or the diagonal of v
+    hold a non-finite value.  That finds every non-finite triangle entry:
+    one makes its row non-finite, NaN and inf passing through the cumsum
+    and through inf * dg, inf * 0 included.  The diagonal is checked on
+    its own: the left-point rule does not read it, and it holds the only
+    entry of row 0, which the trapezoid rule sets to 0."""
+    k = np.arange(v.shape[-4])
+    if not (np.isfinite(rows).all() and np.isfinite(v[..., k, lo + k, :, :]).all()):
+        _check_triangle_finite(which, v, grid, lo, v.ndim - 4, errors)
+    return rows
+
+
+def _trapezoid_block(h: float, lo: int, v: np.ndarray) -> np.ndarray:
+    """Trapezoid rule int_0^{t_i} f(t_i, s) ds of the rows lo <= i < lo + r
+    of the block v ([P,] r, cols, d, 1), as ([P,] r, d).  Each row is one
     sequential cumsum, so its bits do not depend on the block cut."""
-    rows = []
-    for lo, hi, v in blocks:
-        if v.shape[-1] != 1:
-            raise ValueError(f"the Lebesgue integral takes scalar or (d,) kernel values, got m = {v.shape[-1]} columns")
-        v = v[..., 0]
-        csum = np.cumsum(v, axis=-2)
-        k = np.arange(hi - lo)
-        rows.append(h * (csum[..., k, lo + k, :] - 0.5 * (v[..., :, 0, :] + v[..., k, lo + k, :])))
-    vals = np.concatenate(rows, axis=-2)
-    vals[..., 0, :] = 0.0
-    return vals
+    if v.shape[-1] != 1:
+        raise ValueError(f"the Lebesgue integral takes scalar or (d,) kernel values, got m = {v.shape[-1]} columns")
+    v = v[..., 0]
+    csum = np.cumsum(v, axis=-2)
+    k = np.arange(v.shape[-3])
+    rows = h * (csum[..., k, lo + k, :] - 0.5 * (v[..., :, 0, :] + v[..., k, lo + k, :]))
+    if lo == 0:
+        rows[..., 0, :] = 0.0
+    return rows
 
 
-def _left_point_rows(blocks, drivers: np.ndarray) -> np.ndarray:
-    """Left-point sums sum_{j<i} f(t_i, t_j) (g(t_{j+1}) - g(t_j)) of
-    every row, from blocks ([P,] rows, cols, d, m) and driver values
-    ([P,] n+1, m); rows ([P,] n+1, d)."""
-    dg = np.diff(drivers, axis=-2)  # ([P,] n, m)
-    n = dg.shape[-2]
-    rows = []
-    for lo, hi, v in blocks:
-        _check_driver_dimension(v.shape[-1], dg.shape[-1])
-        cols = min(hi, n)
-        # left-point rule: only j < i enters row i
-        strict = np.arange(cols)[None, :] < np.arange(lo, hi)[:, None]
-        w = np.where(strict[:, :, None, None], v[..., :cols, :, :], 0.0)
-        rows.append(np.einsum("...ijdm,...jm->...id", w, dg[..., :cols, :]))
-    return np.concatenate(rows, axis=-2)
+def _left_point_block(lo: int, v: np.ndarray, dg: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Left-point sums sum_{j<i} f(t_i, t_j) (g(t_{j+1}) - g(t_j)) of the
+    rows lo <= i < lo + r of the block v ([P,] r, cols, d, m), against
+    the driver increments dg ([P,] n, m), as ([P,] r, d).
+
+    The block is copied into buf, a flat buffer of at least its size
+    (_block_buffer), and there only the r x r square from column lo,
+    which holds every entry j >= i, is zeroed: neither v nor a caller's
+    table is written, and the einsum reads one contiguous block.
+    """
+    _check_driver_dimension(v.shape[-1], dg.shape[-1])
+    r, cols = v.shape[-4], min(v.shape[-3], dg.shape[-2])
+    w = np.ndarray(v.shape[:-3] + (cols,) + v.shape[-2:], buffer=buf)
+    np.copyto(w, v[..., :cols, :, :])
+    # left-point rule: only j < i enters row i
+    upper = np.arange(cols - lo)[None, :] >= np.arange(r)[:, None]
+    np.copyto(w[..., lo:, :, :], 0.0, where=upper[:, :, None, None])
+    return np.einsum("...ijdm,...jm->...id", w, dg[..., :cols, :])
+
+
+def _block_buffer(blocks, n: int, v: np.ndarray) -> np.ndarray:
+    """Flat buffer for the largest left-point block ([P,] rows, min(hi, n),
+    d, m) of blocks, v being any block (or the table) of the kernel."""
+    per_entry = v.size // (v.shape[-4] * v.shape[-3])
+    return np.empty(per_entry * max((hi - lo) * min(hi, n) for lo, hi in blocks))
+
+
+def coefficient_maps(b, sigma, states: np.ndarray, drivers: np.ndarray | None, grid: TimeGrid, errors: list | None = None):
+    """(F^{(b)}(x), G^{(sigma)}(x)) in one pass over the causal triangle:
+    the drift by the trapezoid rule (lebesgue_volterra's), the diffusion
+    by left-point sums (young_rs's), each bit for bit that rule on the
+    full table.  b or sigma None skips its map, whose value is then None.
+
+    states are one path's node values (n+1, d) or a stack of P paths
+    (P, n+1, d), drivers the matching (n+1, m) or (P, n+1, m) values
+    (unused without sigma); each map's value has the shape of states.
+    Each row block of grid._row_blocks builds s = min(t_j, t_i) for its
+    columns j < hi once and evaluates b and sigma on it; the entries
+    j > i, evaluations at s = t_i, are neither read nor checked.
+
+    With errors None, the first non-finite evaluation met raises
+    EvaluationError.  With errors a list of P entries, path p's first
+    error goes to errors[p] (where it is None), a b error before a sigma
+    error wherever each arises, and the others carry on.
+    """
+    t, n = grid.nodes, grid.n
+    blocks = _row_blocks(0, n + 1)
+    dg = None if sigma is None else np.diff(drivers, axis=-2)
+    sigma_errors = None if errors is None else [None] * len(errors)
+    drift, diffusion, buf = [], [], None
+    for lo, hi in blocks:
+        ti = t[lo:hi, None]
+        # s = min(t_j, t_i), which is t_j but in the square from column lo
+        s = np.empty((hi - lo, hi))
+        s[:] = t[:hi]
+        np.minimum(s[:, lo:], ti, out=s[:, lo:])
+        x = states[..., None, :hi, :]
+        if b is not None:
+            v = _evaluate(b, ti, s, x, 1)
+            drift.append(_checked("drift", _trapezoid_block(grid.h, lo, v), v, grid, lo, errors))
+        if sigma is not None:
+            v = _evaluate(sigma, ti, s, x, 2)
+            if buf is None:
+                buf = _block_buffer(blocks, n, v)
+            diffusion.append(_checked("diffusion", _left_point_block(lo, v, dg, buf), v, grid, lo, sigma_errors))
+    if errors is not None:
+        errors[:] = [e if e is not None else e_sigma for e, e_sigma in zip(errors, sigma_errors)]
+    return [np.concatenate(rows, axis=-2) if rows else None for rows in (drift, diffusion)]
 
 
 def lebesgue_volterra(f: BivariateKernelValues) -> IntegralResult:
     """F_t(f) = int_0^t f(t, s) ds, trapezoidal in s per row.  f takes
     scalar or (d,) values; a (d, m) kernel with m > 1 raises ValueError."""
-    return IntegralResult(GridFunction(f.grid, _trapezoid_rows(f.grid.h, _table_blocks(f))))
+    v = _as_matrix_kernel(f.values)
+    vals = [_trapezoid_block(f.grid.h, lo, v[lo:hi, :hi]) for lo, hi in _row_blocks(0, f.grid.n + 1)]
+    return IntegralResult(GridFunction(f.grid, np.concatenate(vals)))
 
 
 def drift_term(b, x, grid: TimeGrid | None = None, errors: list | None = None):
-    """F^{(b)}_t(x) = int_0^t b(t, s, x(s)) ds.
-
-    b follows the coefficient evaluator contract: broadcastable arrays
-    (t, s) plus states of shape (..., d), returning (..., d).  The rule
-    is lebesgue_volterra's, on triangle blocks in place of table
-    slices, so the result is bit-identical to it on the full table.
+    """F^{(b)}_t(x) = int_0^t b(t, s, x(s)) ds, coefficient_maps without
+    sigma; b follows the coefficient evaluator contract, (t, s, state)
+    -> (..., d).
 
     x is one path, a GridFunction, for which an IntegralResult is
     returned; or the node values (P, n+1, d) of a stack of paths on
     grid, for which the values (P, n+1, d) are returned, each path's bit
-    for bit its one-path map.  A non-finite evaluation raises
-    EvaluationError, unless errors is a list of P entries: then path p's
-    error goes to errors[p] (where it is None) and the others carry on.
+    for bit its one-path map.  Non-finite evaluations raise or go to
+    errors as in coefficient_maps.
     """
     if isinstance(x, GridFunction):
-        vals = _trapezoid_rows(x.grid.h, _triangle_blocks(b, x.grid, x.values, 1, "drift", None))
-        return IntegralResult(GridFunction(x.grid, vals))
-    return _trapezoid_rows(grid.h, _triangle_blocks(b, grid, x, 1, "drift", errors))
+        return IntegralResult(GridFunction(x.grid, coefficient_maps(b, None, x.values, None, x.grid)[0]))
+    return coefficient_maps(b, None, x, None, grid, errors)[0]
 
 
 def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
@@ -212,7 +263,12 @@ def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
     contracting the m-dimension of dg against matrix-valued kernels.
     """
     _check_same_grid("kernel", f.grid, g.grid)
-    return IntegralResult(GridFunction(f.grid, _left_point_rows(_table_blocks(f), g.values)))
+    v = _as_matrix_kernel(f.values)
+    dg = np.diff(g.values, axis=0)
+    blocks = _row_blocks(0, f.grid.n + 1)
+    buf = _block_buffer(blocks, f.grid.n, v)
+    vals = [_left_point_block(lo, v[lo:hi, :hi], dg, buf) for lo, hi in blocks]
+    return IntegralResult(GridFunction(f.grid, np.concatenate(vals)))
 
 
 def _doubly_singular_weights(cells: np.ndarray, width: int, alpha: float) -> np.ndarray:
@@ -299,19 +355,14 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
 
 def diffusion_term(sigma, x, g, grid: TimeGrid | None = None, errors: list | None = None):
     """G^{(sigma)}_t(x) = int_0^t sigma(t, s, x(s)) dg_s by left-point
-    Riemann-Stieltjes sums.
-
-    sigma follows the evaluator contract: (t, s, state) -> (..., d, m).
-    The rule is young_rs's, on triangle blocks in place of table
-    slices, and bit-identical to it on the full table.
+    Riemann-Stieltjes sums, coefficient_maps without b; sigma follows the
+    evaluator contract, (t, s, state) -> (..., d, m).
 
     x and g are one path, a GridFunction and a DriverPath, for which an
     IntegralResult is returned; or the node values (P, n+1, d) and
-    (P, n+1, m) of a stack of paths on grid, as in drift_term.  Each row
-    block is one einsum over the whole stack.
+    (P, n+1, m) of a stack of paths on grid, as in drift_term.
     """
     if isinstance(x, GridFunction):
         _check_same_grid("state", x.grid, g.grid)
-        vals = _left_point_rows(_triangle_blocks(sigma, x.grid, x.values, 2, "diffusion", None), g.values)
-        return IntegralResult(GridFunction(x.grid, vals))
-    return _left_point_rows(_triangle_blocks(sigma, grid, x, 2, "diffusion", errors), g)
+        return IntegralResult(GridFunction(x.grid, coefficient_maps(None, sigma, x.values, g.values, x.grid)[1]))
+    return coefficient_maps(None, sigma, x, g, grid, errors)[1]

@@ -163,10 +163,14 @@ def w_1malpha_norm(g_values: np.ndarray, h: float, alpha: float) -> float:
             + int_s^t |g(y)-g(s)| / (y-s)^{2-alpha} dy,
 
     for a scalar sample.  s runs over interior nodes; t includes the
-    final node (immaterial for continuous data).
+    final node (immaterial for continuous data).  Non-finite values are
+    refused, as by lambda_alpha_many: nanmax would skip the pairs they
+    touch.
     """
     check_alpha(alpha)
     v = np.asarray(g_values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("need finite driver values")
     n = v.shape[0] - 1
     gap_pow = _gap_powers(n, h, 1.0 - alpha)
     best = 0.0

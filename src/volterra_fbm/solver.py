@@ -21,7 +21,7 @@ from .errors import AdmissibilityError, DivergenceError, NoContractionError
 from .fbm import DriverPath
 from .fraccalc import check_alpha, lambda_alpha_many
 from .grid import GridFunction, TimeGrid
-from .integrals import diffusion_term, drift_term
+from .integrals import coefficient_maps
 from .norms import (
     HolderParams,
     check_weight,
@@ -194,15 +194,18 @@ def _initial_state(cs: CoefficientSet, x0) -> np.ndarray:
 
 
 def _apply_map(cs: CoefficientSet, x0: np.ndarray, grid: TimeGrid, states: np.ndarray, drivers: np.ndarray):
-    """x0 + F^{(b)}(x) + G^{(sigma)}(x) for a stack of P paths (P, n+1, d)
-    with drivers (P, n+1, m), and each path's error, None if it has none:
-    a non-finite evaluation or a non-finite iterate."""
+    """(x0 + F^{(b)}(x)) + G^{(sigma)}(x) for a stack of P paths
+    (P, n+1, d) with drivers (P, n+1, m), both maps from one pass over
+    the triangle (coefficient_maps), and each path's error, None if it
+    has none: a non-finite evaluation (b's before sigma's) or a
+    non-finite iterate."""
     errors = [None] * len(states)
+    b = None if cs.b_is_zero else cs.b
+    sigma = None if cs.sigma_is_zero else cs.sigma
     vals = np.tile(x0, states.shape[:-1] + (1,))
-    if not cs.b_is_zero:
-        vals = vals + drift_term(cs.b, states, grid, errors)
-    if not cs.sigma_is_zero:
-        vals = vals + diffusion_term(cs.sigma, states, drivers, grid, errors)
+    for rows in coefficient_maps(b, sigma, states, drivers, grid, errors):
+        if rows is not None:
+            vals = vals + rows
     for k, finite in enumerate(np.isfinite(vals).all(axis=(1, 2))):
         if not finite and errors[k] is None:
             errors[k] = DivergenceError("Picard iterate produced a non-finite value")

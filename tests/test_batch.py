@@ -153,6 +153,22 @@ def test_stacked_maps_are_the_one_path_maps(n):
         assert np.array_equal(drift[p], drift_term(causal_b, x).values.values)
         g = sample_davies_harte(grid, 0.7, 3, Seed(n), p)
         assert np.array_equal(diffusion[p], diffusion_term(matrix_sigma, x, g).values.values)
+    # the solver's one pass over the triangle is (x0 + drift) + diffusion
+    # of the separate maps, bit for bit, with either map absent too
+    cases = [builtin_coefficients(name) for name in ("smooth-volterra", "bounded-growth", "linear-drift")]
+    cases.append(replace(cases[0], d=2, m=3, b=causal_b, sigma=matrix_sigma))
+    for cs in cases:
+        x = states[..., : cs.d]
+        g = np.stack([sample_davies_harte(grid, 0.7, cs.m, Seed(n), p).values for p in range(5)])
+        x0 = np.linspace(1.0, 2.0, cs.d)
+        want = np.tile(x0, (5, n + 1, 1))
+        if not cs.b_is_zero:
+            want = want + drift_term(cs.b, x, grid)
+        if not cs.sigma_is_zero:
+            want = want + diffusion_term(cs.sigma, x, g, grid)
+        got, errors = solver._apply_map(cs, x0, grid, x, g)
+        assert errors == [None] * 5
+        assert np.array_equal(got, want), cs.name
 
 
 def test_stacked_maps_keep_each_paths_first_error():
@@ -168,6 +184,24 @@ def test_stacked_maps_keep_each_paths_first_error():
     with pytest.raises(EvaluationError) as exc:
         drift_term(nan_past_one, GridFunction(grid, states[1]))
     assert str(errors[1]) == str(exc.value)
+
+    # the solver's one pass, on a stack whose path 1 (x = t) has a b
+    # non-finite in the last row block (x > 0.9) and a sigma non-finite in
+    # the first (x > 0.01): the pass meets sigma's error first, and path 1
+    # must still report b's
+    def nan_past_nine_tenths(t, s, x):
+        return np.where(x[..., 0] > 0.9, np.nan, 1.0 + 0.0 * s)[..., None]
+
+    def inf_past_one_hundredth(t, s, x):
+        return np.where(x[..., 0] > 0.01, np.inf, 1.0 + 0.0 * s)[..., None, None]
+
+    cs = replace(builtin_coefficients("smooth-volterra"), b=nan_past_nine_tenths, sigma=inf_past_one_hundredth)
+    paths = np.stack([np.zeros(grid.n + 1), grid.nodes])[..., None]
+    _, errors = solver._apply_map(cs, np.zeros(1), grid, paths, paths)
+    assert errors[0] is None
+    with pytest.raises(EvaluationError) as exc:
+        drift_term(nan_past_nine_tenths, GridFunction(grid, paths[1]))
+    assert str(errors[1]) == str(exc.value) and str(exc.value).startswith("drift")
 
 
 def time_only_b(t, s, x):

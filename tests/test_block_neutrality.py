@@ -1,11 +1,13 @@
 """The row-block size of the direct kernels does not move a bit.
 
 grid._ROW_CHUNK sets the rows per block (grid._row_blocks) of the
-coefficient maps and the table rules (integrals._triangle_blocks,
-_table_blocks), of the norm rule (grid._blocked_row_rule), on one
-path and on a stack of paths, and of the node-pair tables
-(grid._pair_blocks).  Every output below is compared byte for byte
-across block sizes, one block of the whole grid included.
+coefficient maps (integrals.coefficient_maps, the one pass behind
+drift_term and diffusion_term) and of the table rules (lebesgue_volterra,
+young_rs), all through integrals._trapezoid_block and _left_point_block;
+of the norm rule (grid._blocked_row_rule), on one path and on a stack of
+paths; and of the node-pair tables (grid._pair_blocks).  Every output
+below is compared byte for byte across block sizes, one block of the
+whole grid included.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from volterra_fbm.grid import (
     abs_increment_row_integrals_many,
     build_grid,
 )
-from volterra_fbm.integrals import diffusion_term, drift_term, lebesgue_volterra, young_rs
+from volterra_fbm.integrals import coefficient_maps, diffusion_term, drift_term, lebesgue_volterra, young_rs
 from volterra_fbm.norms import holder_norm, norm_row_passes, w_1malpha_norm
 
 SIZES = (2, 3, 63, 64, 65, 97, 255, 257, 300, 1000)
@@ -53,6 +55,7 @@ def _outputs(cs, g, states, drivers):
         drift_term(cs.b, states, g),
         diffusion_term(cs.sigma, x, drv).values.values,
         diffusion_term(cs.sigma, states, drivers, g),
+        *coefficient_maps(cs.b, cs.sigma, states, drivers, g),
         lebesgue_volterra(_table(cs.b, g, states[0])).values.values,
         young_rs(_table(cs.sigma, g, states[0]), drv).values.values,
         *(inc for _, inc in aggregates),

@@ -567,3 +567,21 @@ def test_nonfinite_check_covers_the_triangle_only():
     msg = f"drift evaluator returned non-finite value at \\(t, s\\) = \\({nodes[300]:g}, {nodes[7]:g}\\)"
     with pytest.raises(EvaluationError, match=msg):
         drift_term(nan_at_one_node, x)
+
+    # the left-point rule reads j < i only: NaN strictly above the
+    # diagonal passes, a non-finite diagonal entry sigma(t_i, t_i) does not
+    drv = DriverPath.from_callable(g, lambda t: np.sin(3.0 * t))
+
+    def sigma_nan_above_diagonal(t, s, xv):
+        return nan_above_diagonal(t, s, xv)[..., None]
+
+    got = diffusion_term(sigma_nan_above_diagonal, x, drv).values.values[:, 0]
+    np.testing.assert_allclose(got, drv.values[:, 0] - drv.values[0, 0], atol=1e-13)
+
+    def inf_on_one_diagonal_node(t, s, xv):
+        hit = (xv[..., 0] == t) & (t == nodes[300])
+        return np.where(hit, np.inf, 1.0)[..., None, None]
+
+    msg = f"diffusion evaluator returned non-finite value at \\(t, s\\) = \\({nodes[300]:g}, {nodes[300]:g}\\)"
+    with pytest.raises(EvaluationError, match=msg):
+        diffusion_term(inf_on_one_diagonal_node, x, drv)

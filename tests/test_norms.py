@@ -146,6 +146,17 @@ def test_w_1malpha_constant_and_linear():
     assert got == pytest.approx(closed, rel=1e-6)
 
 
+@pytest.mark.parametrize("values", [
+    [0.0, np.nan, 1.0, 2.0, 3.0],
+    [0.0, 1.0, np.nan, 2.0, 3.0],
+    [0.0, 1.0, 2.0, np.inf, 3.0],
+])
+def test_w_1malpha_refuses_nonfinite_drivers(values):
+    # nanmax would drop the pairs a NaN touches and report a finite norm
+    with pytest.raises(ValueError, match="finite"):
+        w_1malpha_norm(np.array(values), 0.25, 0.3)
+
+
 def test_w_1malpha_finite_on_fbm():
     g = build_grid(1.0, 256)
     vals = []
