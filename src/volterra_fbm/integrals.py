@@ -12,17 +12,15 @@ Each discrete rule is written once, as a function of one block
 lebesgue_volterra and the drift map, the left-point rule
 (_left_point_block) young_rs and the diffusion map.  The table
 operators feed them slices of a tabulated kernel.  The maps take one
-pass over the causal triangle (coefficient_maps, with drift_term and
-diffusion_term its one-coefficient cases): each block builds its times
-once, evaluates b and sigma on them and feeds both rules, so a Picard
-step walks the triangle once and never builds the (n+1)^2 table.  Each
-call needs O(64 (n+1) d m) working memory beyond its input table, the
-left-point rule one block buffer reused for the whole call.  A block of
-evaluations is scanned for non-finite triangle entries only when its
-rows or its diagonal come out non-finite, which finds every one
-(_checked).  The maps also take a stack of P paths at once, the path
-axis leading the state; each path's rows are bit for bit its one-path
-map.
+pass over the causal triangle (coefficient_maps), for one path or a
+stack of P paths: each block builds its times once, evaluates b and
+sigma on them and feeds both rules, so a Picard step walks the triangle
+once and never builds the (n+1)^2 table.  Each call needs
+O(64 (n+1) d m) working memory beyond its input table, the left-point
+rule one block buffer reused for the whole call.  The pass returns one
+error per path, b's before sigma's wherever each arises (one rule for
+one path and for a stack); drift_term and diffusion_term, its one-path
+cases, raise it.
 
 young_frac takes its rows t_i in blocks: one FFT gives the left
 fractional derivatives of a whole block, one betainc table its outer
@@ -31,9 +29,8 @@ and d = m = 1 on a 2-vCPU Xeon) and O(m n^2) memory for the Weyl
 bracket tables.  It agrees with the per-row rule it replaced, kept as
 its test oracle, to 1e-9 of its sup.
 
-The Stieltjes operators (young_rs, young_frac, the one-path
-diffusion_term) raise ValueError on a driver whose grid is not the
-kernel's or the state's.
+The Stieltjes operators (young_rs, young_frac, diffusion_term) raise
+ValueError on a driver whose grid is not the kernel's or the state's.
 """
 
 from __future__ import annotations
@@ -111,38 +108,28 @@ def _evaluate(fn, ti: np.ndarray, s: np.ndarray, states: np.ndarray, rank: int) 
     return _as_matrix_kernel(vals, len(lead))
 
 
-def _check_triangle_finite(which: str, vals: np.ndarray, grid: TimeGrid, lo: int, lead: int, errors) -> None:
-    """EvaluationError at each path's first non-finite triangle entry of
-    the block whose first row is lo; entries above the diagonal pass.
-    With errors None it is raised; otherwise errors[p] keeps path p's
-    first one and the caller goes on with the other paths."""
-    rows, cols = vals.shape[lead : lead + 2]
-    bad = ~np.isfinite(vals).reshape(vals.shape[: lead + 2] + (-1,)).all(axis=-1)
-    bad &= np.arange(cols)[None, :] <= np.arange(lo, lo + rows)[:, None]
-    for p, path_bad in enumerate(bad.reshape(-1, rows, cols)):
-        if not path_bad.any() or (errors is not None and errors[p] is not None):
-            continue
-        k, j = np.argwhere(path_bad)[0]
-        exc = EvaluationError(
-            f"{which} evaluator returned non-finite value at "
-            f"(t, s) = ({grid.nodes[lo + k]:g}, {grid.nodes[j]:g})"
-        )
-        if errors is None:
-            raise exc
-        errors[p] = exc
-
-
-def _checked(which: str, rows: np.ndarray, v: np.ndarray, grid: TimeGrid, lo: int, errors) -> np.ndarray:
-    """rows, the rule's rows of the evaluated block v; the block is
-    scanned (_check_triangle_finite) only if rows or the diagonal of v
-    hold a non-finite value.  That finds every non-finite triangle entry:
+def _checked(which: str, rows: np.ndarray, v: np.ndarray, grid: TimeGrid, lo: int, errors: list) -> np.ndarray:
+    """rows, the rule's rows of the block v whose first row is lo; path
+    p's first non-finite triangle entry of v goes to errors[p] as an
+    EvaluationError, where that is None.  v is scanned only if rows or
+    its diagonal hold a non-finite value, which finds every such entry:
     one makes its row non-finite, NaN and inf passing through the cumsum
     and through inf * dg, inf * 0 included.  The diagonal is checked on
     its own: the left-point rule does not read it, and it holds the only
     entry of row 0, which the trapezoid rule sets to 0."""
-    k = np.arange(v.shape[-4])
-    if not (np.isfinite(rows).all() and np.isfinite(v[..., k, lo + k, :, :]).all()):
-        _check_triangle_finite(which, v, grid, lo, v.ndim - 4, errors)
+    r, cols = v.shape[-4:-2]
+    k = np.arange(r)
+    if np.isfinite(rows).all() and np.isfinite(v[..., k, lo + k, :, :]).all():
+        return rows
+    bad = ~np.isfinite(v).reshape(v.shape[:-2] + (-1,)).all(axis=-1)
+    bad &= np.arange(cols)[None, :] <= np.arange(lo, lo + r)[:, None]
+    for p, path_bad in enumerate(bad.reshape(-1, r, cols)):
+        if path_bad.any() and errors[p] is None:
+            i, j = np.argwhere(path_bad)[0]
+            errors[p] = EvaluationError(
+                f"{which} evaluator returned non-finite value at "
+                f"(t, s) = ({grid.nodes[lo + i]:g}, {grid.nodes[j]:g})"
+            )
     return rows
 
 
@@ -188,11 +175,12 @@ def _block_buffer(blocks, n: int, v: np.ndarray) -> np.ndarray:
     return np.empty(per_entry * max((hi - lo) * min(hi, n) for lo, hi in blocks))
 
 
-def coefficient_maps(b, sigma, states: np.ndarray, drivers: np.ndarray | None, grid: TimeGrid, errors: list | None = None):
-    """(F^{(b)}(x), G^{(sigma)}(x)) in one pass over the causal triangle:
-    the drift by the trapezoid rule (lebesgue_volterra's), the diffusion
-    by left-point sums (young_rs's), each bit for bit that rule on the
-    full table.  b or sigma None skips its map, whose value is then None.
+def coefficient_maps(b, sigma, states: np.ndarray, drivers: np.ndarray | None, grid: TimeGrid):
+    """(F^{(b)}(x), G^{(sigma)}(x), errors) in one pass over the causal
+    triangle: the drift by the trapezoid rule (lebesgue_volterra's), the
+    diffusion by left-point sums (young_rs's), each bit for bit that rule
+    on the full table.  b or sigma None skips its map, whose value is
+    then None.
 
     states are one path's node values (n+1, d) or a stack of P paths
     (P, n+1, d), drivers the matching (n+1, m) or (P, n+1, m) values
@@ -201,15 +189,17 @@ def coefficient_maps(b, sigma, states: np.ndarray, drivers: np.ndarray | None, g
     columns j < hi once and evaluates b and sigma on it; the entries
     j > i, evaluations at s = t_i, are neither read nor checked.
 
-    With errors None, the first non-finite evaluation met raises
-    EvaluationError.  With errors a list of P entries, path p's first
-    error goes to errors[p] (where it is None), a b error before a sigma
-    error wherever each arises, and the others carry on.
+    errors holds one entry per path (one for an unstacked state): None,
+    or the EvaluationError of the path's first non-finite evaluation, b's
+    before sigma's wherever each arises.  A failing path's rows are not
+    meaningful; the pass goes on over every block and every path.
+    drift_term and diffusion_term, its one-path cases, raise the error.
     """
     t, n = grid.nodes, grid.n
     blocks = _row_blocks(0, n + 1)
     dg = None if sigma is None else np.diff(drivers, axis=-2)
-    sigma_errors = None if errors is None else [None] * len(errors)
+    paths = len(states) if states.ndim == 3 else 1
+    b_errors, sigma_errors = [None] * paths, [None] * paths
     drift, diffusion, buf = [], [], None
     for lo, hi in blocks:
         ti = t[lo:hi, None]
@@ -220,15 +210,23 @@ def coefficient_maps(b, sigma, states: np.ndarray, drivers: np.ndarray | None, g
         x = states[..., None, :hi, :]
         if b is not None:
             v = _evaluate(b, ti, s, x, 1)
-            drift.append(_checked("drift", _trapezoid_block(grid.h, lo, v), v, grid, lo, errors))
+            drift.append(_checked("drift", _trapezoid_block(grid.h, lo, v), v, grid, lo, b_errors))
         if sigma is not None:
             v = _evaluate(sigma, ti, s, x, 2)
             if buf is None:
                 buf = _block_buffer(blocks, n, v)
             diffusion.append(_checked("diffusion", _left_point_block(lo, v, dg, buf), v, grid, lo, sigma_errors))
-    if errors is not None:
-        errors[:] = [e if e is not None else e_sigma for e, e_sigma in zip(errors, sigma_errors)]
-    return [np.concatenate(rows, axis=-2) if rows else None for rows in (drift, diffusion)]
+    errors = [e if e is not None else e_sigma for e, e_sigma in zip(b_errors, sigma_errors)]
+    drift, diffusion = (np.concatenate(rows, axis=-2) if rows else None for rows in (drift, diffusion))
+    return drift, diffusion, errors
+
+
+def _one_path(rows: np.ndarray, errors: list, grid: TimeGrid) -> IntegralResult:
+    """A one-path map of coefficient_maps as an IntegralResult, or its
+    error raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return IntegralResult(GridFunction(grid, rows))
 
 
 def lebesgue_volterra(f: BivariateKernelValues) -> IntegralResult:
@@ -239,20 +237,13 @@ def lebesgue_volterra(f: BivariateKernelValues) -> IntegralResult:
     return IntegralResult(GridFunction(f.grid, np.concatenate(vals)))
 
 
-def drift_term(b, x, grid: TimeGrid | None = None, errors: list | None = None):
-    """F^{(b)}_t(x) = int_0^t b(t, s, x(s)) ds, coefficient_maps without
-    sigma; b follows the coefficient evaluator contract, (t, s, state)
-    -> (..., d).
-
-    x is one path, a GridFunction, for which an IntegralResult is
-    returned; or the node values (P, n+1, d) of a stack of paths on
-    grid, for which the values (P, n+1, d) are returned, each path's bit
-    for bit its one-path map.  Non-finite evaluations raise or go to
-    errors as in coefficient_maps.
-    """
-    if isinstance(x, GridFunction):
-        return IntegralResult(GridFunction(x.grid, coefficient_maps(b, None, x.values, None, x.grid)[0]))
-    return coefficient_maps(b, None, x, None, grid, errors)[0]
+def drift_term(b, x: GridFunction) -> IntegralResult:
+    """F^{(b)}_t(x) = int_0^t b(t, s, x(s)) ds on one path,
+    coefficient_maps without sigma; b follows the coefficient evaluator
+    contract, (t, s, state) -> (..., d).  A non-finite evaluation raises
+    the path's EvaluationError once the pass is done."""
+    drift, _, errors = coefficient_maps(b, None, x.values, None, x.grid)
+    return _one_path(drift, errors, x.grid)
 
 
 def young_rs(f: BivariateKernelValues, g: DriverPath) -> IntegralResult:
@@ -353,16 +344,11 @@ def young_frac(f: BivariateKernelValues, g: DriverPath, alpha: float) -> Integra
     return IntegralResult(GridFunction(grid, vals))
 
 
-def diffusion_term(sigma, x, g, grid: TimeGrid | None = None, errors: list | None = None):
-    """G^{(sigma)}_t(x) = int_0^t sigma(t, s, x(s)) dg_s by left-point
-    Riemann-Stieltjes sums, coefficient_maps without b; sigma follows the
-    evaluator contract, (t, s, state) -> (..., d, m).
-
-    x and g are one path, a GridFunction and a DriverPath, for which an
-    IntegralResult is returned; or the node values (P, n+1, d) and
-    (P, n+1, m) of a stack of paths on grid, as in drift_term.
-    """
-    if isinstance(x, GridFunction):
-        _check_same_grid("state", x.grid, g.grid)
-        return IntegralResult(GridFunction(x.grid, coefficient_maps(None, sigma, x.values, g.values, x.grid)[1]))
-    return coefficient_maps(None, sigma, x, g, grid, errors)[1]
+def diffusion_term(sigma, x: GridFunction, g: DriverPath) -> IntegralResult:
+    """G^{(sigma)}_t(x) = int_0^t sigma(t, s, x(s)) dg_s on one path by
+    left-point Riemann-Stieltjes sums, coefficient_maps without b; sigma
+    follows the evaluator contract, (t, s, state) -> (..., d, m).  Errors
+    as in drift_term."""
+    _check_same_grid("state", x.grid, g.grid)
+    _, diffusion, errors = coefficient_maps(None, sigma, x.values, g.values, x.grid)
+    return _one_path(diffusion, errors, x.grid)

@@ -193,17 +193,23 @@ def _initial_state(cs: CoefficientSet, x0) -> np.ndarray:
     return x0
 
 
+def _check_driver(cs: CoefficientSet, g: DriverPath) -> None:
+    """ValueError unless the driver g has the coefficient set's dimension m."""
+    if g.m != cs.m:
+        raise ValueError(f"coefficient set {cs.name!r} has driver dimension m={cs.m}, but the driver has m={g.m}")
+
+
 def _apply_map(cs: CoefficientSet, x0: np.ndarray, grid: TimeGrid, states: np.ndarray, drivers: np.ndarray):
     """(x0 + F^{(b)}(x)) + G^{(sigma)}(x) for a stack of P paths
     (P, n+1, d) with drivers (P, n+1, m), both maps from one pass over
     the triangle (coefficient_maps), and each path's error, None if it
     has none: a non-finite evaluation (b's before sigma's) or a
     non-finite iterate."""
-    errors = [None] * len(states)
     b = None if cs.b_is_zero else cs.b
     sigma = None if cs.sigma_is_zero else cs.sigma
+    *maps, errors = coefficient_maps(b, sigma, states, drivers, grid)
     vals = np.tile(x0, states.shape[:-1] + (1,))
-    for rows in coefficient_maps(b, sigma, states, drivers, grid, errors):
+    for rows in maps:
         if rows is not None:
             vals = vals + rows
     for k, finite in enumerate(np.isfinite(vals).all(axis=(1, 2))):
@@ -277,7 +283,8 @@ def picard_solve_batch(
     A failing path (EvaluationError, DivergenceError, NoContractionError)
     leaves the stack with its exception; once the others are done, the
     lowest-index failing path's exception is raised.  An invalid
-    lambda_override, like tol and max_iter, is refused on entry.
+    lambda_override, like tol, max_iter and a driver whose dimension is
+    not the coefficient set's m, is refused on entry.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -294,6 +301,8 @@ def picard_solve_batch(
         raise ValueError("all drivers of a batch must share one grid")
     if params.T != grid.T:
         raise ValueError(f"params.T = {params.T} differs from the drivers' horizon T = {grid.T}")
+    for g in drivers:
+        _check_driver(cs, g)
     alpha = params.alpha
     start = np.tile(x0 + initial_offset, (grid.n + 1, 1))
     # a priori radii: running maxima over the iterates, the constant
@@ -411,6 +420,7 @@ def euler_solve(cs: CoefficientSet, x0, g: DriverPath) -> GridFunction:
                     + sum_{j<i} sigma(t_i, t_j, X_j) (g_{j+1} - g_j).
     """
     x0 = _initial_state(cs, x0)
+    _check_driver(cs, g)
     grid = g.grid
     n, h = grid.n, grid.h
     nodes = grid.nodes

@@ -14,7 +14,7 @@ notes when they would have failed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -500,12 +500,8 @@ def _identity_report(name: str, lhs: list, rhs: list, n: int) -> EstimateReport:
 # family -> runner of a SuiteConfig; the lemma and hypothesis families
 # run each catalog entry at each radius N, in that order
 _RUNNERS = {
-    "lebesgue": lambda c: check_lebesgue_estimates(
-        c.estimate_cases, c.seed, n=c.grid_n, constant_scale=c.constant_scale
-    ),
-    "stieltjes": lambda c: check_rs_estimates(
-        c.estimate_cases, c.seed + 1, n=c.grid_n, constant_scale=c.constant_scale
-    ),
+    "lebesgue": lambda c: check_lebesgue_estimates(c.estimate_cases, c.seed, n=c.grid_n),
+    "stieltjes": lambda c: check_rs_estimates(c.estimate_cases, c.seed + 1, n=c.grid_n),
     "lemmas": lambda c: [
         rep for name in c.coefficient_names for N in (1.0, 5.0)
         for rep in check_sigma_lemmas(builtin_coefficients(name), c.samples, N, c.seed + 2)
@@ -529,9 +525,9 @@ class SuiteConfig:
     # the hypothesis audits' samples
     samples: int = 100000
     seed: int = 20260301
-    grid_n: int = 64
     coefficient_names: tuple = catalog_names()
-    constant_scale: dict = field(default_factory=dict)
+    # the estimate families' grid: a class constant, not a setting
+    grid_n = 64
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> dict[str, list[EstimateReport]]:

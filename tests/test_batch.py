@@ -17,7 +17,7 @@ from volterra_fbm.coeffs import builtin_coefficients
 from volterra_fbm.errors import DivergenceError, EvaluationError, NoContractionError
 from volterra_fbm.fbm import DriverPath, Seed, sample_davies_harte
 from volterra_fbm.grid import GridFunction, build_grid
-from volterra_fbm.integrals import diffusion_term, drift_term
+from volterra_fbm.integrals import coefficient_maps, diffusion_term, drift_term
 from volterra_fbm.norms import HolderParams
 from volterra_fbm import solver
 from volterra_fbm.solver import picard_solve, picard_solve_batch
@@ -146,8 +146,8 @@ def test_stacked_maps_are_the_one_path_maps(n):
     rng = np.random.default_rng(n)
     states = rng.normal(size=(5, n + 1, 2))
     drivers = np.stack([sample_davies_harte(grid, 0.7, 3, Seed(n), p).values for p in range(5)])
-    drift = drift_term(causal_b, states, grid)
-    diffusion = diffusion_term(matrix_sigma, states, drivers, grid)
+    drift = coefficient_maps(causal_b, None, states, None, grid)[0]
+    diffusion = coefficient_maps(None, matrix_sigma, states, drivers, grid)[1]
     for p in range(5):
         x = GridFunction(grid, states[p])
         assert np.array_equal(drift[p], drift_term(causal_b, x).values.values)
@@ -163,9 +163,9 @@ def test_stacked_maps_are_the_one_path_maps(n):
         x0 = np.linspace(1.0, 2.0, cs.d)
         want = np.tile(x0, (5, n + 1, 1))
         if not cs.b_is_zero:
-            want = want + drift_term(cs.b, x, grid)
+            want = want + coefficient_maps(cs.b, None, x, None, grid)[0]
         if not cs.sigma_is_zero:
-            want = want + diffusion_term(cs.sigma, x, g, grid)
+            want = want + coefficient_maps(None, cs.sigma, x, g, grid)[1]
         got, errors = solver._apply_map(cs, x0, grid, x, g)
         assert errors == [None] * 5
         assert np.array_equal(got, want), cs.name
@@ -178,8 +178,7 @@ def test_stacked_maps_keep_each_paths_first_error():
     def nan_past_one(t, s, x):
         return np.where(x[..., 0] > 1.0, np.nan, 1.0 + 0.0 * s)[..., None]
 
-    errors = [None] * 3
-    drift_term(nan_past_one, states, grid, errors)
+    _, _, errors = coefficient_maps(nan_past_one, None, states, None, grid)
     assert errors[0] is None and errors[2] is None
     with pytest.raises(EvaluationError) as exc:
         drift_term(nan_past_one, GridFunction(grid, states[1]))
@@ -202,6 +201,10 @@ def test_stacked_maps_keep_each_paths_first_error():
     with pytest.raises(EvaluationError) as exc:
         drift_term(nan_past_nine_tenths, GridFunction(grid, paths[1]))
     assert str(errors[1]) == str(exc.value) and str(exc.value).startswith("drift")
+    # one rule for one path: the unstacked pass reports b's error too
+    x = grid.nodes[:, None]
+    _, _, errors = coefficient_maps(nan_past_nine_tenths, inf_past_one_hundredth, x, x, grid)
+    assert len(errors) == 1 and str(errors[0]) == str(exc.value)
 
 
 def time_only_b(t, s, x):
@@ -225,11 +228,12 @@ def test_state_free_evaluators_keep_the_one_path_contract(n):
     want = [fingerprint(picard_solve(cs, 1.0, g, PARAMS)) for g in drivers]
     assert in_batches(cs, 1.0, drivers, n + 1) == want
     states = np.zeros((n + 1, n + 1, 1))
-    stacked = diffusion_term(time_only_sigma, states, np.stack([g.values for g in drivers]), grid)
+    stacked = coefficient_maps(None, time_only_sigma, states, np.stack([g.values for g in drivers]), grid)[1]
     for p, g in enumerate(drivers):
         x = GridFunction(grid, states[p])
         assert np.array_equal(stacked[p], diffusion_term(time_only_sigma, x, g).values.values)
-    assert np.array_equal(drift_term(time_only_b, states, grid)[3], drift_term(time_only_b, x).values.values)
+    drift = coefficient_maps(time_only_b, None, states, None, grid)[0]
+    assert np.array_equal(drift[3], drift_term(time_only_b, x).values.values)
 
 
 def test_drivers_on_different_grids_are_refused():

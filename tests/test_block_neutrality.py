@@ -52,10 +52,10 @@ def _outputs(cs, g, states, drivers):
     stacked, stacked_deltas = norm_row_passes(states, states, g.h, 0.3, cs.delta)
     arrays = [
         drift_term(cs.b, x).values.values,
-        drift_term(cs.b, states, g),
+        coefficient_maps(cs.b, None, states, None, g)[0],
         diffusion_term(cs.sigma, x, drv).values.values,
-        diffusion_term(cs.sigma, states, drivers, g),
-        *coefficient_maps(cs.b, cs.sigma, states, drivers, g),
+        coefficient_maps(None, cs.sigma, states, drivers, g)[1],
+        *coefficient_maps(cs.b, cs.sigma, states, drivers, g)[:2],
         lebesgue_volterra(_table(cs.b, g, states[0])).values.values,
         young_rs(_table(cs.sigma, g, states[0]), drv).values.values,
         *(inc for _, inc in aggregates),

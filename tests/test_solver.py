@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from volterra_fbm.errors import AdmissibilityError
 from volterra_fbm.fbm import DriverPath, Seed, sample_davies_harte
 from volterra_fbm.grid import build_grid
 from volterra_fbm.norms import HolderParams, w_alpha_infty_norm
+from volterra_fbm import solver
 from volterra_fbm.solver import (
     admissible_alpha,
     calibrate_growth_bound,
@@ -321,3 +323,24 @@ def test_euler_refuses_bad_initial_state(x0, message):
     drv = DriverPath.from_callable(build_grid(1.0, 16), lambda t: 0.0)
     with pytest.raises(ValueError, match=message):
         euler_solve(cs, x0, drv)
+
+
+@pytest.mark.parametrize("name, m", [
+    ("smooth-volterra", 0),  # no component for the capacity to sum
+    ("linear-drift", 2),  # sigma = 0: no map reads the driver
+    ("smooth-volterra", 2),  # Euler's einsum would broadcast sigma's m = 1 axis
+], ids=["no-component", "sigma-zero", "sigma-nonzero"])
+def test_solvers_refuse_a_driver_of_the_wrong_dimension(monkeypatch, name, m):
+    # the refusal comes on entry, before the O(n^2) capacity pass
+    def no_capacity(*args):
+        raise AssertionError("the capacity pass ran")
+
+    monkeypatch.setattr(solver, "total_lambda_alpha", no_capacity)
+    cs = builtin_coefficients(name)
+    grid = build_grid(1.0, 64)
+    drv = DriverPath(grid, np.cumsum(np.random.default_rng(m).normal(size=(grid.n + 1, m)), axis=0) / 8.0)
+    msg = re.escape(f"coefficient set {name!r} has driver dimension m=1, but the driver has m={m}")
+    with pytest.raises(ValueError, match=msg):
+        picard_solve(cs, 1.0, drv, HolderParams(H=0.75, alpha=0.3, T=1.0))
+    with pytest.raises(ValueError, match=msg):
+        euler_solve(cs, 1.0, drv)
