@@ -281,7 +281,7 @@ def _load_config_file(path: str) -> dict:
 
 
 # --flag: (ExperimentConfig attribute, value type); a config file key
-# may be either name
+# is the flag name
 _FLAGS = {
     "H": ("H", float), "alpha": ("alpha", float), "lambda": ("lam", float), "T": ("T", float),
     "n": ("n", int), "m": ("m", int), "coeffs": ("coeffs", str), "paths": ("paths", int),
@@ -319,13 +319,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        by_attr = {attr: (attr, cast) for attr, cast in _FLAGS.values()}
         for key, val in entries.items():
-            entry = _FLAGS.get(key, by_attr.get(key))
-            if entry is None:
+            if key not in _FLAGS:
                 print(f"error: unknown config key {key!r}", file=sys.stderr)
                 return 2
-            attr, cast = entry
+            attr, cast = _FLAGS[key]
             try:
                 setattr(cfg, attr, cast(val))
             except ValueError:

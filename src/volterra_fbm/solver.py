@@ -138,6 +138,7 @@ class SolutionRecord:
     distances are weighted-norm gaps of consecutive iterates at
     lambda_used; convergence is declared on the unweighted norm, which
     dominates the weighted one, so the weighted gap is below tol too.
+    lambda_selected is inf where no weight contracts and an override ran.
     """
 
     x: GridFunction
@@ -282,7 +283,9 @@ def picard_solve_batch(
 
     A failing path (EvaluationError, DivergenceError, NoContractionError)
     leaves the stack with its exception; once the others are done, the
-    lowest-index failing path's exception is raised.  An invalid
+    lowest-index failing path's exception is raised.  A lambda_override
+    also stands in for a failed weight selection: the path records
+    lambda_selected = inf and runs at the override.  An invalid
     lambda_override, like tol, max_iter and a driver whose dimension is
     not the coefficient set's m, is refused on entry.
     """
@@ -311,12 +314,11 @@ def picard_solve_batch(
     capacities = total_lambda_alpha(drivers, alpha)
     paths = [_Path(g.values, lam, start, start_sup) for g, lam in zip(drivers, capacities)]
 
-    def step(active, measure_gaps):
-        """Apply the map to the stacked iterates of the paths active and
-        raise their radii; if measure_gaps, set their gap parts |gap| +
-        increment integral per node (one row pass serves the new
-        iterates' delta functionals and the gaps, as two stacks).
-        Returns the paths
+    def step(active):
+        """Apply the map to the stacked iterates of the paths active,
+        raise their radii and set their gap parts |gap| + increment
+        integral per node (one row pass serves the new iterates' delta
+        functionals and the gaps, as two stacks).  Returns the paths
         that go on, those without error."""
         prev = np.stack([p.x for p in active])
         cur, errs = _apply_map(cs, x0, grid, prev, np.stack([p.g for p in active]))
@@ -324,7 +326,7 @@ def picard_solve_batch(
             p.error = exc
         ok = [k for k, exc in enumerate(errs) if exc is None]
         active, prev, cur = [active[k] for k in ok], prev[ok], cur[ok]
-        aggs, deltas = norm_row_passes(cur - prev if measure_gaps else None, cur, grid.h, alpha, cs.delta)
+        aggs, deltas = norm_row_passes(cur - prev, cur, grid.h, alpha, cs.delta)
         for p, x, sup, delta in zip(active, cur, _sup_norms(cur), deltas):
             p.x = x.copy()  # a path that leaves keeps no view of the stack
             p.sup_radius = max(p.sup_radius, sup)
@@ -334,20 +336,22 @@ def picard_solve_batch(
         return active
 
     # the pilot application fixes each path's weight from its radii, with margin
-    active = step(paths, True)
+    active = step(paths)
     for p in active:
         try:
             p.lam_selected = select_lambda(
                 cs, params, p.lam_g, 2.0 * p.sup_radius + 1.0, 2.0 * p.delta_radius + 1.0
             )
-            p.lam = lambda_override if lambda_override is not None else min(p.lam_selected, LAMBDA_CAP)
         except NoContractionError as exc:
-            p.error = exc
-        else:
-            p.weight = np.exp(-p.lam * grid.nodes)
+            if lambda_override is None:
+                p.error = exc
+                continue
+            p.lam_selected = float("inf")  # no weight on the ladder contracts
+        p.lam = lambda_override if lambda_override is not None else min(p.lam_selected, LAMBDA_CAP)
+        p.weight = np.exp(-p.lam * grid.nodes)
     active = [p for p in active if p.error is None]
 
-    for it in range(max_iter):
+    for _ in range(max_iter):
         # one gap measurement serves the weighted distance and the
         # unweighted stopping norm, which dominates the weighted one, so
         # the test is strictly stronger than a weighted-gap tolerance
@@ -357,8 +361,7 @@ def picard_solve_batch(
         active = [p for p in active if not p.converged]
         if not active:
             break
-        # the last iterate's gap is never measured
-        active = step(active, it + 1 < max_iter)
+        active = step(active)
 
     for p in paths:
         if p.error is not None:

@@ -61,17 +61,12 @@ class _Checks:
     """The lhs/rhs samples of a family's checks, in report order, and the
     constants of its first case."""
 
-    def __init__(self, names: tuple, constant_scale: dict | None):
+    def __init__(self, names: tuple):
         self.samples = {name: ([], []) for name in names}
-        self.scale = constant_scale or {}
         self.constants: dict = {}
 
-    def const(self, name: str, value: float, key: str | None = None) -> float:
-        """value times constant_scale[key] (a constant without a key, such
-        as a literal display, is not scaled), recorded under name if no
-        earlier case recorded it."""
-        if key is not None:
-            value *= self.scale.get(key, 1.0)
+    def const(self, name: str, value: float) -> float:
+        """value, recorded under name if no earlier case recorded it."""
         self.constants.setdefault(name, value)
         return value
 
@@ -129,16 +124,12 @@ def _lebesgue_kernel_case(rng, grid: TimeGrid):
     return vals, L
 
 
-def check_lebesgue_estimates(
-    cases: int,
-    rng_seed: int,
-    n: int = 64,
-    constant_scale: dict | None = None,
-) -> list[EstimateReport]:
-    """Volterra-Lebesgue bound plus the three drift-map estimates."""
+def check_lebesgue_estimates(cases: int, rng_seed: int) -> list[EstimateReport]:
+    """Volterra-Lebesgue bound plus the three drift-map estimates, on
+    grids of SuiteConfig.grid_n cells."""
+    n = SuiteConfig.grid_n
     checks = _Checks(
-        ("lebesgue-volterra-bound", "drift-holder-bound", "drift-weighted-bound", "drift-contraction"),
-        constant_scale,
+        ("lebesgue-volterra-bound", "drift-holder-bound", "drift-weighted-bound", "drift-contraction")
     )
     for case in range(cases):
         rng, T, alpha, grid = _case(rng_seed, case, n)
@@ -149,8 +140,8 @@ def check_lebesgue_estimates(
         kernel = BivariateKernelValues(grid, vals)
         F = lebesgue_volterra(kernel).values.values[:, 0]
         lhs = np.abs(F) + abs_increment_row_integrals(F, h, alpha + 1.0)
-        c1 = checks.const("C1", bounds.lebesgue_c1(alpha, T), "C1")
-        c2 = checks.const("C2", bounds.lebesgue_c2(alpha, L, mu), "C2")
+        c1 = checks.const("C1", bounds.lebesgue_c1(alpha, T))
+        c2 = checks.const("C2", bounds.lebesgue_c2(alpha, L, mu))
         inner = row_singular_integrals(np.abs(kernel.values), h, alpha)
         rhs = c1 * inner + c2 * grid.nodes ** (1.0 + mu - alpha)
         sel = np.arange(1, n + 1, 7)
@@ -168,18 +159,18 @@ def check_lebesgue_estimates(
         b0a = cs.B_0_alpha(alpha)
         lam = _LAMBDA_LADDER[case % len(_LAMBDA_LADDER)]
 
-        d1 = checks.const("d1", bounds.drift_d1(alpha, T, cs.L, cs.L_0, cs.mu, b0a), "d1")
+        d1 = checks.const("d1", bounds.drift_d1(alpha, T, cs.L, cs.L_0, cs.mu, b0a))
         checks.add("drift-holder-bound", holder_norm(Ff, 1.0 - alpha), d1 * (1.0 + f.sup_norm()))
 
         (agg_ff, agg_f, agg_gap, agg_diff), _ = norm_row_passes(
             np.stack((Ff.values, f.values, Ff.values - Fh.values, f.values - hh.values)), None, h, alpha, 1.0
         )
-        d2 = checks.const("d2", bounds.drift_d2(alpha, T, cs.L, cs.L_0, cs.mu, b0a), "d2")
+        d2 = checks.const("d2", bounds.drift_d2(alpha, T, cs.L, cs.L_0, cs.mu, b0a))
         checks.add("drift-weighted-bound", fractional_norm(grid.nodes, agg_ff, lam).value,
                    d2 / lam ** (1.0 - 2.0 * alpha) * (1.0 + fractional_norm(grid.nodes, agg_f, lam).value))
 
         radius = max(f.sup_norm(), hh.sup_norm())
-        d_n = checks.const("d_N", bounds.drift_contraction_d_N(alpha, T, cs.L_N(radius)), "d_N")
+        d_n = checks.const("d_N", bounds.drift_contraction_d_N(alpha, T, cs.L_N(radius)))
         checks.add("drift-contraction", fractional_norm(grid.nodes, agg_gap, lam).value,
                    d_n / lam ** (1.0 - alpha) * fractional_norm(grid.nodes, agg_diff, lam).value)
 
@@ -222,19 +213,15 @@ def _w_path(row: np.ndarray, vals: np.ndarray, i_t: int, h: float, alpha: float)
     return w
 
 
-def check_rs_estimates(
-    cases: int,
-    rng_seed: int,
-    n: int = 64,
-    constant_scale: dict | None = None,
-) -> list[EstimateReport]:
+def check_rs_estimates(cases: int, rng_seed: int) -> list[EstimateReport]:
     """Stieltjes increment/weighted bounds and the three sigma-map
-    estimates, with the driver capacity taken at its norm-based upper
-    bracket (the discrete sup underestimates)."""
+    estimates, on grids of SuiteConfig.grid_n cells, with the driver
+    capacity taken at its norm-based upper bracket (the discrete sup
+    underestimates)."""
+    n = SuiteConfig.grid_n
     checks = _Checks(
         ("stieltjes-increment-bound", "stieltjes-weighted-aggregate", "sigma-map-holder-bound",
-         "sigma-map-weighted-bound", "sigma-map-contraction"),
-        constant_scale,
+         "sigma-map-weighted-bound", "sigma-map-contraction")
     )
     slack = _prop_slack(n)
     lit_flags = 0
@@ -250,8 +237,8 @@ def check_rs_estimates(
         kernel = BivariateKernelValues(grid, vals)
         G = young_rs(kernel, g).values.values[:, 0]
         k_over_u = prefix_singular_integrals(K_prof, h, alpha)
-        c3 = checks.const("C3", bounds.rs_c3(alpha, mu), "C3")
-        c4 = checks.const("C4", bounds.rs_c4(alpha, T), "C4")
+        c3 = checks.const("C3", bounds.rs_c3(alpha, mu))
+        c4 = checks.const("C4", bounds.rs_c4(alpha, T))
         for _ in range(3):
             i_s = int(rng.integers(1, n - 1))
             i_t = int(rng.integers(i_s + 1, n + 1))
@@ -299,7 +286,7 @@ def check_rs_estimates(
         )
         sigma_consts = (alpha, cs.beta, cs.mu, T, cs.K, s00)
 
-        d3 = checks.const("d3_recomputed", bounds.stieltjes_d3(*sigma_consts, recomputed=True), "d3")
+        d3 = checks.const("d3_recomputed", bounds.stieltjes_d3(*sigma_consts, recomputed=True))
         d3_lit = checks.const("d3_literal", bounds.stieltjes_d3(*sigma_consts, recomputed=False))
         na_f = fractional_norm(grid.nodes, agg_f, 0.0).value
         lhs3 = holder_norm(Gf, 1.0 - alpha)
@@ -307,15 +294,14 @@ def check_rs_estimates(
         if lhs3 > lam_up * d3_lit * (1.0 + na_f) * (1.0 + slack):
             lit_flags += 1
 
-        d4 = checks.const("d4_recomputed", bounds.stieltjes_d4(*sigma_consts, recomputed=True), "d4")
+        d4 = checks.const("d4_recomputed", bounds.stieltjes_d4(*sigma_consts, recomputed=True))
         checks.const("d4_literal", bounds.stieltjes_d4(*sigma_consts, recomputed=False))
         checks.add("sigma-map-weighted-bound", fractional_norm(grid.nodes, agg_gf, lam).value,
                    lam_up * d4 / lam ** (1.0 - 2.0 * alpha)
                    * (1.0 + fractional_norm(grid.nodes, agg_f, lam).value))
 
         ball_consts = (alpha, cs.beta, cs.mu, T, cs.K, cs.K_N(radius))
-        dpn = checks.const("dprime_N_recomputed",
-                           bounds.stieltjes_dprime_N(*ball_consts, recomputed=True), "dprime_N")
+        dpn = checks.const("dprime_N_recomputed", bounds.stieltjes_dprime_N(*ball_consts, recomputed=True))
         checks.const("dprime_N_literal", bounds.stieltjes_dprime_N(*ball_consts, recomputed=False))
         checks.add("sigma-map-contraction", fractional_norm(grid.nodes, agg_gap, lam).value,
                    lam_up * dpn * (1.0 + df + dh) / lam ** (1.0 - 2.0 * alpha)
@@ -395,9 +381,11 @@ def check_sigma_lemmas(
 # ------------------------------------------------------------- Auxiliary
 
 
-def check_aux_inequalities(n: int = 4096) -> list[EstimateReport]:
+def check_aux_inequalities() -> list[EstimateReport]:
     """Exponential-weight suprema, the singular exponential kernels, the
-    combined-kernel constant, and the Beta identities, on [0, 1]."""
+    combined-kernel constant, and the Beta identities, on the 4096-cell
+    grid of [0, 1]."""
+    n = 4096
     alpha_grid = (0.1, 0.2, 0.25, 0.3, 0.4, 0.45)
     lambda_grid = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
     mu_grid = (0.25, 0.5, 0.75, 1.0)
@@ -500,16 +488,16 @@ def _identity_report(name: str, lhs: list, rhs: list, n: int) -> EstimateReport:
 # family -> runner of a SuiteConfig; the lemma and hypothesis families
 # run each catalog entry at each radius N, in that order
 _RUNNERS = {
-    "lebesgue": lambda c: check_lebesgue_estimates(c.estimate_cases, c.seed, n=c.grid_n),
-    "stieltjes": lambda c: check_rs_estimates(c.estimate_cases, c.seed + 1, n=c.grid_n),
+    "lebesgue": lambda c: check_lebesgue_estimates(c.estimate_cases, c.seed),
+    "stieltjes": lambda c: check_rs_estimates(c.estimate_cases, c.seed + 1),
     "lemmas": lambda c: [
-        rep for name in c.coefficient_names for N in (1.0, 5.0)
+        rep for name in catalog_names() for N in (1.0, 5.0)
         for rep in check_sigma_lemmas(builtin_coefficients(name), c.samples, N, c.seed + 2)
     ],
     "aux": lambda c: check_aux_inequalities(),
     "hypotheses": lambda c: [
         verify_hypotheses(builtin_coefficients(name), c.samples, N, c.seed + 3)
-        for name in c.coefficient_names for N in (1.0, 10.0)
+        for name in catalog_names() for N in (1.0, 10.0)
     ],
 }
 FAMILIES = tuple(_RUNNERS)
@@ -525,8 +513,8 @@ class SuiteConfig:
     # the hypothesis audits' samples
     samples: int = 100000
     seed: int = 20260301
-    coefficient_names: tuple = catalog_names()
-    # the estimate families' grid: a class constant, not a setting
+    # the grid of the lebesgue and stieltjes checks: a class constant,
+    # not a setting
     grid_n = 64
 
 

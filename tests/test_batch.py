@@ -297,3 +297,7 @@ def test_pilot_without_contraction_fails_the_batch():
         with pytest.raises(NoContractionError):
             picard_solve_batch(cs, 1.0, batch, PARAMS)
     assert picard_solve_batch(cs, 1.0, [zero], PARAMS)[0].converged
+    # a weight override stands in for the failed selection
+    recs = picard_solve_batch(cs, 1.0, [zero, rough], PARAMS, lambda_override=64.0)
+    assert all(r.converged and r.lambda_used == 64.0 for r in recs)
+    assert np.isfinite(recs[0].lambda_selected) and recs[1].lambda_selected == np.inf

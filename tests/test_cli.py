@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,18 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_config_keys_are_the_flag_names(tmp_path, capsys):
+    # the attribute spelling of a flag is not a config key
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 16\nmax_iter = 5\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.strip() == "error: unknown config key 'max_iter'"
+    assert not (tmp_path / "x").exists()
+    # every setting has exactly one flag
+    attrs = [attr for attr, _ in cli._FLAGS.values()]
+    assert sorted(attrs) == sorted(f.name for f in fields(ExperimentConfig) if f.name != "subcommand")
+
+
 def test_bad_config_value_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n = abc\n")
@@ -265,6 +278,16 @@ def test_infeasible_solve_names_constraint(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "alpha in (1-H, 1/2)" in err
+
+
+def test_lambda_overrides_a_failed_weight_selection(tmp_path, capsys):
+    # no weight on the ladder contracts here; --lambda runs the solve anyway
+    argv = ["solve", "--coeffs", "bounded-growth", "--H", "0.51", "--alpha", "0.495", "--n", "64"]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert "no weight up to 2^64 yields a 1/2-contraction" in capsys.readouterr().err
+    assert main(argv + ["--lambda", "64", "--out", str(tmp_path / "y")]) == 0
+    meta = json.loads((tmp_path / "y" / "solution_00000.json").read_text())
+    assert meta["converged"] and meta["lambda"] == 64.0
 
 
 def test_verify_subcommand_small(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from volterra_fbm import bounds
 from volterra_fbm.coeffs import builtin_coefficients
 from volterra_fbm.grid import abs_increment_row_integrals
 from volterra_fbm.report import EstimateReport, make_report, ratio_of
@@ -56,11 +57,15 @@ def test_rs_checks_pass():
     assert "dprime_N_recomputed" in cu and "dprime_N_literal" in cu
 
 
-def test_negative_control_corrupted_constant():
-    reports = check_lebesgue_estimates(40, rng_seed=7, constant_scale={"d_N": 0.0625})
+def test_negative_control_corrupted_constant(monkeypatch):
+    # a constant shrunk below what the proof chain supports must fail its check
+    d_n, d4 = bounds.drift_contraction_d_N, bounds.stieltjes_d4
+    monkeypatch.setattr(bounds, "drift_contraction_d_N", lambda *a, **k: 0.0625 * d_n(*a, **k))
+    monkeypatch.setattr(bounds, "stieltjes_d4", lambda *a, **k: 0.001 * d4(*a, **k))
+    reports = check_lebesgue_estimates(40, rng_seed=7)
     by = {r.name: r for r in reports}
     assert not by["drift-contraction"].passed
-    reports2 = check_rs_estimates(30, rng_seed=8, constant_scale={"d4": 0.001})
+    reports2 = check_rs_estimates(30, rng_seed=8)
     by2 = {r.name: r for r in reports2}
     assert not by2["sigma-map-weighted-bound"].passed
 
@@ -88,7 +93,7 @@ def test_lemma_degenerate_tuples_vanish():
 
 
 def test_aux_checks_pass():
-    reports = check_aux_inequalities(n=2048)
+    reports = check_aux_inequalities()
     assert len(reports) == 5
     for r in reports:
         assert r.passed, (r.name, r.max_ratio)
@@ -104,10 +109,7 @@ def test_run_suite_empty_and_selection():
 
     with pytest.raises(CatalogError, match="no verification family"):
         run_suite(SuiteConfig(families=()))
-    out = run_suite(SuiteConfig(
-        families=("lemmas",), samples=20000,
-        coefficient_names=("smooth-volterra",),
-    ))
+    out = run_suite(SuiteConfig(families=("lemmas",), samples=20000))
     assert set(out) == {"lemmas"}
     assert all(r.passed for r in out["lemmas"])
 
@@ -133,6 +135,9 @@ def test_estimate_report_records_constants():
     cu = reports[0].constants_used
     assert "C1" in cu and "C2" in cu
     assert isinstance(EstimateReport(**{**reports[0].__dict__}), EstimateReport)
+    # only the rs family records the literal displays beside its constants
+    assert not any(k.endswith("_literal") for k in cu)
+    assert any(k.endswith("_literal") for k in check_rs_estimates(3, 2)[0].constants_used)
 
 
 def _double_increment_mass(row_t, row_s, h, alpha, upto):
@@ -190,23 +195,3 @@ def test_pointwise_families_at_zero_samples_fail(family, sizes):
     assert [r.name for r in reports] == names
     for r in reports:
         assert not r.passed and r.cases == 0 and r.notes == "no cases were checked"
-
-# constant_scale key -> the name its constant is recorded under
-SCALED = {
-    "C1": "C1", "C2": "C2", "d1": "d1", "d2": "d2", "d_N": "d_N",
-    "C3": "C3", "C4": "C4", "d3": "d3_recomputed", "d4": "d4_recomputed",
-    "dprime_N": "dprime_N_recomputed",
-}
-
-
-@pytest.mark.parametrize("key", sorted(SCALED))
-def test_constant_scale_doubles_its_constant(key):
-    check = check_lebesgue_estimates if key in ("C1", "C2", "d1", "d2", "d_N") else check_rs_estimates
-    base = check(3, 2)[0].constants_used
-    scaled = check(3, 2, constant_scale={key: 2.0})[0].constants_used
-    assert scaled[SCALED[key]] == 2.0 * base[SCALED[key]]
-    # every other constant, the literal displays included, stays put
-    assert {k: v for k, v in scaled.items() if k != SCALED[key]} == {
-        k: v for k, v in base.items() if k != SCALED[key]
-    }
-    assert any(k.endswith("_literal") for k in base) == (check is check_rs_estimates)
