@@ -150,9 +150,11 @@ def _cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         _write_solution(rec, grid, out, p)
         if not rec.converged:
             status = 1
+        # a path whose weight selection failed ran at the --lambda override
+        rescued = " (override: no weight on the ladder contracts)" if np.isinf(rec.lambda_selected) else ""
         print(
             f"solve path {p}: iterations={rec.iterations} converged={rec.converged} "
-            f"lambda={rec.lambda_used:g}"
+            f"lambda={rec.lambda_used:g}{rescued}"
         )
     return status
 

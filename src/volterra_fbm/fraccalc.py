@@ -106,9 +106,14 @@ def weyl_bracket_matrix(g_values: np.ndarray, h: float, alpha: float) -> np.ndar
     n = v.shape[0] - 1
     ga = _gamma(alpha)
     out = np.full((n + 1, n + 1), np.nan)
+    flat = out.reshape(-1)
     for a0, bracket in _bracket_blocks(v[None], h, alpha, 0):
-        for r, row in enumerate(bracket[0]):
-            out[a0 + r, a0 + r + 1 :] = row[: n - a0 - r] / ga
+        # entry (a, a + k) sits at flat index a (n + 2) + k: rows of stride
+        # n + 2 from (a0, a0 + 1).  Row a0 + r's pairs past t_n are NaN and
+        # spill into the next row's columns 0..r - 1, below its diagonal
+        rows = bracket.shape[1]
+        skew = flat[a0 * (n + 2) + 1 : (a0 + rows) * (n + 2) + 1].reshape(rows, n + 2)
+        np.divide(bracket[0], ga, out=skew[:, : n - a0])
     return out
 
 

@@ -288,6 +288,11 @@ def test_lambda_overrides_a_failed_weight_selection(tmp_path, capsys):
     assert main(argv + ["--lambda", "64", "--out", str(tmp_path / "y")]) == 0
     meta = json.loads((tmp_path / "y" / "solution_00000.json").read_text())
     assert meta["converged"] and meta["lambda"] == 64.0
+    # the stdout line names the rescue; a selected weight's line has no note
+    assert "lambda=64 (override: no weight on the ladder contracts)\n" in capsys.readouterr().out
+    argv[argv.index("0.51")], argv[argv.index("0.495")] = "0.75", "0.3"
+    assert main(argv + ["--lambda", "64", "--out", str(tmp_path / "z")]) == 0
+    assert capsys.readouterr().out.endswith("lambda=64\n")
 
 
 def test_verify_subcommand_small(tmp_path):

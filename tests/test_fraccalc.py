@@ -5,6 +5,8 @@ from scipy.special import gamma
 
 from volterra_fbm.fbm import Seed, sample_davies_harte
 from volterra_fbm.fraccalc import (
+    _bracket_blocks,
+    _gamma,
     beta_fn,
     check_alpha,
     lambda_alpha,
@@ -186,6 +188,31 @@ def test_weyl_matrix_matches_pointwise():
     for (a, i) in ((0, 96), (10, 40), (50, 51)):
         assert m[a, i].hex() == weyl_bracket_matrix(v[: i + 1], g.h, 0.3)[a, i].hex()
     assert np.isnan(m[40, 10]) and np.isnan(m[40, 40])
+
+
+def _weyl_bracket_matrix_by_rows(g_values, h, alpha):
+    """The oracle: weyl_bracket_matrix as it was before its skewed block
+    writes, one assignment per row."""
+    v = np.asarray(g_values, dtype=float)
+    n = v.shape[0] - 1
+    ga = _gamma(alpha)
+    out = np.full((n + 1, n + 1), np.nan)
+    for a0, bracket in _bracket_blocks(v[None], h, alpha, 0):
+        for r, row in enumerate(bracket[0]):
+            out[a0 + r, a0 + r + 1 :] = row[: n - a0 - r] / ga
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+def test_weyl_matrix_block_writes_match_row_writes(n):
+    # a random walk: n = 1 is below a TimeGrid's two cells
+    v = np.cumsum(np.random.default_rng(n).normal(size=n + 1)) * 0.15
+    got = weyl_bracket_matrix(v, 1.0 / n, 0.3)
+    want = _weyl_bracket_matrix_by_rows(v, 1.0 / n, 0.3)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    assert np.all(np.isnan(got[np.tril_indices(n + 1)]))
 
 
 def test_beta_moment_identity_grid_quadrature():

@@ -12,7 +12,7 @@ from volterra_fbm.grid import BivariateKernelValues, GridFunction, build_grid
 from volterra_fbm.integrals import (
     _as_matrix_kernel,
     _check_driver_dimension,
-    _doubly_singular_weights,
+    _doubly_singular_blocks,
     diffusion_term,
     drift_term,
     lebesgue_volterra,
@@ -277,6 +277,19 @@ def test_young_frac_matches_per_row_rule(n, alpha):
     assert_matches_per_row(k, drv, alpha)
 
 
+@pytest.mark.parametrize(
+    "n, alpha",
+    [(n, a) for a in (0.01, 0.49) for n in (2, 3, 17, 64, 257)]
+    + [(1024, 0.01)]
+    + [(n, a) for a in (1e-3, 0.499) for n in (2, 3)],
+)
+def test_young_frac_matches_per_row_rule_window_edges(n, alpha):
+    g = build_grid(1.0, n)
+    drv = sample_davies_harte(g, 0.75, 1, Seed(n))
+    k = BivariateKernelValues(g, np.broadcast_to(drv.values[None, :, 0], (n + 1, n + 1)).copy())
+    assert_matches_per_row(k, drv, alpha)
+
+
 def test_young_frac_matches_per_row_rule_time_varying_kernel():
     g = build_grid(2.0, 257)
     drv = sample_davies_harte(g, 0.75, 1, Seed(3))
@@ -302,21 +315,64 @@ def test_young_frac_matches_per_row_rule_matrix_kernel(n):
         assert_matches_per_row(k, drv, alpha)
 
 
-@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.45])
+# the window edges of alpha (0.01, 0.49) besides the interior ones
+MOMENT_ALPHAS = [0.01, 0.05, 0.2, 0.45, 0.49]
+
+
+def _betainc_weights(cells: np.ndarray, width: int, alpha: float) -> np.ndarray:
+    """The oracle: _doubly_singular_blocks' rows as they were before its
+    moment series, one betainc per node.  The zeroth moments are
+    differences of B(1-a,a) I_x(1-a,a), the first ones come from them by
+    the Beta recurrence
+
+        B(2-a,a) I_x(2-a,a) = (1-a) B(1-a,a) I_x(1-a,a) - x^{1-a} (1-x)^a,
+
+    and nodes past i sit at x = 1, where both are constant."""
+    x = np.minimum(np.arange(width) / cells[:, None], 1.0)
+    i0 = beta_fn(1.0 - alpha, alpha) * betainc(1.0 - alpha, alpha, x)
+    i1 = (1.0 - alpha) * i0 - x ** (1.0 - alpha) * (1.0 - x) ** alpha
+    m0 = np.diff(i0, axis=1)
+    slope = cells[:, None] * (np.diff(i1, axis=1) - x[:, :-1] * m0)
+    out = np.zeros(x.shape)
+    out[:, :-1] = m0 - slope
+    out[:, 1:] += slope
+    return out
+
+
+@pytest.mark.parametrize("alpha", MOMENT_ALPHAS)
 def test_doubly_singular_rule_exact_for_linear_w(alpha):
     # W(s) = t - s: int_0^t s^{-alpha} (t-s)^alpha ds = t B(1-alpha, 1+alpha),
-    # for the block rule (all rows in one ragged table) and the per-row rule
+    # for every row of the block rule up to 4096 cells and for the per-row rule
     t = 0.7
     exact = t * beta_fn(1.0 - alpha, 1.0 + alpha)
-    cells = np.array([2, 3, 64, 1024])
-    weights = _doubly_singular_weights(cells, 1025, alpha)
-    for r, i in enumerate(cells):
-        s = t * np.arange(1025) / i
-        assert np.all(weights[r, i + 1 :] == 0.0)
-        got = weights[r, : i + 1] @ (t - s[: i + 1])
-        assert abs(got / exact - 1.0) <= 1e-13, (i, got, exact)
+    for lo, hi, weights in _doubly_singular_blocks(4096, alpha):
+        cells = np.arange(lo, hi)[:, None]
+        j = np.arange(hi)
+        assert np.all(weights[j > cells] == 0.0)
+        got = (weights * (t - t * np.minimum(j / cells, 1.0))).sum(axis=1)
+        assert np.max(np.abs(got / exact - 1.0)) <= 1e-13, (lo, got, exact)
+    for i in (2, 3, 64, 1024, 4096):
+        s = t * np.arange(i + 1) / i
         oracle = _doubly_singular_quadrature(t, t - s[1:i], t, alpha)
         assert abs(oracle / exact - 1.0) <= 1e-13, (i, oracle, exact)
+
+
+@pytest.mark.parametrize("alpha", MOMENT_ALPHAS)
+def test_doubly_singular_weights_sum_to_beta(alpha):
+    # W = 1: the weights of every row sum to int_0^1 u^{-alpha} (1-u)^{alpha-1} du
+    exact = beta_fn(1.0 - alpha, alpha)
+    for lo, hi, weights in _doubly_singular_blocks(4096, alpha):
+        assert np.max(np.abs(weights.sum(axis=1) / exact - 1.0)) <= 1e-13, lo
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.2, 0.49])
+def test_doubly_singular_weights_match_betainc_rows(alpha):
+    # both routes round the slope recurrence's cancellation differently;
+    # the exactness tests above pin the rule itself
+    for lo, hi, weights in _doubly_singular_blocks(1024, alpha):
+        want = _betainc_weights(np.arange(lo, hi), hi, alpha)
+        gap = np.max(np.abs(weights - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.max(gap) <= 1e-10, (lo, gap)
 
 
 # a kernel on 32 cells against a driver on 64
