@@ -33,16 +33,20 @@ Toeplitz matrix of gap weights.  Three routes share it:
   scalar samples stacked as rows, one FFT convolution for all rows,
   O(n log n) per row; equal to the direct rule up to round-off.
 
-The first two are one kernel, ``_blocked_row_rule``: rows in blocks of
-64 (the last one up to 127), each block cut at its last row's column
-(the weights beyond are zero), one weight copy per block for all
-samples, one einsum per block and entry, a sample or a stack.  A Picard
-step of a batch passes two stacks (its paths' gaps and iterates), the
-verify suite's double integrals dozens of single samples.
+The first two are one kernel, ``_blocked_row_rule``: rows in the blocks
+of ``_row_blocks``, each block cut at its last row's column (the weights
+beyond are zero), one weight copy per block for all samples, one einsum
+per block and entry, a sample or a stack.  One path takes blocks of 64
+rows (the last one up to 127); a stack of P paths takes fewer rows, in
+multiples of 32, so that P x rows x columns stays within 2^16 entries
+where 32 rows allow it.  A Picard step of a batch passes two stacks (its
+paths' gaps and iterates), the verify suite's double integrals dozens
+of single samples.
 
 Sups over node pairs s < t (Weyl bracket, Lambda_alpha, driver and Holder
 norms) take ``_pair_blocks``: increments and left-singular tail integrals
-of a stack of samples by (sample, row, gap), in the same row blocks.
+of a stack of samples by (sample, row, gap), in the same row blocks, a
+stack's in multiples of 8 rows.
 
 ``power_cell_weights`` keeps one read-only weight table per power-of-two
 size and (h, theta); a shorter row's weights are a bit-exact prefix of a
@@ -79,16 +83,28 @@ __all__ = [
 # theta >= 1 is a non-integrable singularity, not rounding noise.
 _ENDPOINT_ATOL = 1e-12
 
-# rows per block of the row rules and pair tables (_row_blocks).  A block
-# of r rows computes about r^2 / 2 entries above the diagonal that no rule
-# reads, so 64 rows waste a quarter of what 256 did; at n = 2048 a block of
-# weights, integrands or pair increments is 1 MB, inside a 2 MB L2
+# rows per block of one path's row rules and pair tables (_row_blocks).  A
+# block of r rows computes about r^2 / 2 entries above the diagonal that no
+# rule reads, so 64 rows waste a quarter of what 256 did; at n = 2048 a
+# block of weights, integrands or pair increments is 1 MB, inside a 2 MB L2
 _ROW_CHUNK = 64
 
+# entries P x rows x columns of one block of a stack of P paths
+# (_row_blocks): 0.5 MB of doubles, the size of a six-path block at n = 96
+_BLOCK_ENTRIES = 2 ** 16
+
+# a stack's blocks shrink in multiples of this many rows where an einsum
+# reduces along the row (_blocked_row_rule explains why 32 keeps the bits)
+_LANE_ROWS = 32
+
+# the pair tables (_pair_blocks) are elementwise or a cumsum along the row,
+# neutral to any cut: a stack's blocks shrink in multiples of 8 rows there
+_PAIR_ROWS = 8
+
 # node-pair entries S (n+1)^2 of one stack of S paths (_stack_size), for
-# a CLI solve batch and a stacked norm pass alike: 6 paths at n = 96, one
-# from n = 181; the increment buffer of a norm pass is then about 0.5 MB
-_STACK_ENTRIES = 2 ** 16
+# a CLI solve batch and a stacked norm pass alike: 27 paths at n = 96, 3
+# at n = 256, one from n = 362.  The stack's blocks keep to _BLOCK_ENTRIES
+_STACK_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -385,18 +401,22 @@ def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np
     stack's in one call: |v_i - v_j| for d = 1 (equal to the table's
     sqrt((v_i - v_j)**2) unless that square under- or overflows),
     sqrt(add.reduce(d*d, axis=-1)) for d > 1, then the power in place.
-    Cost O(n^2 d) time per sample and O(64 n d S) memory for the largest
-    entry.  The diagonal is zero by construction, so theta >= 1 needs no
-    endpoint check.
+    Cost O(n^2 d) time per sample.  Memory: one block of the largest
+    entry, 64 (n+1) d doubles for one sample; a stack of S takes blocks
+    of at most 2^16 d doubles, or of 32 rows, 32 (n+1) d S, where even
+    those hold more (_row_blocks).  The diagonal is zero by
+    construction, so theta >= 1 needs no endpoint check.
     """
     vs, powers = [], []
     for values, power in samples:
         v = np.asarray(values, dtype=float)
         vs.append(v[:, None] if v.ndim == 1 else v)
         powers.append(power)
-    n = max(v.shape[-2] for v in vs) - 1
-    # one block of increments for the widest entry (S d columns per node)
-    rows = max((hi - lo for lo, hi in _row_blocks(1, n + 1)), default=0)
+    shapes = [v.shape[:-1] for v in vs]
+    n = max(shape[-1] for shape in shapes) - 1
+    # one block of increments for the widest entry (S d columns per node),
+    # in _blocked_row_rule's blocks
+    rows = max((hi - lo for lo, hi in _row_blocks(1, n + 1, _stack_paths(shapes))), default=0)
     buf = np.empty(rows * (n + 1) * max(v.size // v.shape[-2] for v in vs))
 
     def increments(k, lo, hi):
@@ -415,18 +435,40 @@ def abs_increment_row_integrals_many(samples, h: float, theta: float) -> list[np
             m **= powers[k]
         return m
 
-    return _blocked_row_rule(h, theta, [v.shape[:-1] for v in vs], increments)
+    return _blocked_row_rule(h, theta, shapes, increments)
 
 
-def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:
-    """Row blocks (lo, hi) of _ROW_CHUNK rows covering start <= i < stop.
-    The last block also takes a remainder shorter than _ROW_CHUNK: a
-    block of its own would cost one more call per sample for less work
-    than it saves (a 33-row second block at n = 96 slowed the CLI's
-    two-thread batches of paths by a fifth).  An empty range has no block."""
-    count = max(1, (stop - start) // _ROW_CHUNK)
-    edges = [start + k * _ROW_CHUNK for k in range(count)] + [stop]
+def _row_blocks(start: int, stop: int, paths: int = 1, unit: int = _LANE_ROWS) -> list[tuple[int, int]]:
+    """Row blocks (lo, hi) covering start <= i < stop, each row up to stop
+    columns wide, for a stack of that many paths.  One path takes
+    _ROW_CHUNK rows a block; a stack takes fewer where paths x rows x
+    stop would pass _BLOCK_ENTRIES, in multiples of unit and at least
+    unit rows (a rule that reduces along the row by einsum needs the
+    default, _LANE_ROWS; the pair tables pass a finer one).  The last
+    block also takes a remainder shorter than the block: a block of its
+    own would cost one more call per sample for less work than it saves
+    (a 33-row second block at n = 96 slowed the CLI's two-thread batches
+    of paths by a fifth, against one 97-row block).  An empty range has
+    no block."""
+    rows = _ROW_CHUNK
+    if paths > 1:
+        rows = min(rows, max(unit, _BLOCK_ENTRIES // (paths * stop) // unit * unit))
+    count = max(1, (stop - start) // rows)
+    edges = [start + k * rows for k in range(count)] + [stop]
     return list(zip(edges[:-1], edges[1:])) if stop > start else []
+
+
+def _part_paths(stop: int) -> int:
+    """Paths of a stack whose _LANE_ROWS-row blocks of stop columns keep to
+    _BLOCK_ENTRIES, at least one: a rule that cannot shrink its blocks
+    further takes a larger stack in parts of this many paths."""
+    return max(1, _BLOCK_ENTRIES // (_LANE_ROWS * stop))
+
+
+def _stack_paths(shapes) -> int:
+    """Paths of the largest stack among entries shaped (length,) for one
+    sample or (S, length) for a stack of S."""
+    return max((shape[0] for shape in shapes if len(shape) == 2), default=1)
 
 
 def _stack_size(n: int) -> int:
@@ -439,9 +481,9 @@ def _blocked_row_rule(h: float, theta: float, shapes, block_of) -> list[np.ndarr
     samples of one length, shapes[k] = (length,) or (S, length):
     out_k[..., i] = sum_{j<=i} W[i, j] rows_k[..., i, j] - b[i]
     rows_k[..., i, 0] for every row i (row 0 is an empty integral), in
-    the row blocks of _row_blocks.  block_of(k, lo, hi) returns
-    rows_k[..., lo:hi, :hi]: a block stops at its last row's column, past
-    which every weight is zero.  The gap weights and each block's weight
+    the row blocks of _row_blocks for the largest stack.
+    block_of(k, lo, hi) returns rows_k[..., lo:hi, :hi]: a block stops
+    at its last row's column, past which every weight is zero.  The gap weights and each block's weight
     copy are made once for all entries; one einsum and one b-correction
     per block serve a whole entry, a stack's S samples included.
     Returns one array of shapes[k] per entry.
@@ -451,10 +493,11 @@ def _blocked_row_rule(h: float, theta: float, shapes, block_of) -> list[np.ndarr
     sums.  It does not depend on the stack: each sample's sums are those
     of its own one-sample entry (tests/test_stacks.py).  Cutting a block
     at column hi does not move bits either; tests/test_row_kernel.py pins
-    the outputs of the full-width rule.  Blocks start at rows 1 + 64 k,
-    so every block but the last (which ends at the full width) is one
-    past a multiple of 64 columns wide, and 64 is a multiple of the
-    einsum's vector loop (4 x 8 doubles on AVX-512): every nonzero term
+    the outputs of the full-width rule.  Blocks start at rows 1 + r k,
+    r being 64 for one path and a multiple of 32 for a stack, so every
+    block but the last (which ends at the full width) is one past a
+    multiple of 32 columns wide, and 32 is a multiple of the einsum's
+    vector loop (4 x 8 doubles on AVX-512): every nonzero term
     of a row keeps its lane in any block, the zero columns of a wider
     block add +0.0, and the last kept column, alone past the vector loop,
     holds only the last row's diagonal term.  tests/test_block_neutrality.py
@@ -463,7 +506,7 @@ def _blocked_row_rule(h: float, theta: float, shapes, block_of) -> list[np.ndarr
     n = max(shape[-1] for shape in shapes) - 1
     c, b = gap_weights(n, h, theta)
     weights = _toeplitz_block(c)
-    blocks = _row_blocks(1, n + 1)
+    blocks = _row_blocks(1, n + 1, _stack_paths(shapes))
     wbuf = np.empty(max((hi - lo for lo, hi in blocks), default=0) * (n + 1))
     outs = [np.zeros(shape) for shape in shapes]
     for lo, hi in blocks:
@@ -531,22 +574,27 @@ def _pair_blocks(values, h: float, lo: int, hi: int, theta: float | None = None,
     |v_p(y) - v_p[a]|: the one-row product rule's terms, summed by a
     sequential cumsum along k, so bit for bit that rule.  Every operation
     is elementwise or runs along k, so a sample's blocks are bit for bit
-    those of its own one-sample stack (P = 1).  Each block's arrays are
-    fresh: callers may overwrite them."""
+    those of its own one-sample stack (P = 1).  dv and tail live in two
+    buffers that every block reuses: callers may overwrite them, and are
+    done with a block when they draw the next."""
     v = np.asarray(values, dtype=float)
     n = v.shape[1] - 1
     # a block of r <= hi - lo rows reads its last window up to r - 1 nodes past t_n
     pad = np.concatenate([v, np.full((v.shape[0], hi - lo) + v.shape[2:], np.nan)], axis=1)
-    for a0, a1 in _row_blocks(lo, hi):
+    blocks = _row_blocks(lo, hi, len(v), _PAIR_ROWS)
+    size = v[:, 0].size * max(((a1 - a0) * (n - a0) for a0, a1 in blocks), default=0)
+    dv_buf, tail_buf = np.empty(size), np.empty(size if theta is not None else 0)
+    for a0, a1 in blocks:
         k = n - a0
         # the windows of v after rows a0..a1-1; for d > 1 the window axis goes before d
         ahead = np.moveaxis(sliding_window_view(pad, k, axis=1)[:, a0 + 1 : a1 + 1], -1, 2)
-        dv = np.subtract(v[:, a0:a1, None], ahead, order="C")
+        dv = np.ndarray((len(v), a1 - a0) + ahead.shape[2:], buffer=dv_buf)
+        np.subtract(v[:, a0:a1, None], ahead, out=dv)
         tail = None
         if theta is not None:
             a_w, b_w = power_cell_weights(k, h, theta)
             psi = dv if signed else np.abs(dv)
-            contrib = a_w * psi
-            contrib[..., 1:] += b_w[1:k] * psi[..., :-1]
-            tail = np.cumsum(contrib, axis=-1, out=contrib)
+            tail = np.multiply(a_w, psi, out=np.ndarray(dv.shape, buffer=tail_buf))
+            tail[..., 1:] += b_w[1:k] * psi[..., :-1]
+            np.cumsum(tail, axis=-1, out=tail)
         yield a0, dv, tail

@@ -15,12 +15,13 @@ operators feed them slices of a tabulated kernel.  The maps take one
 pass over the causal triangle (coefficient_maps), for one path or a
 stack of P paths: each block builds its times once, evaluates b and
 sigma on them and feeds both rules, so a Picard step walks the triangle
-once and never builds the (n+1)^2 table.  Each call needs
-O(64 (n+1) d m) working memory beyond its input table, the left-point
-rule one block buffer reused for the whole call.  The pass returns one
-error per path, b's before sigma's wherever each arises (one rule for
-one path and for a stack); drift_term and diffusion_term, its one-path
-cases, raise it.
+once and never builds the (n+1)^2 table.  Each call needs a few row
+blocks of working memory beyond its input: 64 (n+1) d m doubles a block
+for one path or a table, for a stack of paths no more than that or
+2^16 d m, whichever is larger; the left-point rule reuses one block
+buffer for the whole call.  The pass returns one error per path, b's
+before sigma's wherever each arises (one rule for one path and for a
+stack); drift_term and diffusion_term, its one-path cases, raise it.
 
 young_frac takes its rows t_i in blocks: one FFT gives the left
 fractional derivatives of a whole block, two power series of the kernel
@@ -44,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import EvaluationError
 from .fbm import DriverPath
 from .fraccalc import _gamma, check_alpha, left_frac_derivative_all, weyl_bracket_matrix
-from .grid import BivariateKernelValues, GridFunction, TimeGrid, _row_blocks
+from .grid import BivariateKernelValues, GridFunction, TimeGrid, _part_paths, _row_blocks
 
 # rows per block of young_frac: at n = 1024, 16 rows keep a call's peak
 # RSS at the per-row rule's (64 rows add 5 MB), and 4 rows take a fifth longer
@@ -194,6 +195,14 @@ def coefficient_maps(b, sigma, states: np.ndarray, drivers: np.ndarray | None, g
     columns j < hi once and evaluates b and sigma on it; the entries
     j > i, evaluations at s = t_i, are neither read nor checked.
 
+    One path takes blocks of 64 rows, a stack of P paths fewer, in
+    multiples of 32, so that P x rows x columns stays within 2^16
+    (grid._row_blocks); a stack that 32 rows leave above that goes in
+    parts of grid._part_paths(n + 1) paths.  The working memory beyond
+    states is a few blocks of evaluations: 64 (n+1) d m doubles each for
+    one path, for a stack no more than that or 2^16 d m, whichever is
+    larger.
+
     errors holds one entry per path (one for an unstacked state): None,
     or the EvaluationError of the path's first non-finite evaluation, b's
     before sigma's wherever each arises.  A failing path's rows are not
@@ -201,9 +210,19 @@ def coefficient_maps(b, sigma, states: np.ndarray, drivers: np.ndarray | None, g
     drift_term and diffusion_term, its one-path cases, raise the error.
     """
     t, n = grid.nodes, grid.n
-    blocks = _row_blocks(0, n + 1)
-    dg = None if sigma is None else np.diff(drivers, axis=-2)
     paths = len(states) if states.ndim == 3 else 1
+    part = _part_paths(n + 1)
+    if paths > part:
+        # 32-row blocks of the whole stack would pass the block budget: it
+        # goes in parts, each path's rows being the same in any stack
+        parts = [
+            coefficient_maps(b, sigma, states[lo : lo + part], None if sigma is None else drivers[lo : lo + part], grid)
+            for lo in range(0, paths, part)
+        ]
+        drift, diffusion = (None if parts[0][k] is None else np.concatenate([q[k] for q in parts]) for k in (0, 1))
+        return drift, diffusion, [e for q in parts for e in q[2]]
+    blocks = _row_blocks(0, n + 1, paths)
+    dg = None if sigma is None else np.diff(drivers, axis=-2)
     b_errors, sigma_errors = [None] * paths, [None] * paths
     drift, diffusion, buf = [], [], None
     for lo, hi in blocks:
@@ -213,14 +232,18 @@ def coefficient_maps(b, sigma, states: np.ndarray, drivers: np.ndarray | None, g
         s[:] = t[:hi]
         np.minimum(s[:, lo:], ti, out=s[:, lo:])
         x = states[..., None, :hi, :]
+        # each block of evaluations is dropped once its rows are taken, so
+        # that no evaluation runs while an earlier block is still held
         if b is not None:
             v = _evaluate(b, ti, s, x, 1)
             drift.append(_checked("drift", _trapezoid_block(grid.h, lo, v), v, grid, lo, b_errors))
+            del v
         if sigma is not None:
             v = _evaluate(sigma, ti, s, x, 2)
             if buf is None:
                 buf = _block_buffer(blocks, n, v)
             diffusion.append(_checked("diffusion", _left_point_block(lo, v, dg, buf), v, grid, lo, sigma_errors))
+            del v
     errors = [e if e is not None else e_sigma for e, e_sigma in zip(b_errors, sigma_errors)]
     drift, diffusion = (np.concatenate(rows, axis=-2) if rows else None for rows in (drift, diffusion))
     return drift, diffusion, errors

@@ -8,6 +8,7 @@ oracle.
 """
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,12 @@ import pytest
 
 from volterra_fbm.coeffs import builtin_coefficients
 from volterra_fbm.errors import DivergenceError, EvaluationError, NoContractionError
+from volterra_fbm import grid as grid_mod
 from volterra_fbm.fbm import DriverPath, Seed, sample_davies_harte
-from volterra_fbm.grid import GridFunction, build_grid
+from volterra_fbm.fraccalc import lambda_alpha, lambda_alpha_many
+from volterra_fbm.grid import GridFunction, _part_paths, _row_blocks, _stack_size, build_grid
 from volterra_fbm.integrals import coefficient_maps, diffusion_term, drift_term
-from volterra_fbm.norms import HolderParams
+from volterra_fbm.norms import HolderParams, norm_row_passes
 from volterra_fbm import solver
 from volterra_fbm.solver import picard_solve, picard_solve_batch
 
@@ -220,8 +223,10 @@ def time_only_sigma(t, s, x):
 @pytest.mark.parametrize("n", [8, 96])
 def test_state_free_evaluators_keep_the_one_path_contract(n):
     # a result without the path axis serves every path; with P = n + 1
-    # paths and one row block, a broadcast that aligned the result from
-    # the left would read its time axis as the path axis unnoticed
+    # paths and one row block (n = 8; at n = 96 the maps take the stack in
+    # 21-path parts, and the test on a stack as tall as its blocks below
+    # sets the same trap), a broadcast that aligned the result from the
+    # left would read its time axis as the path axis unnoticed
     cs = replace(builtin_coefficients("smooth-volterra"), b=time_only_b, sigma=time_only_sigma)
     grid = build_grid(1.0, n)
     drivers = [sample_davies_harte(grid, 0.75, 1, Seed(n), p) for p in range(n + 1)]
@@ -301,3 +306,104 @@ def test_pilot_without_contraction_fails_the_batch():
     recs = picard_solve_batch(cs, 1.0, [zero, rough], PARAMS, lambda_override=64.0)
     assert all(r.converged and r.lambda_used == 64.0 for r in recs)
     assert np.isfinite(recs[0].lambda_selected) and recs[1].lambda_selected == np.inf
+
+
+# one CLI batch at n = 96
+STACK = _stack_size(96)
+
+
+@pytest.mark.parametrize("n", [96, 255, 300])
+def test_stacked_passes_at_the_new_cuts_are_each_paths_own(n):
+    # a CLI batch shrinks the row blocks of the maps, the norm pass and the
+    # pair tables, and the maps take it in parts (grid._row_blocks,
+    # grid._part_paths); each path must still be its own one-path call
+    assert _row_blocks(0, n + 1, STACK)[0][1] < grid_mod._ROW_CHUNK < n + 1
+    assert STACK > _part_paths(n + 1)
+    assert _row_blocks(1, n, STACK, grid_mod._PAIR_ROWS)[0][1] <= grid_mod._ROW_CHUNK
+    grid = build_grid(1.0, n)
+    rng = np.random.default_rng(n)
+    states = 1.0 + np.cumsum(rng.normal(size=(STACK, n + 1, 2)), axis=1) / np.sqrt(n)
+    # the middle path climbs past 50 from node n // 2, where its sigma fails
+    mid = STACK // 2
+    states[mid, n // 2 :] += 100.0
+    drivers = np.stack([sample_davies_harte(grid, 0.7, 3, Seed(n), p).values for p in range(STACK)])
+    smooth_b = builtin_coefficients("smooth-volterra").b
+    cases = [
+        (smooth_b, nan_above(50.0), states[..., :1], drivers[..., :1], [mid]),
+        (causal_b, matrix_sigma, states, drivers, []),
+    ]
+    for b, sigma, x, g, failing in cases:
+        drift, diffusion, errors = coefficient_maps(b, sigma, x, g, grid)
+        for p in range(STACK):
+            one_drift, one_diffusion, [one_error] = coefficient_maps(b, sigma, x[p], g[p], grid)
+            assert drift[p].tobytes() == one_drift.tobytes()
+            assert diffusion[p].tobytes() == one_diffusion.tobytes()
+            assert str(errors[p]) == str(one_error)
+        assert [p for p, e in enumerate(errors) if e is not None] == failing
+    # the norm pass: gaps and iterates, two stacks
+    gaps = np.diff(states, axis=0, prepend=states[:1])
+    aggs, deltas = norm_row_passes(gaps, states, grid.h, 0.3, 0.7)
+    for p in range(STACK):
+        [(sup, inc)], [top] = norm_row_passes(gaps[p][None], states[p][None], grid.h, 0.3, 0.7)
+        assert aggs[p][0].tobytes() == sup.tobytes() and aggs[p][1].tobytes() == inc.tobytes()
+        assert deltas[p].hex() == top.hex()
+    # the capacity: one pass over the node-pair blocks of the stack
+    values, args = lambda_alpha_many(drivers[..., 0], grid.h, 0.3)
+    for p in range(STACK):
+        value, arg = lambda_alpha(drivers[p, :, 0], grid.h, 0.3)
+        assert values[p].hex() == value.hex() and tuple(int(a) for a in args[p]) == arg
+
+
+def test_cli_sized_batch_is_the_one_path_solves():
+    cs = builtin_coefficients("bounded-growth")
+    grid = build_grid(1.0, 96)
+    drivers = [sample_davies_harte(grid, 0.75, 1, Seed(96), p) for p in range(STACK)]
+    want = [fingerprint(picard_solve(cs, 1.0, g, PARAMS)) for g in drivers]
+    assert in_batches(cs, 1.0, drivers, STACK) == want
+    # a steep driver in the middle of the batch: its iterate climbs past
+    # the level where sigma fails, and the batch raises that path's error
+    failing = replace(cs, sigma=nan_above(20.0))
+    steep = DriverPath.from_callable(grid, lambda t: 40.0 * t)
+    mid = STACK // 2
+    with pytest.raises(EvaluationError) as exc:
+        picard_solve_batch(failing, 1.0, drivers[:mid] + [steep] + drivers[mid + 1 :], PARAMS)
+    assert str(exc.value) == solve_error(failing, steep)
+    assert in_batches(failing, 1.0, drivers[:mid] + drivers[mid + 1 :], STACK) == want[:mid] + want[mid + 1 :]
+
+
+def test_state_free_evaluators_on_a_stack_as_tall_as_its_blocks():
+    # 32 paths at n = 63 take 32-row blocks in one part: a broadcast that
+    # aligned a result without the path axis from the left would read its
+    # time axis as the path axis
+    n, paths = 63, 32
+    assert _part_paths(n + 1) == paths and _row_blocks(0, n + 1, paths)[0] == (0, paths)
+    grid = build_grid(1.0, n)
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(paths, n + 1, 1))
+    drivers = np.cumsum(rng.normal(size=(paths, n + 1, 1)), axis=1)
+    drift, diffusion, _ = coefficient_maps(time_only_b, time_only_sigma, states, drivers, grid)
+    for p in range(paths):
+        one_drift, one_diffusion, _ = coefficient_maps(time_only_b, time_only_sigma, states[p], drivers[p], grid)
+        assert drift[p].tobytes() == one_drift.tobytes()
+        assert diffusion[p].tobytes() == one_diffusion.tobytes()
+
+
+# traced peak of one CLI batch solve, in blocks of grid._BLOCK_ENTRIES
+# doubles: 3.6 measured on numpy 2.4 (two blocks of sigma's evaluations
+# and the left-point buffer, or the pair tables of the capacity pass);
+# 64-row blocks of the whole stack peak at 11.8
+PEAK_BLOCKS = 5.0
+
+
+def test_cli_batch_solve_working_set_stays_within_a_few_blocks():
+    grid = build_grid(1.0, 96)
+    cs = builtin_coefficients("bounded-growth")
+    drivers = [sample_davies_harte(grid, 0.75, 1, Seed(7), p) for p in range(STACK)]
+    picard_solve_batch(cs, 1.0, drivers, PARAMS)  # weight tables are cached on first use
+    tracemalloc.start()
+    try:
+        picard_solve_batch(cs, 1.0, drivers, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BLOCKS * 8 * grid_mod._BLOCK_ENTRIES, peak / (8 * grid_mod._BLOCK_ENTRIES)

@@ -413,8 +413,8 @@ def test_batches_are_contiguous_and_sized_from_n():
     assert cli._batches(256, 6) == [range(lo, min(lo + 6, 256)) for lo in range(0, 256, 6)]
     assert cli._batches(4, 1) == [range(0, 1), range(1, 2), range(2, 3), range(3, 4)]
     assert cli._batches(0, 9) == []
-    # solves: 6 paths per batch at n = 96, 2 at n = 180, one from n = 181
-    assert [_stack_size(n) for n in (96, 180, 181)] == [6, 2, 1]
+    # solves: 27 paths per batch at n = 96, 2 at n = 361, one from n = 362
+    assert [_stack_size(n) for n in (96, 361, 362)] == [27, 2, 1]
     # draws: one Davies-Harte block, 2n normals a path
     assert fbm._draw_block_rows(8) == fbm._DRAW_NORMALS // 16
     assert fbm._draw_block_rows(fbm._DRAW_NORMALS) == 1
@@ -436,7 +436,7 @@ def test_sample_draws_one_block_per_batch(tmp_path, monkeypatch):
 
 
 def test_pool_takes_one_task_per_batch(tmp_path, monkeypatch):
-    # n = 32: 60 paths per batch, so 130 paths make three tasks
+    # n = 32: 240 paths per batch, so 500 paths make three tasks
     tasks = []
     real = cli._sample_drivers
 
@@ -445,9 +445,9 @@ def test_pool_takes_one_task_per_batch(tmp_path, monkeypatch):
         return real(cfg, grid, paths)
 
     monkeypatch.setattr(cli, "_sample_drivers", counting)
-    assert main(["moments", "--coeffs", "bounded-growth", "--n", "32", "--paths", "130",
+    assert main(["moments", "--coeffs", "bounded-growth", "--n", "32", "--paths", "500",
                  "--workers", "2", "--seed", "5", "--out", str(tmp_path / "m")]) == 0
-    assert sorted(tasks, key=lambda r: r.start) == [range(0, 60), range(60, 120), range(120, 130)]
+    assert sorted(tasks, key=lambda r: r.start) == [range(0, 240), range(240, 480), range(480, 500)]
 
 
 def test_unconverged_moments_exit_1_after_writing(tmp_path, capsys):

@@ -349,3 +349,46 @@ def test_left_singular_integral_matches_quad():
     psi = 2.0 * (ys - a0)
     oracle, _ = quad(lambda y: (y - a0) ** -1.75 * 2 * (y - a0), a0, g.nodes[2999], points=[a0], limit=400)
     np.testing.assert_allclose(left_singular_integral(psi, g.h, 1.75), oracle, rtol=1e-6)
+
+
+@pytest.mark.parametrize("start, stop, want", [
+    (0, 3, [(0, 3)]),
+    (1, 65, [(1, 65)]),
+    (0, 97, [(0, 97)]),
+    (0, 128, [(0, 64), (64, 128)]),
+    (1, 130, [(1, 65), (65, 130)]),
+    (0, 2049, [(lo, lo + 64) for lo in range(0, 1984, 64)] + [(1984, 2049)]),
+    (1, 1, []),
+    (5, 3, []),
+])
+@pytest.mark.parametrize("unit", [grid_mod._LANE_ROWS, grid_mod._PAIR_ROWS])
+def test_one_path_keeps_the_64_row_cut(start, stop, want, unit):
+    assert grid_mod._row_blocks(start, stop, 1) == grid_mod._row_blocks(start, stop, 1, unit) == want
+
+
+@pytest.mark.parametrize("chunk", [32, 64, 96, 256])
+def test_stack_blocks_keep_to_the_budget(monkeypatch, chunk):
+    # a stack's rows shrink in multiples of the unit (32 for the einsum
+    # rules, whose bits stay put at 32, 64, 96 and 256 rows), as far as
+    # paths x rows x columns needs to fit the budget, and no further
+    monkeypatch.setattr(grid_mod, "_ROW_CHUNK", chunk)
+    budget = grid_mod._BLOCK_ENTRIES
+    for unit in (grid_mod._LANE_ROWS, grid_mod._PAIR_ROWS):
+        for start in (0, 1):
+            for stop in (2, 3, 33, 64, 65, 97, 129, 256, 257, 301, 1025, 2049):
+                for paths in (1, 2, 6, grid_mod._stack_size(96), 100, 1000):
+                    blocks = grid_mod._row_blocks(start, stop, paths, unit)
+                    los, his = zip(*blocks)
+                    assert los[0] == start and his[-1] == stop and los[1:] == his[:-1]
+                    if len(blocks) == 1:
+                        continue
+                    # equal blocks, the last taking a remainder shorter than one
+                    rows = his[0] - los[0]
+                    assert all(hi - lo == rows for lo, hi in blocks[:-1])
+                    assert rows <= his[-1] - los[-1] < 2 * rows
+                    assert rows % unit == 0 and rows <= chunk
+                    if paths == 1:
+                        assert rows == chunk
+                    else:
+                        assert paths * rows * stop <= budget or rows == unit
+                        assert rows == chunk or paths * (rows + unit) * stop > budget
