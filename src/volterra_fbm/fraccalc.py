@@ -18,12 +18,19 @@ and ``lambda_alpha_many`` the sup over a stack of drivers, of which
 All suprema are discrete sups over grid nodes: lower estimates of the
 continuum value, paired where needed with the norm-based upper bound so
 the truth is bracketed.
+
+The Gamma normalizations come from ``_lgamma``, a port of Cephes ``lgam``
+(S. L. Moshier, Cephes Math Library), the routine behind
+``scipy.special.gammaln`` for real x: the same coefficients, branches
+and Horner order, so every log-Gamma is the same double and the package
+imports numpy alone.  ``math.lgamma`` rounds differently.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .grid import _gap_powers, _pair_blocks, increment_row_integrals
 
@@ -43,15 +50,64 @@ def check_alpha(alpha: float):
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
 
 
+# Cephes lgam: rational approximation on [2, 3) (B / C, C monic), the
+# Stirling correction series below 1000 (A) and from 1000 on (_LGAM_LARGE),
+# leading coefficient first
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LGAM_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_LGAM_OVERFLOW = 2.556348e305
+
+
+def _horner(x: float, coefs) -> float:
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _lgamma(x: float) -> float:
+    """log Gamma(x) for finite x > 0, operation for operation Cephes lgam."""
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"log-Gamma needs a finite x > 0, got x = {x}")
+    if x < 13.0:
+        # Gamma(x) = z Gamma(u): shift u = x + p into [2, 3)
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _horner(x, _LGAM_B) / _horner(x, _LGAM_C)
+    if x > _LGAM_OVERFLOW:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    return q + _horner(p, _LGAM_LARGE if x >= 1000.0 else _LGAM_A) / x
+
+
 def beta_fn(p: float, q: float) -> float:
     """Euler Beta via log-gamma, B(p, q) = Gamma(p)Gamma(q)/Gamma(p+q)."""
     if p <= 0 or q <= 0:
         raise ValueError(f"Beta arguments must be positive, got ({p}, {q})")
-    return float(np.exp(gammaln(p) + gammaln(q) - gammaln(p + q)))
+    return float(np.exp(_lgamma(p) + _lgamma(q) - _lgamma(p + q)))
 
 
 def _gamma(x: float) -> float:
-    return float(np.exp(gammaln(x)))
+    return float(np.exp(_lgamma(x)))
 
 
 def left_frac_derivative_all(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
@@ -102,6 +158,7 @@ def weyl_bracket_matrix(g_values: np.ndarray, h: float, alpha: float) -> np.ndar
     the result, plus O(_ROW_CHUNK n) for the row block in flight.  Used by
     the fractional integral representation, which needs whole columns.
     """
+    check_alpha(alpha)
     v = np.asarray(g_values, dtype=float)
     n = v.shape[0] - 1
     ga = _gamma(alpha)

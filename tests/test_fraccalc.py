@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, gammaln
 
 from volterra_fbm.fbm import Seed, sample_davies_harte
 from volterra_fbm.fraccalc import (
     _bracket_blocks,
     _gamma,
+    _lgamma,
     beta_fn,
     check_alpha,
     lambda_alpha,
@@ -30,6 +33,45 @@ def test_beta_rejects_nonpositive():
         beta_fn(0.0, 1.0)
     with pytest.raises(ValueError):
         beta_fn(1.0, -2.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_lgamma_is_gammaln_bit_for_bit():
+    # the port must be the same double as scipy's Cephes lgam: at the
+    # branch and loop edges and on a seeded sample either side of x = 13,
+    # log-uniform above it so that the series below 1000 gets most points.
+    # Past 2.556348e305 lgam returns inf where Stirling is still finite
+    edges = [1e-300, 1e-6, 0.5, 1.0, 2.0, 2.5, 3.0, 12.999999, 13.0, 999.999, 1000.0,
+             1e8, 2e8, 1e300, 2.556348e305, 2.5563481e305]
+    rng = np.random.default_rng(20240)
+    x = np.concatenate([edges, rng.uniform(1e-6, 13.0, 100_000),
+                        np.exp(rng.uniform(np.log(13.0), np.log(1e4), 10_000))])
+    port = np.array([_lgamma(v) for v in x.tolist()])
+    mismatched = np.flatnonzero(_bits(port) != _bits(gammaln(x)))
+    assert x[mismatched].tolist() == []
+
+
+def test_gamma_and_beta_are_their_gammaln_forms():
+    # every argument shape the package passes, alpha across (0, 1/2)
+    for alpha in np.linspace(0.0, 0.5, 101)[1:-1]:
+        for beta in (alpha + 1e-3, 0.5 * (alpha + 1.0), 1.0):
+            shapes = (1.0 - alpha, alpha, 2.0 * alpha, 1.0 + beta - alpha, beta + 1.0,
+                      1.0 - 2.0 * alpha, 2.0 - alpha)
+            gam = [_gamma(x) for x in shapes]
+            assert _bits(gam).tolist() == _bits(np.exp(gammaln(shapes))).tolist()
+            pairs = list(itertools.product(shapes, repeat=2))
+            beta_port = [beta_fn(p, q) for p, q in pairs]
+            beta_oracle = [np.exp(gammaln(p) + gammaln(q) - gammaln(p + q)) for p, q in pairs]
+            assert _bits(beta_port).tolist() == _bits(beta_oracle).tolist()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -2.5, np.nan, np.inf, -np.inf])
+def test_lgamma_refuses_x_outside_its_domain(x):
+    with pytest.raises(ValueError, match=f"x = {x}"):
+        _lgamma(x)
 
 
 def test_frac_params_range():

@@ -9,15 +9,34 @@ from pathlib import Path
 import volterra_fbm
 
 
-def test_package_import_stays_light():
-    # the FFT quadrature uses numpy.fft; scipy.signal alone would add
-    # over a second and tens of MB to every process importing the package
+def test_package_import_stays_light(tmp_path):
+    # the package needs numpy alone: the FFT quadrature uses numpy.fft and
+    # the Gamma normalizations fraccalc's own log-Gamma.  Importing scipy
+    # (scipy.special about 0.2 s and 20 MB, scipy.signal over a second)
+    # would add to the start-up of every process, so a fresh interpreter
+    # that imports the package and runs every subcommand (and young_frac,
+    # the one route no subcommand takes) loads no scipy module
     src = str(Path(volterra_fbm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, volterra_fbm; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    probe = (
+        "import sys\n"
+        "import volterra_fbm as vf\n"
+        "from volterra_fbm.cli import main\n"
+        "runs = [['solve', '--n', '16', '--paths', '2'],\n"
+        "        ['moments', '--coeffs', 'bounded-growth', '--n', '16', '--paths', '4'],\n"
+        "        ['verify', '--cases', '2'],\n"
+        "        ['sample', '--n', '8', '--paths', '64', '--emit-paths', '1'],\n"
+        "        ['convergence', '--n', '16']]\n"
+        "codes = [main(argv + ['--out', f'{sys.argv[1]}/{argv[0]}']) for argv in runs]\n"
+        "g = vf.fbm.sample_davies_harte(vf.build_grid(1.0, 8), 0.75, 1, vf.Seed(1), 0)\n"
+        "f = vf.BivariateKernelValues(g.grid, g.values[None, :, 0].repeat(9, 0))\n"
+        "vf.integrals.young_frac(f, g, 0.2)\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
 
 def test_scripts_import():
