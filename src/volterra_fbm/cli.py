@@ -3,9 +3,10 @@
 Subcommands: sample (driver paths + covariance audit), solve (per-path
 solution CSV/JSON), verify (inequality suite, JSON reports), moments
 (empirical moment table with bootstrap intervals), convergence
-(Picard-vs-Euler refinement table).  A flat key = value config file can
-preload any flag; explicit flags win.  All outputs are byte-stable
-functions of (config, seed) regardless of the worker count.
+(Picard-vs-Euler refinement table).  Each subcommand accepts only the
+flags it reads; a flat key = value config file can preload any of them,
+and explicit flags win.  All outputs are byte-stable functions of
+(config, seed) regardless of the worker count.
 
 solve and moments split the paths into fixed contiguous batches, sized
 from n alone; --workers threads run over the batches.  sample draws its
@@ -240,48 +241,6 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-_COMMANDS = {
-    "sample": _cmd_sample, "solve": _cmd_solve, "verify": _cmd_verify,
-    "moments": _cmd_moments, "convergence": _cmd_convergence,
-}
-
-
-def run_experiment(cfg: ExperimentConfig) -> int:
-    """Dispatch a subcommand; returns the process exit status."""
-    if cfg.subcommand not in _COMMANDS:
-        raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
-    try:
-        # an unknown sampler or a non-positive count is a usage error
-        # before any draw or output
-        _sampler(cfg.sampler)
-        for flag in ("paths", "cases", "m", "workers"):
-            if getattr(cfg, flag) < 1:
-                raise ValueError(f"--{flag} must be positive, got {getattr(cfg, flag)}")
-        return _COMMANDS[cfg.subcommand](cfg, Path(cfg.out_dir))
-    except (AdmissibilityError, CatalogError, ValueError) as exc:
-        # bad parameters, an unknown catalog entry included, exit 2 like
-        # usage errors; constraint violations name the condition
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VolterraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _load_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line {raw.strip()!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        out[key] = val
-    return out
-
-
 # --flag: (ExperimentConfig attribute, value type); a config file key
 # is the flag name
 _FLAGS = {
@@ -293,6 +252,70 @@ _FLAGS = {
     "emit-paths": ("emit_paths", int),
 }
 
+_DRIVER_FLAGS = ("H", "T", "n", "m", "seed", "sampler", "out")
+_SOLVE_FLAGS = _DRIVER_FLAGS + ("alpha", "lambda", "coeffs", "tol", "max-iter", "x0")
+
+# subcommand: (runner, the flags it reads); a subcommand accepts no other
+# flag or config key.  sample keeps --workers, which it does not read, so
+# that one command line runs sample and solve at any worker count
+_COMMANDS = {
+    "sample": (_cmd_sample, _DRIVER_FLAGS + ("paths", "emit-paths", "workers")),
+    "solve": (_cmd_solve, _SOLVE_FLAGS + ("paths", "workers")),
+    "verify": (_cmd_verify, ("cases", "families", "seed", "out")),
+    "moments": (_cmd_moments, _SOLVE_FLAGS + ("paths", "workers")),
+    "convergence": (_cmd_convergence, _SOLVE_FLAGS),
+}
+
+
+def run_experiment(cfg: ExperimentConfig) -> int:
+    """Dispatch a subcommand; returns the process exit status."""
+    if cfg.subcommand not in _COMMANDS:
+        raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
+    try:
+        # an unknown sampler or a count below its least value is a usage
+        # error before any draw or output
+        _sampler(cfg.sampler)
+        for flag, least in (("paths", 1), ("cases", 1), ("m", 1), ("workers", 1),
+                            ("seed", 0), ("emit-paths", 0)):
+            value = getattr(cfg, _FLAGS[flag][0])
+            if value < least:
+                raise ValueError(f"--{flag} must be {('non-negative', 'positive')[least]}, got {value}")
+        return _COMMANDS[cfg.subcommand][0](cfg, Path(cfg.out_dir))
+    except (AdmissibilityError, CatalogError, ValueError) as exc:
+        # bad parameters, an unknown catalog entry included, exit 2 like
+        # usage errors; constraint violations name the condition
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except VolterraError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _read_config(path: str, flags: tuple[str, ...]) -> dict:
+    """{ExperimentConfig attribute: value} from flat key = value lines
+    whose keys are among flags; '#' starts a comment.  An unreadable
+    file, a bad line, an unknown key or a bad value raises ValueError."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: {exc.strerror or exc}") from None
+    out = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line {raw.strip()!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in flags:
+            raise ValueError(f"unknown config key {key!r}")
+        attr, cast = _FLAGS[key]
+        try:
+            out[attr] = cast(val)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid value {val!r}") from None
+    return out
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -300,42 +323,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pathwise Volterra solver and estimate-verification suite",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        for flag, (attr, cast) in _FLAGS.items():
-            p.add_argument(f"--{flag}", dest=attr, default=None, type=cast)
+        for flag in flags:
+            attr, cast = _FLAGS[flag]
+            # an absent flag sets no attribute
+            p.add_argument(f"--{flag}", dest=attr, default=argparse.SUPPRESS, type=cast)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = ExperimentConfig(subcommand=args.subcommand)
-    if args.config:
-        try:
-            entries = _load_config_file(args.config)
-        except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"error: cannot read config file {args.config!r}: {reason}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for key, val in entries.items():
-            if key not in _FLAGS:
-                print(f"error: unknown config key {key!r}", file=sys.stderr)
-                return 2
-            attr, cast = _FLAGS[key]
-            try:
-                setattr(cfg, attr, cast(val))
-            except ValueError:
-                print(f"error: config key {key!r}: invalid value {val!r}", file=sys.stderr)
-                return 2
-    for attr, _ in _FLAGS.values():
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    return run_experiment(cfg)
+    given = vars(_build_parser().parse_args(argv))
+    name, config = given.pop("subcommand"), given.pop("config")
+    try:
+        settings = _read_config(config, _COMMANDS[name][1]) if config else {}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    settings.update(given)  # flags win over the config file
+    return run_experiment(ExperimentConfig(subcommand=name, **settings))
 
 
 if __name__ == "__main__":

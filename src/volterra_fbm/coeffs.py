@@ -115,15 +115,18 @@ def _constant(value) -> Callable:
     return evaluate
 
 
-def _const(c: float) -> Callable[[float], float]:
-    return lambda N: c
+def _entry(K: float, L: float, L_0: float, **fields) -> CoefficientSet:
+    """A catalog entry: every one has beta = mu = delta = 1 and b0 = 0
+    (B_0_alpha = 0), and takes K_N = K and L_N = L_0 at every radius N."""
+    return CoefficientSet(K=K, K_N=lambda N: K, beta=1.0, mu=1.0, delta=1.0, L=L, L_0=L_0,
+                          L_N=lambda N: L_0, B_0_alpha=lambda alpha: 0.0, **fields)
 
 
 def _constant_sigma(sigma0=((1.0,),)) -> CoefficientSet:
     """sigma identically a fixed d x m matrix, b identically zero."""
     s0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
     d, m = s0.shape
-    return CoefficientSet(
+    return _entry(
         name="constant-sigma",
         d=d,
         m=m,
@@ -133,14 +136,8 @@ def _constant_sigma(sigma0=((1.0,),)) -> CoefficientSet:
         d2sigma_dxdt=_constant(np.zeros((d, m, d))),
         b=_constant(np.zeros(d)),
         K=0.0,
-        K_N=_const(0.0),
-        beta=1.0,
-        mu=1.0,
-        delta=1.0,
         L=0.0,
         L_0=0.0,
-        L_N=_const(0.0),
-        B_0_alpha=lambda alpha: 0.0,
         gamma=0.0,
         K_0=float(np.linalg.norm(s0)),
     )
@@ -153,7 +150,7 @@ def _linear_drift(kappa: float = 1.0, d: int = 1) -> CoefficientSet:
     def b(t, s, x):
         return kappa * np.broadcast_to(x, _lead_shape(t, s, x) + (d,))
 
-    return CoefficientSet(
+    return _entry(
         name="linear-drift",
         d=d,
         m=1,
@@ -163,14 +160,8 @@ def _linear_drift(kappa: float = 1.0, d: int = 1) -> CoefficientSet:
         d2sigma_dxdt=_constant(np.zeros((d, 1, d))),
         b=b,
         K=0.0,
-        K_N=_const(0.0),
-        beta=1.0,
-        mu=1.0,
-        delta=1.0,
         L=0.0,
         L_0=abs(kappa),
-        L_N=_const(abs(kappa)),
-        B_0_alpha=lambda alpha: 0.0,
         gamma=0.0,
         K_0=1.0,
     )
@@ -205,21 +196,15 @@ def _smooth_volterra(a: float = 1.0, c: float = 1.0) -> CoefficientSet:
         w = 1.0 / (1.0 + np.asarray(t) - np.asarray(s))
         return (c * np.sin(x[..., 0]) * w)[..., None]
 
-    return CoefficientSet(
+    return _entry(
         name="smooth-volterra",
         d=1,
         m=1,
         **_cos_decay(a),
         b=b,
         K=2.0 * a,
-        K_N=_const(2.0 * a),
-        beta=1.0,
-        mu=1.0,
-        delta=1.0,
         L=c,
         L_0=c,
-        L_N=_const(c),
-        B_0_alpha=lambda alpha: 0.0,
         gamma=0.0,
         K_0=a,
     )
@@ -249,7 +234,7 @@ def _bounded_growth(a: float = 0.5, a2: float = 0.5, gamma: float = 0.5) -> Coef
         grow = a * gamma * xx * (1.0 + xx ** 2) ** (gamma / 2.0 - 1.0)
         return grow[..., None, None, None] + bounded["dsigma_dx"](t, s, x)
 
-    return CoefficientSet(
+    return _entry(
         name="bounded-growth",
         d=1,
         m=1,
@@ -259,14 +244,8 @@ def _bounded_growth(a: float = 0.5, a2: float = 0.5, gamma: float = 0.5) -> Coef
         d2sigma_dxdt=bounded["d2sigma_dxdt"],
         b=_constant(np.zeros(1)),
         K=a * gamma + 2.0 * a2,
-        K_N=_const(a * gamma + 2.0 * a2),
-        beta=1.0,
-        mu=1.0,
-        delta=1.0,
         L=0.0,
         L_0=0.0,
-        L_N=_const(0.0),
-        B_0_alpha=lambda alpha: 0.0,
         gamma=gamma,
         K_0=a + a2,
     )

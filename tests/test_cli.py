@@ -225,7 +225,7 @@ def test_bad_count_or_family_is_usage_error(tmp_path, capsys, monkeypatch, argv,
 
     monkeypatch.setattr(cli, "_sample_drivers", no_work)
     monkeypatch.setattr(verify, "check_sigma_lemmas", no_work)
-    assert main(argv + ["--n", "16", "--out", str(tmp_path / "x")]) == 2
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert captured.out == ""
@@ -243,7 +243,7 @@ def test_no_workers_or_no_family_is_usage_error(tmp_path, capsys, monkeypatch, a
 
     monkeypatch.setattr(cli, "_sample_drivers", no_work)
     monkeypatch.setattr(cli, "run_suite", no_work)
-    assert main(argv + ["--n", "16", "--out", str(tmp_path / "x")]) == 2
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert captured.out == ""
@@ -257,18 +257,84 @@ def test_no_workers_or_no_family_is_usage_error(tmp_path, capsys, monkeypatch, a
     (["solve", "--max-iter", "-1"], "error: max_iter must be non-negative, got -1"),
     (["solve", "--T", "inf"], "error: horizon must be positive and finite, got T=inf"),
     (["sample", "--T", "nan"], "error: horizon must be positive and finite, got T=nan"),
+    (["solve", "--seed", "-1"], "error: --seed must be non-negative, got -1"),
+    (["sample", "--emit-paths", "-3"], "error: --emit-paths must be non-negative, got -3"),
 ], ids=["solve-lambda-nan", "solve-x0-nan", "solve-tol-nan", "solve-max-iter-negative",
-        "solve-T-inf", "sample-T-nan"])
+        "solve-T-inf", "sample-T-nan", "solve-seed-negative", "sample-emit-paths-negative"])
 def test_nan_and_negative_settings_are_usage_errors(tmp_path, capsys, argv, message):
     # a usage error before any output; accepted, a NaN weight gives a
-    # "converged" record of NaN distances and a NaN horizon a NaN
-    # covariance audit
-    assert main(argv + ["--n", "16", "--paths", "1", "--emit-paths", "0",
-                        "--out", str(tmp_path / "x")]) == 2
+    # "converged" record of NaN distances, a NaN horizon a NaN covariance
+    # audit, and a negative --emit-paths writes no path as if it were 0
+    assert main(argv + ["--n", "16", "--out", str(tmp_path / "x")]) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert captured.out == ""
     assert not (tmp_path / "x").exists()
+
+
+# the flags each subcommand reads, spelled out here rather than read
+# from cli; sample takes --workers without reading it
+READS = {
+    "sample": "H T n m paths seed sampler emit-paths out workers",
+    "solve": "H alpha lambda T n m coeffs paths seed tol max-iter workers out x0 sampler",
+    "moments": "H alpha lambda T n m coeffs paths seed tol max-iter workers out x0 sampler",
+    "convergence": "H alpha lambda T n m coeffs seed tol max-iter out x0 sampler",
+    "verify": "cases families seed out",
+}
+UNREAD = [(cmd, flag) for cmd, reads in READS.items() for flag in cli._FLAGS
+          if flag not in reads.split()]
+
+
+def test_subcommands_accept_57_of_90_settings():
+    assert len(cli._FLAGS) * len(READS) == 90
+    assert sum(len(reads.split()) for reads in READS.values()) == 57
+    assert len(UNREAD) == 33
+
+
+@pytest.mark.parametrize("subcommand, flag", UNREAD, ids=[f"{c}-{f}" for c, f in UNREAD])
+def test_unread_flag_or_config_key_is_usage_error(tmp_path, capsys, subcommand, flag):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, f"--{flag}", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{flag} = 1\n")
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key {flag!r}\n"
+    assert not out.exists()
+
+
+SOLVE_FLAGS = ["--H", "0.7", "--alpha", "0.35", "--lambda", "64", "--T", "0.5", "--n", "16",
+               "--m", "1", "--coeffs", "bounded-growth", "--seed", "4", "--tol", "1e-9",
+               "--max-iter", "40", "--x0", "0.5", "--sampler", "cholesky"]
+EVERY_FLAG = {
+    "sample": ["--H", "0.7", "--T", "0.5", "--n", "8", "--m", "2", "--paths", "300",
+               "--seed", "4", "--sampler", "cholesky", "--emit-paths", "1", "--workers", "2"],
+    "solve": SOLVE_FLAGS + ["--paths", "2", "--workers", "2"],
+    "moments": SOLVE_FLAGS + ["--paths", "3", "--workers", "2"],
+    "convergence": SOLVE_FLAGS,
+    "verify": ["--cases", "2", "--families", "aux", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("subcommand", READS)
+def test_every_read_flag_reaches_the_run(tmp_path, monkeypatch, subcommand):
+    runs = []
+    real = cli.run_experiment
+
+    def recording(cfg):
+        runs.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    argv = EVERY_FLAG[subcommand] + ["--out", str(tmp_path / "x")]
+    assert sorted(argv[::2]) == sorted(f"--{flag}" for flag in READS[subcommand].split())
+    assert main([subcommand] + argv) == 0
+    for flag, value in zip(argv[::2], argv[1::2]):
+        attr, cast = cli._FLAGS[flag[2:]]
+        assert getattr(runs[0], attr) == cast(value), flag
+    assert any((tmp_path / "x").iterdir())
 
 
 def test_infeasible_solve_names_constraint(tmp_path, capsys):
