@@ -9,8 +9,10 @@ and explicit flags win.  All outputs are byte-stable functions of
 (config, seed) regardless of the worker count.
 
 solve and moments split the paths into fixed contiguous batches, sized
-from n alone; --workers threads run over the batches.  sample draws its
-batches on the calling thread.
+from n alone; min(--workers, batches) processes solve them, each batch
+from (config, path range) alone, and the records merge in path order.
+One process means no pool: the batches run in this one.  sample draws
+its batches in this process.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -118,22 +120,42 @@ def _coefficients(cfg: ExperimentConfig) -> CoefficientSet:
     return cs
 
 
-def _solve_all(cfg: ExperimentConfig, cs: CoefficientSet) -> list:
-    """One SolutionRecord per path: a picard_solve_batch per batch."""
+def _solve_batch(cfg: ExperimentConfig, paths: range) -> list:
+    """The SolutionRecords of the given path indices, one
+    picard_solve_batch.  Its arguments pickle: a worker process rebuilds
+    the grid and the coefficient set, whose closures do not."""
+    cs = builtin_coefficients(cfg.coeffs)
     grid = build_grid(cfg.T, cfg.n)
-    params = HolderParams(H=cfg.H, alpha=cfg.alpha, T=cfg.T)
+    drivers = [DriverPath(grid, v) for v in _sample_drivers(cfg, grid, paths)]
+    return picard_solve_batch(
+        cs, np.full(cs.d, cfg.x0), drivers, HolderParams(H=cfg.H, alpha=cfg.alpha, T=cfg.T),
+        tol=cfg.tol, max_iter=cfg.max_iter, lambda_override=cfg.lam,
+    )
 
-    def solve(paths):
-        drivers = [DriverPath(grid, v) for v in _sample_drivers(cfg, grid, paths)]
-        return picard_solve_batch(
-            cs, np.full(cs.d, cfg.x0), drivers, params, tol=cfg.tol, max_iter=cfg.max_iter,
-            lambda_override=cfg.lam,
-        )
 
+def _solve_all(cfg: ExperimentConfig) -> list:
+    """One SolutionRecord per path, in path order; the first failing
+    batch's error is raised."""
     # one task per batch; the batches never depend on --workers
     batches = _batches(cfg.paths, _stack_size(cfg.n))
-    with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-        return [rec for recs in ex.map(solve, batches) for rec in recs]
+    workers = min(cfg.workers, len(batches))
+    if workers == 1:
+        return [rec for paths in batches for rec in _solve_batch(cfg, paths)]
+    # processes, not threads: the interpreter lock serializes the short
+    # numpy calls of small-n batches.  Imported here: the pool's imports
+    # take about 20 ms, which every CLI start-up would pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    # leaving the block joins the workers, on success and on error
+    with ProcessPoolExecutor(workers, mp_context=ctx) as ex:
+        try:
+            return [rec for recs in ex.map(_solve_batch, repeat(cfg), batches) for rec in recs]
+        except BrokenProcessPool as exc:
+            raise VolterraError(f"a worker process died: {exc}") from None
 
 
 def _write_solution(rec, grid, out: Path, p: int) -> None:
@@ -144,10 +166,10 @@ def _write_solution(rec, grid, out: Path, p: int) -> None:
 
 
 def _cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
-    cs = _coefficients(cfg)
+    _coefficients(cfg)  # checked before any batch starts
     grid = build_grid(cfg.T, cfg.n)
     status = 0
-    for p, rec in enumerate(_solve_all(cfg, cs)):
+    for p, rec in enumerate(_solve_all(cfg)):
         _write_solution(rec, grid, out, p)
         if not rec.converged:
             status = 1
@@ -188,8 +210,8 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
-    cs = _coefficients(cfg)
-    records = _solve_all(cfg, cs)
+    _coefficients(cfg)  # checked before any batch starts
+    records = _solve_all(cfg)
     norms = np.array([rep.value for rep in w_alpha_infty_norms([r.x for r in records], cfg.alpha)])
     # dedicated bootstrap stream, disjoint from the path streams
     boot_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xB007,)))
@@ -268,12 +290,19 @@ _COMMANDS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Dispatch a subcommand; returns the process exit status."""
+    """Dispatch a subcommand; returns the process exit status.  A setting
+    the subcommand does not read must keep its default."""
     if cfg.subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
     try:
-        # an unknown sampler or a count below its least value is a usage
-        # error before any draw or output
+        # a setting the subcommand does not read, an unknown sampler or a
+        # count below its least value is a usage error before any draw or
+        # output
+        reads, default = _COMMANDS[cfg.subcommand][1], ExperimentConfig()
+        unread = [f"--{flag}" for flag, (attr, _) in _FLAGS.items()
+                  if flag not in reads and getattr(cfg, attr) != getattr(default, attr)]
+        if unread:
+            raise ValueError(f"{cfg.subcommand} does not read {', '.join(unread)}")
         _sampler(cfg.sampler)
         for flag, least in (("paths", 1), ("cases", 1), ("m", 1), ("workers", 1),
                             ("seed", 0), ("emit-paths", 0)):

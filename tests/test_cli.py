@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -302,6 +305,11 @@ def test_unread_flag_or_config_key_is_usage_error(tmp_path, capsys, subcommand, 
     cfg.write_text(f"{flag} = 1\n")
     assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: unknown config key {flag!r}\n"
+    # nor does the library entry point run it; "2" is no setting's default
+    attr, cast = cli._FLAGS[flag]
+    cfg = ExperimentConfig(subcommand=subcommand, out_dir=str(out), **{attr: cast("2")})
+    assert run_experiment(cfg) == 2
+    assert capsys.readouterr() == ("", f"error: {subcommand} does not read --{flag}\n")
     assert not out.exists()
 
 
@@ -430,6 +438,14 @@ def test_run_experiment_unknown_subcommand():
         run_experiment(ExperimentConfig(subcommand="noop"))
 
 
+def test_run_experiment_refuses_unread_settings(tmp_path, capsys):
+    cfg = ExperimentConfig(subcommand="verify", n=7, H=3.0, cases=2, families="aux",
+                           out_dir=str(tmp_path / "x"))
+    assert run_experiment(cfg) == 2
+    assert capsys.readouterr() == ("", "error: verify does not read --H, --n\n")
+    assert not (tmp_path / "x").exists()
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -501,19 +517,107 @@ def test_sample_draws_one_block_per_batch(tmp_path, monkeypatch):
     assert batches == [range(0, 150), range(150, 300), range(300, 400)]
 
 
-def test_pool_takes_one_task_per_batch(tmp_path, monkeypatch):
+class RecordingPool:
+    """Stands in for the process pool: records its size and the batches
+    handed to it, and runs them in this process."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.max_workers, self.batches = max_workers, []
+        RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        calls = list(zip(*iterables))
+        self.batches += [paths for _, paths in calls]
+        return [fn(*args) for args in calls]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.made
+
+
+def test_pool_takes_one_task_per_batch(tmp_path, recording_pool):
     # n = 32: 240 paths per batch, so 500 paths make three tasks
-    tasks = []
-    real = cli._sample_drivers
-
-    def counting(cfg, grid, paths):
-        tasks.append(paths)
-        return real(cfg, grid, paths)
-
-    monkeypatch.setattr(cli, "_sample_drivers", counting)
     assert main(["moments", "--coeffs", "bounded-growth", "--n", "32", "--paths", "500",
                  "--workers", "2", "--seed", "5", "--out", str(tmp_path / "m")]) == 0
-    assert sorted(tasks, key=lambda r: r.start) == [range(0, 240), range(240, 480), range(480, 500)]
+    [pool] = recording_pool
+    assert pool.max_workers == 2
+    assert pool.batches == [range(0, 240), range(240, 480), range(480, 500)]
+
+
+@pytest.mark.parametrize("workers, paths, processes", [
+    (1, 3, None), (2, 3, 2), (3, 3, 3), (4, 3, 3), (3, 2, 2), (4, 1, None),
+])
+def test_pool_has_one_process_per_batch_in_flight(tmp_path, monkeypatch, recording_pool,
+                                                  workers, paths, processes):
+    # one path per batch: min(workers, batches) processes, and no pool
+    # at all when that is one
+    monkeypatch.setattr(cli, "_stack_size", lambda n: 1)
+    assert main(["moments", "--coeffs", "bounded-growth", "--n", "16", "--paths", str(paths),
+                 "--workers", str(workers), "--out", str(tmp_path / "m")]) == 0
+    assert [pool.max_workers for pool in recording_pool] == ([processes] if processes else [])
+    if processes:
+        assert recording_pool[0].batches == [range(p, p + 1) for p in range(paths)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--coeffs", "bounded-growth", "--n", "32", "--paths", "500"],
+    ["solve", "--n", "400", "--paths", "3"],
+], ids=["moments-3-batches", "solve-3-batches"])
+def test_worker_processes_give_byte_identical_outputs(tmp_path, capsys, argv):
+    # 240 paths per batch at n = 32, one from n = 362: both commands reach
+    # the pool from two workers, and no worker outlives the command
+    runs = {}
+    for workers in ("1", "2", "3"):
+        assert main(argv + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        assert multiprocessing.active_children() == []
+        runs[workers] = (capsys.readouterr(), read_bytes_tree(tmp_path / workers))
+    assert runs["1"][0].err == ""
+    assert runs["1"] == runs["2"] == runs["3"]
+
+
+def test_worker_error_is_named_as_in_one_process(tmp_path, capsys):
+    # no weight contracts here, so both batches at n = 64 (62 paths and
+    # one) raise NoContractionError: the first batch's error, exit code
+    # and line are those of one process
+    argv = ["solve", "--coeffs", "bounded-growth", "--H", "0.51", "--alpha", "0.495",
+            "--n", "64", "--paths", "63"]
+    ends = []
+    for workers in ("1", "2"):
+        code = main(argv + ["--workers", workers, "--out", str(tmp_path / workers)])
+        assert multiprocessing.active_children() == []
+        ends.append((code, capsys.readouterr()))
+    assert ends[0] == ends[1]
+    code, captured = ends[0]
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: no weight up to 2^64 yields a 1/2-contraction; "
+                            "parameters are outside the practical regime\n")
+
+
+def test_dead_worker_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # a worker that dies without a result breaks the pool; the command
+    # names that on one line and leaves no process behind
+    def die(*args):
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "_sample_drivers", die)
+    assert main(["moments", "--coeffs", "bounded-growth", "--n", "32", "--paths", "500",
+                 "--workers", "2", "--out", str(tmp_path / "m")]) == 1
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a worker process died: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_unconverged_moments_exit_1_after_writing(tmp_path, capsys):
