@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Run the full inequality-verification suite and write the JSON
-reports; exits nonzero on any failure (CI entry point).
+reports to out/verify; exits nonzero on any failure (CI entry point).
 
-Equivalent to `volterra-fbm verify` with default settings.
+Runs `volterra-fbm verify --cases 1000 --seed 20260301`: the CLI's
+default case count, but the seed of `verify.SuiteConfig`, not the CLI's
+default seed 1. So its reports are those of the library's
+`run_suite()` with default settings, and differ from a plain
+`volterra-fbm verify`.
 """
 
 import sys

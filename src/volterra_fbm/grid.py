@@ -40,8 +40,8 @@ per block and entry, a sample or a stack.  One path takes blocks of 64
 rows (the last one up to 127); a stack of P paths takes fewer rows, in
 multiples of 32, so that P x rows x columns stays within 2^16 entries
 where 32 rows allow it.  A Picard step of a batch passes two stacks (its
-paths' gaps and iterates), the verify suite's double integrals dozens
-of single samples.
+paths' gaps and iterates), a case of the verify suite's Stieltjes family
+up to ten single samples and twelve stacks of prefixes.
 
 Sups over node pairs s < t (Weyl bracket, Lambda_alpha, driver and Holder
 norms) take ``_pair_blocks``: increments and left-singular tail integrals

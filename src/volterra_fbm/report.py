@@ -81,14 +81,17 @@ def _jsonable(v):
 def ratio_of(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Elementwise lhs/rhs with the 0/0 convention: a vanishing bound is
     satisfied by a vanishing lhs (ratio 0) and violated by anything
-    else (ratio inf)."""
+    else (ratio inf).  A NaN on either side, or inf/inf, is a numerical
+    failure, never a pass: ratio inf, which every max keeps (Python's max
+    skips a NaN after the first item)."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     out = np.zeros_like(lhs)
     pos = rhs > 0
-    out[pos] = lhs[pos] / rhs[pos]
+    with np.errstate(invalid="ignore"):
+        out[pos] = lhs[pos] / rhs[pos]
     bad = (~pos) & (np.abs(lhs) > _ZERO_ATOL)
-    out[bad] = np.inf
+    out[bad | np.isnan(out) | np.isnan(lhs) | np.isnan(rhs)] = np.inf
     return out
 
 

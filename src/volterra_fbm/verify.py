@@ -28,6 +28,7 @@ from .grid import (
     GridFunction,
     TimeGrid,
     abs_increment_row_integrals,
+    abs_increment_row_integrals_many,
     build_grid,
     left_singular_integral,
     prefix_singular_integrals,
@@ -35,7 +36,7 @@ from .grid import (
     row_singular_integrals,
 )
 from .integrals import diffusion_term, drift_term, lebesgue_volterra, young_rs
-from .norms import double_increment_masses, fractional_norm, holder_norm, norm_row_passes, w_1malpha_norm
+from .norms import fractional_norm, holder_norm, norm_row_passes, w_1malpha_norm
 from .report import EstimateReport, make_report
 
 __all__ = [
@@ -203,13 +204,37 @@ def _stieltjes_kernel_case(rng, grid: TimeGrid):
     return vals, K_profile
 
 
-def _w_path(row: np.ndarray, vals: np.ndarray, i_t: int, h: float, alpha: float) -> np.ndarray:
+# consecutive prefixes of one stack entry of a sampled node's w.  One
+# node's w at i_t = 64 (its groups' kernel call and _w_of) took 0.31-0.33
+# ms with 16, 0.34-0.37 ms with 8 or 32, 0.54-0.56 ms with 64 and 0.99 ms
+# with one entry per prefix (2-vCPU Xeon, numpy 2.4); inside
+# check_rs_estimates 8, 16 and 32 take the same time
+_PREFIX_GROUP = 16
+
+
+def _prefix_groups(row: np.ndarray, vals: np.ndarray, i_t: int) -> list[np.ndarray]:
+    """The samples phi_j = row - vals[j] on nodes 0..j, j = 1..i_t - 1,
+    as (S, L, 1) stacks of _PREFIX_GROUP consecutive j, each padded to
+    its longest prefix's L nodes with the row's real node values.  The
+    row rule of node u reads nodes y <= u only, so a prefix's inner
+    integrals at u <= j are those of its own sample (up to the einsum's
+    rounding, which depends on the row length)."""
+    starts = range(1, i_t, _PREFIX_GROUP)
+    return [(row[:top] - vals[lo:top, :top])[..., None] for lo, top in zip(starts, [*starts[1:], i_t])]
+
+
+def _w_of(inners: list[np.ndarray], i_t: int, h: float) -> np.ndarray:
     """w[j] = int_0^{t_j} int_0^u |phi_j(u) - phi_j(y)| / (u-y)^{alpha+1} dy du
-    for phi_j = row - vals[j] on the first j+1 nodes, j = 1..i_t - 1;
-    w[0] = w[i_t] = 0.  One row-rule pass serves every j, each prefix at
-    its own length."""
+    for phi_j = row - vals[j] on the first j+1 nodes, j = 1..i_t - 1, and
+    w[0] = w[i_t] = 0, from the row-rule results (theta = alpha + 1) of
+    _prefix_groups: each prefix's outer trapezoid over its nodes u <= j,
+    np.trapezoid's terms, as one masked sum per group."""
     w = np.zeros(i_t + 1)
-    w[1:i_t] = double_increment_masses([row[: j + 1] - vals[j, : j + 1] for j in range(1, i_t)], h, alpha)
+    for lo, inner in zip(range(1, i_t, _PREFIX_GROUP), inners):
+        js = np.arange(lo, lo + len(inner))
+        terms = h * (inner[:, 1:] + inner[:, :-1]) / 2.0
+        terms[np.arange(terms.shape[-1]) >= js[:, None]] = 0.0
+        w[js] = terms.sum(axis=-1)
     return w
 
 
@@ -217,7 +242,8 @@ def check_rs_estimates(cases: int, rng_seed: int) -> list[EstimateReport]:
     """Stieltjes increment/weighted bounds and the three sigma-map
     estimates, on grids of SuiteConfig.grid_n cells, with the driver
     capacity taken at its norm-based upper bracket (the discrete sup
-    underestimates)."""
+    underestimates).  A case draws its node samples first and then takes
+    every abs-increment row rule of the two Stieltjes bounds in one pass."""
     n = SuiteConfig.grid_n
     checks = _Checks(
         ("stieltjes-increment-bound", "stieltjes-weighted-aggregate", "sigma-map-holder-bound",
@@ -231,40 +257,50 @@ def check_rs_estimates(cases: int, rng_seed: int) -> list[EstimateReport]:
         g_vals, _ = _driver_case(rng, grid, case)
         g = DriverPath(grid, g_vals)
         lam_up = w_1malpha_norm(g_vals, h, alpha) / (_gamma(1.0 - alpha) * _gamma(alpha))
+        vals, K_prof = _stieltjes_kernel_case(rng, grid)
+        pairs = []
+        for _ in range(3):
+            i_s = int(rng.integers(1, n - 1))
+            pairs.append((i_s, int(rng.integers(i_s + 1, n + 1))))
+        t_samples = {n, int(rng.integers(2, n)), int(rng.integers(2, n))}
+
+        # every abs-increment row rule of the two bounds in one pass: G, the
+        # sampled rows, the double increment masses of vals[i_t] - vals[i_s]
+        # up to s and of vals[i_t] on [s, t] per pair, and the prefixes of
+        # each sampled node's w
+        G = young_rs(BivariateKernelValues(grid, vals), g).values.values[:, 0]
+        rows = [vals[i_t, : i_t + 1] for i_t in t_samples]
+        mass_samples = [v for i_s, i_t in pairs
+                        for v in ((vals[i_t] - vals[i_s])[: i_s + 1], vals[i_t, i_s : i_t + 1])]
+        groups = [_prefix_groups(row, vals, i_t) for row, i_t in zip(rows, t_samples)]
+        entries = [G, *rows, *mass_samples, *(v for grp in groups for v in grp)]
+        incs = iter(abs_increment_row_integrals_many([(v, 1.0) for v in entries], h, alpha + 1.0))
+        g_inc = next(incs)
+        row_incs = [next(incs) for _ in rows]
+        masses = [float(np.trapezoid(next(incs), dx=h)) for _ in mass_samples]
+        ws = [_w_of([next(incs) for _ in grp], i_t, h) for grp, i_t in zip(groups, t_samples)]
 
         # ---- pathwise increment bound at sampled node pairs
-        vals, K_prof = _stieltjes_kernel_case(rng, grid)
-        kernel = BivariateKernelValues(grid, vals)
-        G = young_rs(kernel, g).values.values[:, 0]
         k_over_u = prefix_singular_integrals(K_prof, h, alpha)
         c3 = checks.const("C3", bounds.rs_c3(alpha, mu))
         c4 = checks.const("C4", bounds.rs_c4(alpha, T))
-        for _ in range(3):
-            i_s = int(rng.integers(1, n - 1))
-            i_t = int(rng.integers(i_s + 1, n + 1))
+        for k, (i_s, i_t) in enumerate(pairs):
             tt, ss = grid.nodes[i_t], grid.nodes[i_s]
             term1 = (tt - ss) ** mu * k_over_u[i_s]
             term2 = left_singular_integral(np.abs(vals[i_t, i_s : i_t + 1]), h, alpha)
-            # double increment masses of vals[i_t] - vals[i_s] up to s and
-            # of vals[i_t] on [s, t]
-            term3, term4 = double_increment_masses(
-                [(vals[i_t] - vals[i_s])[: i_s + 1], vals[i_t, i_s : i_t + 1]], h, alpha
-            )
+            term3, term4 = masses[2 * k : 2 * k + 2]
             checks.add("stieltjes-increment-bound", abs(G[i_t] - G[i_s]),
                        lam_up * (term1 + term2 + alpha * (term3 + term4)))
 
         # ---- weighted aggregate bound at sampled nodes
-        g_inc = abs_increment_row_integrals(G, h, alpha + 1.0)
-        t_samples = {n, int(rng.integers(2, n)), int(rng.integers(2, n))}
-        for i_t in t_samples:
+        for i_t, row, row_inc, w in zip(t_samples, rows, row_incs, ws):
             tt = grid.nodes[i_t]
-            row = vals[i_t, : i_t + 1]
             phi1 = K_prof[: i_t + 1] * (tt - grid.nodes[: i_t + 1]) ** (mu - alpha)
             p1 = left_singular_integral(phi1, h, alpha)
-            gf = np.abs(row) + abs_increment_row_integrals(row, h, alpha + 1.0)
+            gf = np.abs(row) + row_inc
             p2_right = right_singular_integral(gf, h, 2.0 * alpha)
             p2_left = left_singular_integral(gf, h, alpha)
-            triple = right_singular_integral(_w_path(row, vals, i_t, h, alpha), h, alpha + 1.0)
+            triple = right_singular_integral(w, h, alpha + 1.0)
             checks.add("stieltjes-weighted-aggregate", abs(G[i_t]) + g_inc[i_t],
                        lam_up * (c3 * p1 + c4 * (p2_right + p2_left) + alpha * triple))
 

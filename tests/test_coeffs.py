@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,20 @@ def test_linear_drift_sharpness():
     # spatial Lipschitz inequality of b is attained
     assert rep.constants_used["ratio_H2_1"] == pytest.approx(1.0, abs=1e-12)
     assert rep.passed
+
+
+def test_nan_evaluators_fail_the_audits():
+    # NaN ratios and errors, which Python's max over the items once skipped
+    sv = builtin_coefficients("smooth-volterra")
+
+    def nan_like(fn):
+        return lambda t, s, x: np.full(np.shape(fn(t, s, x)), np.nan)
+
+    rep = verify_hypotheses(replace(sv, b=nan_like(sv.b)), 1000, 1.0, rng_seed=3)
+    assert not rep.passed and rep.max_ratio == np.inf
+    assert all(rep.constants_used[f"ratio_H2_{k}"] == np.inf for k in (1, 2, 3, 4))
+    rep = partials_fd_check(replace(sv, dsigma_dt=nan_like(sv.dsigma_dt)), 300, rng_seed=7)
+    assert not rep.passed and rep.max_ratio == np.inf
 
 
 def test_smooth_volterra_evaluators_shapes():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from volterra_fbm import bounds
+from volterra_fbm import bounds, grid
 from volterra_fbm.coeffs import builtin_coefficients
-from volterra_fbm.grid import abs_increment_row_integrals
+from volterra_fbm.grid import abs_increment_row_integrals, abs_increment_row_integrals_many
 from volterra_fbm.report import EstimateReport, make_report, ratio_of
 from volterra_fbm.verify import (
     SuiteConfig,
@@ -11,7 +11,9 @@ from volterra_fbm.verify import (
     check_lebesgue_estimates,
     check_rs_estimates,
     check_sigma_lemmas,
-    _w_path,
+    _PREFIX_GROUP,
+    _prefix_groups,
+    _w_of,
     run_suite,
 )
 
@@ -21,6 +23,14 @@ def test_ratio_conventions():
     assert r[0] == 0.0
     assert r[1] == 0.5
     assert np.isinf(r[2])
+
+
+def test_nan_sides_fail():
+    # a NaN lhs against a zero or NaN bound once scored 0 and passed
+    rep = make_report("x", [np.nan, 0.5], [0.0, 1.0], 0.0)
+    assert not rep.passed and rep.max_ratio == np.inf
+    assert not make_report("x", [np.nan], [np.nan], 0.0).passed
+    assert np.all(np.isinf(ratio_of([np.nan, 1.0, np.inf], [1.0, np.nan, np.inf])))
 
 
 def test_make_report_pass_fail():
@@ -141,8 +151,8 @@ def test_estimate_report_records_constants():
 
 
 def _double_increment_mass(row_t, row_s, h, alpha, upto):
-    """The per-node rule _w_path replaced, kept as its oracle: one
-    row-rule call per node."""
+    """The per-node rule the stacked prefix groups replaced, kept as their
+    oracle: one row-rule call per node."""
     phi = (row_t - row_s)[: upto + 1]
     if upto < 1:
         return 0.0
@@ -150,8 +160,16 @@ def _double_increment_mass(row_t, row_s, h, alpha, upto):
     return float(np.trapezoid(inner, dx=h))
 
 
-@pytest.mark.parametrize("n, i_ts", [(64, (2, 3, 33, 64)), (300, (256, 257, 258, 300))])
+# at and beside every edge of the prefix groups: one group short of
+# full, full, one and two prefixes into the next, and the last prefixes
+_G = _PREFIX_GROUP
+
+
+@pytest.mark.parametrize("n, i_ts", [(64, (2, 3, _G, _G + 1, _G + 2, 2 * _G + 1, 63, 64)),
+                                     (300, (256, 257, 258, 300))])
 def test_w_path_is_the_per_node_rule(n, i_ts):
+    # the stacked prefixes change the einsum's row length and the outer
+    # sum's order: within 1e-14 of the largest entry (3e-16 measured)
     rng = np.random.default_rng(n)
     h, alpha = 1.0 / n, 0.27
     vals = np.cumsum(rng.normal(size=(n + 1, n + 1)), axis=1) * np.sqrt(h)
@@ -162,7 +180,32 @@ def test_w_path_is_the_per_node_rule(n, i_ts):
         for j in range(1, i_t + 1):
             want[j] = _double_increment_mass(row, vals[j, : i_t + 1], h, alpha, j)
         want[i_t] = 0.0
-        assert np.array_equal(_w_path(row, vals, i_t, h, alpha), want)
+        groups = _prefix_groups(row, vals, i_t)
+        got = _w_of(abs_increment_row_integrals_many([(v, 1.0) for v in groups], h, alpha + 1.0), i_t, h)
+        assert got[0] == 0.0 and got[i_t] == 0.0
+        assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want)))
+
+
+def test_rs_case_takes_two_row_passes(monkeypatch):
+    # a guard on the work, not a timer: per case one row pass for the two
+    # Stieltjes bounds and one for the norm aggregates, with at most G,
+    # three rows, six masses, three nodes' prefix groups and two norm
+    # stacks as entries.  One entry per prefix made 11 passes and 132.5
+    # entries a case
+    calls, entries = [0], [0]
+    kernel = grid._blocked_row_rule
+
+    def counted(h, theta, shapes, block_of):
+        calls[0] += 1
+        entries[0] += len(shapes)
+        return kernel(h, theta, shapes, block_of)
+
+    monkeypatch.setattr(grid, "_blocked_row_rule", counted)
+    cases, n = 12, SuiteConfig.grid_n
+    check_rs_estimates(cases, rng_seed=5)
+    groups = -(-(n - 1) // _PREFIX_GROUP)
+    assert calls[0] <= 2 * cases
+    assert entries[0] <= (1 + 3 + 6 + 3 * groups + 2) * cases
 
 
 def test_make_report_empty_sample_fails():
